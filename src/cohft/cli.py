@@ -34,7 +34,13 @@ from .taut import exp_pushforward_check
 def _build_parser():
     parser = argparse.ArgumentParser(prog="cohft", description=__doc__)
     parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads")
+    parser.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="accepted and ignored: exact Fraction work holds the interpreter lock, "
+        "so the engine runs on one thread",
+    )
     parser.add_argument("--config", help="path to a spec config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -185,7 +191,7 @@ def _cmd_reconstruct(args):
         lines = [poly.render()]
         payload = {"class": poly.render()}
     else:
-        expr = r_action(spec, args.g, args.n, vectors, threads=args.threads)
+        expr = r_action(spec, args.g, args.n, vectors)
         lines = expr.render_lines() or ["0"]
         payload = {"terms": expr.render_lines()}
     _emit(args, lines, payload)

@@ -26,9 +26,9 @@ import re
 from fractions import Fraction
 
 from .frobenius import FrobeniusAlgebra, InvalidAlgebra, NotInvertible, NotSplit, SemisimpleData
-from .givental import CohFTSpec, IncoherentSpec
+from .givental import CohFTSpec, IncoherentSpec, NotSymplectic
 from .linalg import frac_str, identity
-from .series import EndSeries, check_symplectic
+from .series import EndSeries
 
 
 class ConfigError(ValueError):
@@ -219,17 +219,13 @@ def parse_config(text):
             raise ConfigError([(None, "semisimple basis: %s" % exc)]) from None
 
     r = EndSeries.from_higher_coeffs(dim, degree, higher)
-    if not check_symplectic(r, algebra.eta):
-        raise ConfigError([(None, "R violates the symplectic condition R(z)R(-z)* = Id")])
-
     if coherent and not phi_given:
-        # the compatibility relation determines phi from R uniquely
-        from .givental import coherent_phi
-
-        phi = coherent_phi(algebra, ss, r, degree)
+        phi = None  # the compatibility relation determines phi from R uniquely
 
     try:
         return CohFTSpec(algebra, ss, phi, r, degree, coherent=coherent)
+    except NotSymplectic:
+        raise ConfigError([(None, "R violates the symplectic condition R(z)R(-z)* = Id")]) from None
     except IncoherentSpec:
         raise ConfigError(
             [

@@ -157,6 +157,7 @@ class FrobeniusAlgebra:
         if problems:
             raise InvalidAlgebra(problems)
         self.eta_inv = mat_inv(self.eta)
+        self._checked_ss = None  # the last SemisimpleData that passed
 
     def _validate(self):
         n = self.dim
@@ -429,7 +430,12 @@ class FrobeniusAlgebra:
         return ss
 
     def check_semisimple_data(self, ss):
-        """All SemisimpleData invariants against this algebra, exactly."""
+        """All SemisimpleData invariants against this algebra, exactly.
+
+        Both are immutable, so data that passed once is not checked again.
+        """
+        if ss is self._checked_ss:
+            return
         n = self.dim
         if ss.dim != n:
             raise InvalidAlgebra(["semisimple data has wrong dimension"])
@@ -452,3 +458,4 @@ class FrobeniusAlgebra:
             problems.append("unit is not sum of weighted projectors")
         if problems:
             raise InvalidAlgebra(problems)
+        self._checked_ss = ss

@@ -13,9 +13,16 @@ theta_mu^{2-2h-k} exp(sum_j a_j^mu kappa_j) with the a_j^mu read off from
 -log u_mu.  Legs carry R^{-1}(psi), edges carry the symplectic kernel with
 one projector index at each end; eta is the identity in the semisimple
 basis, so no extra metric bookkeeping appears at the edges.
+
+The graph sum does work in proportion to its output.  graph_contribution
+walks the edge decorations depth first, cutting a branch once it overruns
+the degree budget or a vertex's psi load, then walks the vertices through
+per-call tables of (kappa monomial, leg psi) combinations sorted by degree;
+r_action adds every graph's terms into one dict and builds a single
+TautExpr.  The leg series R^{-1}(z) v and the edge kernel per projector pair
+are cached on the spec, so every graph of a sum shares them.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -35,8 +42,17 @@ class IncoherentSpec(ValueError):
     pass
 
 
+class NotSymplectic(ValueError):
+    pass
+
+
 class CohFTSpec:
-    """Classification data: algebra, semisimple basis, phi covectors, R."""
+    """Classification data: algebra, semisimple basis, phi covectors, R.
+
+    With coherent set and phi None, phi is derived from R through the
+    compatibility relation; the check then compares against that same
+    derivation rather than running it a second time.
+    """
 
     def __init__(self, algebra, ss, phi, r, degree, coherent=False):
         self.algebra = algebra
@@ -44,10 +60,6 @@ class CohFTSpec:
         self.degree = int(degree)
         if self.degree < 1:
             raise ValueError("truncation degree must be >= 1")
-        phi = [vec(p) for p in phi]
-        while len(phi) < self.degree:
-            phi.append(vec([0] * algebra.dim))
-        self.phi = tuple(phi[: self.degree])
         if isinstance(r, EndSeries):
             if r.order != self.degree:
                 r = EndSeries.from_higher_coeffs(algebra.dim, self.degree, r.coeffs[1:])
@@ -57,10 +69,18 @@ class CohFTSpec:
             r = EndSeries.from_higher_coeffs(algebra.dim, self.degree, r)
         self.r = r
         if not check_symplectic(self.r, algebra.eta):
-            raise ValueError("R does not satisfy the symplectic condition")
+            raise NotSymplectic("R does not satisfy the symplectic condition")
         algebra.check_semisimple_data(ss)
         self._cache = {}
         self.coherent = bool(coherent)
+        if phi is None:
+            if not self.coherent:
+                raise ValueError("phi is derived from R only for a coherent spec")
+            phi = self.phi_from_r()
+        phi = [vec(p) for p in phi]
+        while len(phi) < self.degree:
+            phi.append(vec([0] * algebra.dim))
+        self.phi = tuple(phi[: self.degree])
         if self.coherent and not compatibility_check(self):
             raise IncoherentSpec("phi does not match log(R^{-1} unit)")
 
@@ -74,8 +94,17 @@ class CohFTSpec:
     def r_inverse(self):
         return self._get("rinv", self.r.invert)
 
+    def phi_from_r(self):
+        """The coherent covectors forced by R (see coherent_phi)."""
+        return self._get("phi_r", lambda: _phi_from_r(self.algebra, self.r_inverse(), self.degree))
+
     def kernel_ss(self):
-        """Edge kernel coefficients in semisimple coordinates."""
+        """Edge kernel in semisimple coordinates, by projector pair.
+
+        Maps (mu, nu) to the nonzero entries (a, b, c): c is the z^a w^b
+        coefficient pairing projector mu with projector nu.  Entries are
+        sorted by a + b, so a walk can stop at the first that overruns.
+        """
 
         def build():
             kernel = edge_kernel(self.r, self.algebra.eta)
@@ -83,13 +112,24 @@ class CohFTSpec:
             binv = mat_inv(b)
             binv_t = transpose(binv)
             out = {}
-            for (a, bb), m in kernel.table.items():
+            for (a, bb), m in sorted(kernel.table.items(), key=lambda it: (sum(it[0]), it[0])):
                 conv = mat_mul(binv_t, mat_mul(m, binv))
-                if any(x != 0 for row in conv for x in row):
-                    out[(a, bb)] = conv
+                for mu, row in enumerate(conv):
+                    for nu, c in enumerate(row):
+                        if c != 0:
+                            out.setdefault((mu, nu), []).append((a, bb, c))
             return out
 
         return self._get("kernel_ss", build)
+
+    def leg_series(self, v):
+        """R^{-1}(z) v in semisimple coordinates, one tuple per power of z."""
+        v = vec(v)
+
+        def build():
+            return tuple(self.ss.to_semisimple(c) for c in self.r_inverse().apply(v).coeffs)
+
+        return self._get(("legs", v), build)
 
     def vertex_log_coeffs(self):
         """a_j^mu from -log(s_mu(z)/theta_mu), for j = 1..degree."""
@@ -175,7 +215,7 @@ def omega_plus(spec, cap=None):
 def compatibility_check(spec):
     """log of the classification homomorphism against -eta(beta log R^{-1}1, .)."""
     lhs = log_conv(omega_plus(spec), spec.ss)
-    rhs = _phi_from_r(spec.algebra, spec.ss, spec.r, spec.degree)
+    rhs = spec.phi_from_r()
     rhs_cov = CovectorKappaPoly(
         tuple(
             KappaPoly(
@@ -188,9 +228,9 @@ def compatibility_check(spec):
     return lhs == rhs_cov
 
 
-def _phi_from_r(algebra, ss, r, cap):
+def _phi_from_r(algebra, rinv, cap):
     """Covectors phi_j = -eta(log(R^{-1}(psi) unit)_j, .), the coherent choice."""
-    s = r.invert().apply(algebra.unit)
+    s = rinv.apply(algebra.unit)
     # logarithm in the algebra, coefficientwise on the psi powers
     delta = [list(s.coeffs[k]) for k in range(cap + 1)]
     delta[0] = [a - b for a, b in zip(delta[0], algebra.unit)]
@@ -222,7 +262,7 @@ def _phi_from_r(algebra, ss, r, cap):
 
 def coherent_phi(algebra, ss, r, cap):
     """The unique covectors making (phi, R) a coherent specification."""
-    return _phi_from_r(algebra, ss, r, cap)
+    return _phi_from_r(algebra, r.invert(), cap)
 
 
 def reconstruct_fixed(spec, g, n, vectors):
@@ -264,7 +304,7 @@ def reconstruct_free(spec, g, n, vectors):
         alpha_g = alg.euler_power(g)
         alpha_shift = None
     op = omega_plus(spec)
-    out = KPPoly(n, cap)
+    out = {}
     for exps in _bounded_tuples(n, cap):
         acc = alpha_g
         for i, e in enumerate(exps):
@@ -276,12 +316,18 @@ def reconstruct_free(spec, g, n, vectors):
             continue
         if alpha_shift is not None:
             acc = alg.multiply(acc, alpha_shift)
-        value = op.value(acc)
-        if value.is_zero():
-            continue
-        psi_part = KPPoly(n, cap, {((), tuple(exps)): Q1})
-        out = out + psi_part * KPPoly.from_kappa(n, value)
-    return out
+        _add_psi_times_kappa(out, exps, op.value(acc), cap)
+    return KPPoly(n, cap, out)
+
+
+def _add_psi_times_kappa(out, psi, value, cap):
+    """Add the psi monomial with exponents psi times the KappaPoly value into
+    the term dict out, dropping what lies above degree cap."""
+    room = cap - sum(psi)
+    for kk, c in value.terms.items():
+        if sum(kk) <= room:
+            key = (kk, psi)
+            out[key] = out.get(key, Q0) + c
 
 
 def _bounded_tuples(n, cap):
@@ -299,132 +345,124 @@ def graph_contribution(spec, graph, vectors):
     No automorphism weight here; r_action divides by |Aut|.  Decorations are
     truncated at each vertex's dimension (classes above it vanish) and at
     the global cap.
+
+    For each projector assignment a depth-first walk picks the edge
+    decorations one edge at a time, then the vertex decorations one vertex
+    at a time, and carries the partial coefficient down.  A branch is cut
+    as soon as it leaves the remaining degree budget or a vertex's psi load
+    passes the vertex dimension, so every leaf is an emitted term.  The
+    (kappa monomial, leg psi powers) combinations of a vertex under a
+    projector are tabulated once per call, sorted by degree, and each visit
+    reads the prefix that fits the room left at that vertex.  Terms are
+    summed under their raw decorations and canonicalized once at the end.
     """
     g = graph.total_genus()
     n = graph.num_legs
     if len(vectors) != n:
         raise ValueError("need %d vectors" % n)
-    alg = spec.algebra
-    ss = spec.ss
-    dim = alg.dim
     cap = max(min(spec.degree, 3 * g - 3 + n), 0)
-    rinv = spec.r_inverse()
-    kernel = spec.kernel_ss()
-    nv = graph.num_vertices
-    ne = len(graph.edges)
+    edges = graph.edges
+    ne = len(edges)
     if ne > cap:
         return TautExpr(g, n, cap)
     budget = cap - ne  # decoration degree available globally
-    # per-leg semisimple coordinate series
-    leg_series = {}
-    for label, v in enumerate(graph.legs, start=1):
-        coords = [ss.to_semisimple(c) for c in rinv.apply(vec(vectors[label - 1])).coeffs]
-        leg_series[label] = coords
-    vertex_dims = [graph.vertex_dim(v) for v in range(nv)]
-    out = {}
-    for assignment in iproduct(range(dim), repeat=nv):
-        pref = Q1
-        for v in range(nv):
-            expo = 2 - 2 * graph.genera[v] - graph.valence(v)
-            pref *= ss.weights[assignment[v]] ** expo
-        # edge decorations: list per edge of ((a,b), matrix coefficient)
-        edge_opts = []
-        feasible = True
-        for i, (u, w) in enumerate(graph.edges):
-            opts = []
-            mu, nu = assignment[u], assignment[w]
-            for (a, b), m in kernel.items():
-                if a + b > budget:
-                    continue
-                c = m[mu][nu]
+    legs = [spec.leg_series(v) for v in vectors]
+    kernel = spec.kernel_ss()
+    weights = spec.ss.weights
+    nv = graph.num_vertices
+    dims = [graph.vertex_dim(v) for v in range(nv)]
+    labels = [graph.legs_at(v) for v in range(nv)]
+    valences = [graph.valence(v) for v in range(nv)]
+    tables = {}
+
+    def table(v, mu):
+        # (degree, kappa monomial, leg psi powers, coefficient) at vertex v
+        # under projector mu, through the most room v can ever have
+        room = min(dims[v], budget)
+        rows = []
+        for kk, kc in spec.vertex_exp(mu, room).terms.items():
+            kdeg = sum(kk)
+            for exps in _bounded_tuples(len(labels[v]), room - kdeg):
+                c = kc
+                for label, e in zip(labels[v], exps):
+                    c *= legs[label - 1][e][mu]
+                    if c == 0:
+                        break
                 if c != 0:
-                    opts.append(((a, b), c))
-            if not opts:
-                feasible = False
+                    rows.append((kdeg + sum(exps), kk, exps, c))
+        rows.sort(key=lambda row: row[0])
+        return rows
+
+    assign = [0] * nv
+    load = [0] * nv  # psi degree the chosen edge ends put on each vertex
+    edge_psi = [None] * ne
+    kappa = [None] * nv
+    leg_psi = [0] * n
+    raw = {}
+
+    def walk_vertices(v, left, coeff):
+        if v == nv:
+            key = (tuple(kappa), tuple(leg_psi), tuple(edge_psi))
+            raw[key] = raw.get(key, Q0) + coeff
+            return
+        key = (v, assign[v])
+        rows = tables.get(key)
+        if rows is None:
+            rows = tables[key] = table(v, assign[v])
+        limit = min(dims[v] - load[v], left)
+        for deg, kk, exps, c in rows:
+            if deg > limit:
                 break
-            edge_opts.append(opts)
-        if not feasible:
-            continue
-        for edge_choice in iproduct(*edge_opts):
-            edge_psi = tuple(ab for ab, _ in edge_choice)
-            used = sum(a + b for a, b in edge_psi)
-            if used > budget:
-                continue
-            coeff = pref
-            for _, c in edge_choice:
-                coeff *= c
-            # psi load per vertex from the chosen edge decorations
-            load = [0] * nv
-            ok = True
-            for i, (u, w) in enumerate(graph.edges):
-                a, b = edge_psi[i]
-                load[u] += a
-                load[w] += b
-                if load[u] > vertex_dims[u] or load[w] > vertex_dims[w]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            # per-vertex combinations of leg psi powers and a kappa monomial
-            per_vertex = []
-            for v in range(nv):
-                room = min(vertex_dims[v] - load[v], budget - used)
-                labels = graph.legs_at(v)
-                combos = []
-                for kk, kc in spec.vertex_exp(assignment[v], min(room, cap)).terms.items():
-                    kdeg = sum(kk)
-                    for leg_exps in _bounded_tuples(len(labels), room - kdeg):
-                        c = kc
-                        for label, e in zip(labels, leg_exps):
-                            c *= leg_series[label][e][assignment[v]]
-                            if c == 0:
-                                break
-                        if c != 0:
-                            combos.append((kk, dict(zip(labels, leg_exps)), kdeg + sum(leg_exps), c))
-                if not combos:
-                    break
-                per_vertex.append(combos)
-            if len(per_vertex) < nv:
-                continue
-            for pick in iproduct(*per_vertex):
-                total = used + sum(p[2] for p in pick)
-                if total > budget:
-                    continue
-                c = coeff
-                for p in pick:
-                    c *= p[3]
-                leg_psi = [0] * n
-                for p in pick:
-                    for label, e in p[1].items():
-                        leg_psi[label - 1] = e
-                key = DecoratedGraph(
-                    graph, tuple(p[0] for p in pick), tuple(leg_psi), edge_psi
-                )
-                out[key] = out.get(key, Q0) + c
+            kappa[v] = kk
+            for label, e in zip(labels[v], exps):
+                leg_psi[label - 1] = e
+            walk_vertices(v + 1, left - deg, coeff * c)
+
+    def walk_edges(i, left, coeff):
+        if i == ne:
+            walk_vertices(0, left, coeff)
+            return
+        u, w = edges[i]
+        for a, b, c in kernel.get((assign[u], assign[w]), ()):
+            if a + b > left:
+                break
+            load[u] += a
+            load[w] += b
+            if load[u] <= dims[u] and load[w] <= dims[w]:
+                edge_psi[i] = (a, b)
+                walk_edges(i + 1, left - a - b, coeff * c)
+            load[u] -= a
+            load[w] -= b
+
+    for assignment in iproduct(range(spec.algebra.dim), repeat=nv):
+        assign[:] = assignment
+        pref = Q1
+        for v, mu in enumerate(assignment):
+            pref *= weights[mu] ** (2 - 2 * graph.genera[v] - valences[v])
+        walk_edges(0, budget, pref)
+    out = {}
+    for (vertex_kappa, legs_psi, edges_psi), c in raw.items():
+        key = DecoratedGraph(graph, vertex_kappa, legs_psi, edges_psi)
+        out[key] = out.get(key, Q0) + c
     return TautExpr(g, n, cap, out)
 
 
 def r_action(spec, g, n, vectors, threads=1):
-    """Sum of contributions over all boundary strata, weighted by 1/|Aut|."""
+    """Sum of contributions over all boundary strata, weighted by 1/|Aut|.
+
+    threads is accepted and ignored: the sum is exact Fraction arithmetic,
+    which holds the interpreter lock, so worker threads never made it faster.
+    """
     if 2 * g - 2 + n <= 0:
         raise UnstablePair("unstable pair (%d,%d)" % (g, n))
-    graphs = enumerate_stable_graphs(g, n)
-
-    def one(graph):
-        return graph_contribution(spec, graph, vectors).scale(
-            Fraction(1, graph.automorphism_order())
-        )
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(one, graphs))
-    else:
-        parts = [one(graph) for graph in graphs]
     cap = max(min(spec.degree, 3 * g - 3 + n), 0)
-    total = TautExpr(g, n, cap)
-    for part in parts:
-        total = total + part
-    return total
+    total = {}
+    for graph in enumerate_stable_graphs(g, n):
+        weight = Fraction(1, graph.automorphism_order())
+        # every key carries its graph, so no two graphs share a key
+        for key, c in graph_contribution(spec, graph, vectors).terms.items():
+            total[key] = c * weight
+    return TautExpr(g, n, cap, total)
 
 
 def restrict_to_smooth(expr):
@@ -437,14 +475,10 @@ def two_point(spec, v, w):
     cap = spec.degree
     series = spec.r_inverse().apply(vec(v)).coeffs
     op = omega_plus(spec)
-    out = KPPoly(1, cap)
+    out = {}
     for k in range(cap + 1):
-        prod = alg.multiply(series[k], vec(w))
-        value = op.value(prod)
-        if value.is_zero():
-            continue
-        out = out + KPPoly(1, cap, {((), (k,)): Q1}) * KPPoly.from_kappa(1, value)
-    return out
+        _add_psi_times_kappa(out, (k,), op.value(alg.multiply(series[k], vec(w))), cap)
+    return KPPoly(1, cap, out)
 
 
 def z_matrix(spec):
@@ -456,11 +490,13 @@ def z_matrix(spec):
     for k in range(alg.dim):
         row = []
         for j in range(alg.dim):
-            acc = KPPoly(1, spec.degree)
+            acc = {}
             for i in range(alg.dim):
-                if alg.eta_inv[k][i] != 0:
-                    acc = acc + omega[i][j].scale(alg.eta_inv[k][i])
-            row.append(acc)
+                weight = alg.eta_inv[k][i]
+                if weight != 0:
+                    for key, c in omega[i][j].terms.items():
+                        acc[key] = acc.get(key, Q0) + c * weight
+            row.append(KPPoly(1, spec.degree, acc))
         out.append(row)
     return out
 

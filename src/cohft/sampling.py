@@ -115,8 +115,7 @@ def coherent_spec(rng, dim, degree):
     algebra, _, _ = random_semisimple_algebra(rng, dim)
     ss = algebra.semisimplify()
     r = random_symplectic_r(rng, algebra, degree)
-    phi = coherent_phi(algebra, ss, r, degree)
-    return CohFTSpec(algebra, ss, phi, r, degree, coherent=True)
+    return CohFTSpec(algebra, ss, None, r, degree, coherent=True)
 
 
 def incoherent_spec(rng, dim, degree):
@@ -142,8 +141,7 @@ def scalar_exp_spec(a, degree):
     algebra = FrobeniusAlgebra(1, [[1]], [[[1]]], [1])
     ss = algebra.semisimplify()
     r = _matrix_exp_series(1, degree, [[[Fraction(a)]]] + [[[Q0]]] * (degree - 1))
-    phi = coherent_phi(algebra, ss, r, degree)
-    return CohFTSpec(algebra, ss, phi, r, degree, coherent=True)
+    return CohFTSpec(algebra, ss, None, r, degree, coherent=True)
 
 
 def random_vector(rng, dim, num=3):

@@ -47,6 +47,7 @@ class EndSeries:
             if len(c) != dim or any(len(row) != dim for row in c):
                 raise ValueError("coefficient has wrong shape")
         self.coeffs = tuple(coeffs)
+        self._inverse = None
 
     @classmethod
     def identity(cls, dim, order):
@@ -94,6 +95,12 @@ class EndSeries:
         return EndSeries(self.dim, self.order, out)
 
     def invert(self):
+        """The inverse series; computed once per series and then reused."""
+        if self._inverse is None:
+            self._inverse = self._compute_inverse()
+        return self._inverse
+
+    def _compute_inverse(self):
         try:
             c0 = mat_inv(self.coeffs[0])
         except ZeroDivisionError:

@@ -14,6 +14,7 @@ partitions (a block of size b accounts for the (b-1)! cycles on it).
 """
 
 from fractions import Fraction
+from itertools import product as iproduct
 from math import factorial
 
 from .kappa import KappaPoly, monomial_str
@@ -207,17 +208,16 @@ class KPPoly:
         kappa_j becomes kappa_j - psi_{n+1}^j, old psi classes are kept: this
         is the smooth-model rule (the correction divisors restrict to zero).
         """
-        n1 = self.n + 1
-        out = KPPoly(n1, self.cap)
+        out = {}
         for (kk, pp), c in self.terms.items():
-            term = KPPoly(n1, self.cap, {((), tuple(pp) + (0,)): c})
-            for j in kk:
-                factor = KPPoly(n1, self.cap, {((j,), (0,) * n1): Q1}) - KPPoly.psi(
-                    n1, self.cap, n1, j
-                )
-                term = term * factor
-            out = out + term
-        return out
+            # expand prod_j (kappa_j - psi_{n+1}^j): each factor keeps its
+            # kappa or moves its degree onto the new point with a sign;
+            # both have degree j, so nothing crosses the cap
+            for moves in iproduct((False, True), repeat=len(kk)):
+                kept = tuple(j for j, move in zip(kk, moves) if not move)
+                key = (kept, pp + (sum(kk) - sum(kept),))
+                out[key] = out.get(key, Q0) + (-c if sum(moves) % 2 else c)
+        return KPPoly(self.n + 1, self.cap, out)
 
     def render(self):
         if not self.terms:
@@ -293,7 +293,7 @@ def exp_pushforward_diff(coeffs, cap):
             m_coeff[i + 1] = val
     # m_coeff[k] is the z^k coefficient of M(z); valuation 2
 
-    right = KappaPoly.constant(cap, 1)
+    right = {(): Q1}
     tuples = []
     # multisets of exponents >= 2 with total pushforward degree <= cap
     def extend(prefix, start, deg):
@@ -319,8 +319,9 @@ def exp_pushforward_diff(coeffs, cap):
             weight *= m_coeff[a]
         if weight == 0:
             continue
-        right = right + forgetful_pushforward_monomial(tup, cap).scale(weight)
-    return left - right
+        for key, c in forgetful_pushforward_monomial(tup, cap).terms.items():
+            right[key] = right.get(key, Q0) + c * weight
+    return left - KappaPoly(cap, right)
 
 
 def exp_pushforward_check(coeffs, cap):

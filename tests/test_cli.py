@@ -70,6 +70,26 @@ def test_parse_rejects_float_literals():
         parse_config(SCALAR_CFG.replace("R 1: 1/2", "R 1: 0.5"))
 
 
+def test_parse_rejects_non_symplectic_r(tmp_path):
+    # R = 1 + z/2 has R(z)R(-z)* = 1 - z^2/4; with and without a derived phi
+    bad = SCALAR_CFG.replace("R 2: 1/8\n", "").replace("R 3: 1/48\n", "")
+    for text in (bad, bad.replace("coherent: yes", "coherent: no")):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert exc.value.report == [(None, "R violates the symplectic condition R(z)R(-z)* = Id")]
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(bad)
+    assert run_cli(["--config", str(cfg), "classify"])[0] == 1
+
+
+def test_parse_reports_bad_semisimple_data_at_its_line():
+    text = SCALAR_CFG + "weights: 2\nbasis: 1\n"
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert all(line == 11 for line, _ in exc.value.report)
+    assert any("semisimple" in msg for _, msg in exc.value.report)
+
+
 def test_cli_graphs_enumerate():
     code, out = run_cli(["graphs", "enumerate", "1", "1"])
     assert code == 0

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 from itertools import permutations
@@ -23,12 +24,14 @@ from cohft.givental import (
     z_matrix,
 )
 from cohft.graphs import StableGraph, smooth_graph
+from cohft.intersect import Correlators, correlator_of_theory
 from cohft.kappa import KappaPoly, is_grouplike
 from cohft.linalg import identity
 from cohft.sampling import (
     coherent_spec,
     incoherent_spec,
     random_semisimple_algebra,
+    random_symplectic_r,
     random_vector,
     scalar_exp_spec,
     trivial_spec,
@@ -180,6 +183,18 @@ def test_spec_rejects_non_symplectic_r():
     bad = EndSeries.from_higher_coeffs(1, 3, [[[F(0)]], [[F(1)]]])
     with pytest.raises(ValueError):
         CohFTSpec(alg, ss, [], bad, 3)
+
+
+def test_spec_derives_coherent_phi_from_r():
+    rng = random.Random(11)
+    alg, _, _ = random_semisimple_algebra(rng, 2)
+    ss = alg.semisimplify()
+    r = random_symplectic_r(rng, alg, 4)
+    derived = CohFTSpec(alg, ss, None, r, 4, coherent=True)
+    given = CohFTSpec(alg, ss, coherent_phi(alg, ss, r, 4), r, 4, coherent=True)
+    assert derived.phi == given.phi
+    with pytest.raises(ValueError):
+        CohFTSpec(alg, ss, None, r, 4)
 
 
 def test_graph_contribution_identity_r_smooth():
@@ -361,6 +376,39 @@ def test_restriction_equals_free_reconstruction_dim5_space():
     vs = [random_vector(rng, 2) for _ in range(2)]
     expr = r_action(spec, 2, 2, vs)
     assert expr.restrict_to_smooth() == reconstruct_free(spec, 2, 2, vs)
+
+
+def test_restriction_equals_free_reconstruction_more_points():
+    spec = coherent_spec(random.Random(7), 2, 5)
+    rng = random.Random(5)
+    for g, n in [(1, 4), (0, 5)]:
+        vs = [random_vector(rng, 2) for _ in range(n)]
+        assert restrict_to_smooth(r_action(spec, g, n, vs)) == reconstruct_free(spec, g, n, vs)
+
+
+# sha256 of r_action(2, 2) rendered, its term count and the correlator
+# <tau_2 tau_1> of the same theory, as the earlier graph sum computed them
+R_ACTION_PINS = {
+    1: ("7c53c1b1da8c8f458ad38dad32f1c7f915d857f54e36eb314d8e72546b2f652a", 1313, F(-84, 5)),
+    2: ("9d4c7cae5b6fbe6ebe9085fd18016e71306afcfb247c50fe784af57f7a3f3e08", 1466, F(13456211, 368640)),
+    3: (
+        "ae64005dd29e0aa5b1e0fdc0bcc8b4a2b6214083dd90ea74ab0aa3026995b6f5",
+        1466,
+        F(-101523599837, 5441955840),
+    ),
+}
+
+
+@pytest.mark.parametrize("dim", sorted(R_ACTION_PINS))
+def test_r_action_regression_pins(dim):
+    digest, terms, correlator = R_ACTION_PINS[dim]
+    spec = coherent_spec(random.Random(7), dim, 5)
+    rng = random.Random(3)
+    vs = [random_vector(rng, dim) for _ in range(2)]
+    expr = r_action(spec, 2, 2, vs)
+    assert len(expr.terms) == terms
+    assert hashlib.sha256("\n".join(expr.render_lines()).encode()).hexdigest() == digest
+    assert correlator_of_theory(spec, 2, 2, vs, (2, 1), Correlators()) == correlator
 
 
 def test_restriction_fails_for_incoherent():
