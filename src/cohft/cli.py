@@ -6,7 +6,8 @@ canonical order whatever the thread count, and --json switches to a
 machine-readable mirror of the same data.
 
 The COHFT_CACHE_DIR environment variable, when set, persists the
-correlator memo table between runs as sorted key-value text.
+correlator memo table between runs as sorted key-value text; a cache file
+with a malformed line is a validation failure that names the line.
 """
 
 import argparse
@@ -15,6 +16,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 from .config import ConfigError, parse_config, serialize_config
 from .frobenius import InvalidAlgebra, NotInvertible, NotSplit
@@ -27,7 +29,12 @@ from .givental import (
 from .graphs import enumerate_stable_graphs, special_order
 from .intersect import correlator_of_theory, default_backend
 from .linalg import frac_str
-from .oracles import brute_force_stable_graphs, vertex_factor_diff
+from .oracles import (
+    brute_force_stable_graphs,
+    genus0_multinomial,
+    vertex_factor_diff,
+    witten_top_closed_form,
+)
 from .taut import exp_pushforward_check
 
 
@@ -302,6 +309,23 @@ def _cmd_oracle(args):
                         "kappa multi-index (%d,%d) parts %s: %s vs %s %s"
                         % (g, n, parts, frac_str(via_kappa), frac_str(direct), "ok" if ok else "MISMATCH")
                     )
+        for g in range(1, 7):
+            value = backend.psi_correlator(g, (3 * g - 2,))
+            want = witten_top_closed_form(g)
+            ok = value == want
+            mismatches += 0 if ok else 1
+            lines.append(
+                "closed form <tau_%d>_%d = 1/(24^g g!): %s vs %s %s"
+                % (3 * g - 2, g, frac_str(value), frac_str(want), "ok" if ok else "MISMATCH")
+            )
+        for n in range(3, 7):
+            keys = [e for e in combinations_with_replacement(range(n - 2), n) if sum(e) == n - 3]
+            bad = [e for e in keys if backend.psi_correlator(0, e) != genus0_multinomial(e)]
+            mismatches += len(bad)
+            lines.append(
+                "genus-0 multinomial (n-3)!/prod a_i! on %d keys with n=%d: %s"
+                % (len(keys), n, "ok" if not bad else "MISMATCH at %s" % bad)
+            )
     else:  # vertex-sum
         spec = _load_spec(args)
         for mu in range(spec.algebra.dim):

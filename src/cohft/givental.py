@@ -208,8 +208,12 @@ def phi_primitive(spec, cap=None):
 
 
 def omega_plus(spec, cap=None):
-    """exp of the phi primitive for the convolution product; group-like."""
-    return exp_conv(phi_primitive(spec, cap), spec.ss)
+    """exp of the phi primitive for the convolution product; group-like.
+
+    Cached on the spec per cap; callers only read the result.
+    """
+    cap = spec.degree if cap is None else cap
+    return spec._get(("omega_plus", cap), lambda: exp_conv(phi_primitive(spec, cap), spec.ss))
 
 
 def compatibility_check(spec):

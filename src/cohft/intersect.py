@@ -3,18 +3,29 @@ theories.
 
 psi_correlator implements the Virasoro/KdV recursion with the two standard
 seeds <tau_0^3>_0 = 1 and <tau_1>_1 = 1/24: the string equation removes a
-tau_0, the dilaton equation removes a tau_1, and the main recursion applies
-to an index >= 2.  kappa classes are eliminated one at a time through the
-pushforward definition kappa_b = p_*(psi^{b+1}): on the space with one more
-point the remaining kappas pick up the correction kappa_s - psi_new^s,
-while the old psi classes need no correction because every term carries a
-positive power of the new psi class, which kills the correction divisors.
+tau_0, the dilaton equation removes a tau_1, and the main (DVV) recursion
+applies to an index >= 2.  Its separating term splits the remaining points
+into two sides.  Points with equal exponents give equal terms, so the split
+runs over the sub-multisets S of the remaining exponents, each once per call
+and weighted by prod_a C(m_a, k_a), the number of index subsets that pick
+it.  The genus of the side holding S and tau_b is not looped over: its
+dimension fixes it, 3 g_1 = sum(S) + b - |S| + 2, so S is skipped when that
+is not a multiple of 3 or g_1 lies outside [0, g].
+
+kappa classes are eliminated one at a time through the pushforward
+definition kappa_b = p_*(psi^{b+1}): on the space with one more point the
+remaining kappas pick up the correction kappa_s - psi_new^s, while the old
+psi classes need no correction because every term carries a positive power
+of the new psi class, which kills the correction divisors.  Expanding the
+product of corrections is again a sum over the sub-multisets S of the
+remaining kappa indices, with sign (-1)^|S| and the same binomial weights.
 """
 
 import os
-import threading
+import re
 from fractions import Fraction
-from itertools import combinations
+from itertools import groupby, product
+from math import comb
 
 from .linalg import Q0, Q1, frac_str
 
@@ -31,13 +42,35 @@ def double_factorial_odd(k):
     return out
 
 
+def _sub_multisets(values):
+    """Each sub-multiset of a sorted tuple once, as (weight, picked, left).
+
+    weight = prod_a C(m_a, k_a) counts the index subsets of values that pick
+    the multiset; picked and left keep the order of values.
+    """
+    groups = [(a, len(tuple(run))) for a, run in groupby(values)]
+    out = []
+    for ks in product(*(range(m + 1) for _, m in groups)):
+        weight = 1
+        picked = left = ()
+        for (a, m), k in zip(groups, ks):
+            weight *= comb(m, k)
+            picked += (a,) * k
+            left += (a,) * (m - k)
+        out.append((weight, picked, left))
+    return out
+
+
 class Correlators:
-    """Memoized intersection-number backend; safe for concurrent use."""
+    """Memoized intersection-number backend.
+
+    The memo tables are plain dicts with no lock: share a backend between
+    threads only with external synchronisation.
+    """
 
     def __init__(self):
         self._psi = {}
         self._kp = {}
-        self._lock = threading.Lock()
 
     # -- pure psi numbers ----------------------------------------------------
 
@@ -51,13 +84,9 @@ class Correlators:
         if sum(exps) != 3 * g - 3 + n:
             return Q0
         key = (g, exps)
-        with self._lock:
-            if key in self._psi:
-                return self._psi[key]
-        val = self._psi_recurse(g, exps)
-        with self._lock:
-            self._psi[key] = val
-        return val
+        if key not in self._psi:
+            self._psi[key] = self._psi_recurse(g, exps)
+        return self._psi[key]
 
     def _psi_recurse(self, g, exps):
         n = len(exps)
@@ -81,34 +110,33 @@ class Correlators:
         # main recursion on the largest index, all entries >= 2 here
         a1, rest = exps[0], exps[1:]
         total = Q0
-        for j, aj in enumerate(rest):
+        # merging a1 with a point: equal exponents give equal terms
+        for aj in dict.fromkeys(rest):
+            j = rest.index(aj)
             others = rest[:j] + rest[j + 1 :]
-            coeff = Fraction(
+            coeff = rest.count(aj) * Fraction(
                 double_factorial_odd(a1 + aj - 1), double_factorial_odd(aj - 1)
             )
             total += coeff * self.psi_correlator(g, others + (a1 + aj - 1,))
+        # sum(S) - |S| decides the left genus for every b
+        splits = [(w, s, t, sum(s) - len(s)) for w, s, t in _sub_multisets(rest)]
+        # the terms of one b share the weight (2b+1)!! (2c+1)!! / 2
         for b in range(a1 - 1):
             c = a1 - 2 - b
-            w = Fraction(double_factorial_odd(b) * double_factorial_odd(c), 2)
-            if g >= 1:
-                total += w * self.psi_correlator(g - 1, rest + (b, c))
-            for g1 in range(g + 1):
+            part = self.psi_correlator(g - 1, rest + (b, c)) if g >= 1 else Q0
+            for weight, chosen, remainder, excess in splits:
+                g1, r = divmod(excess + b + 2, 3)
+                if r or not 0 <= g1 <= g:
+                    continue
                 g2 = g - g1
-                for size in range(len(rest) + 1):
-                    for picked in combinations(range(len(rest)), size):
-                        left = tuple(rest[i] for i in picked) + (b,)
-                        right = tuple(
-                            rest[i] for i in range(len(rest)) if i not in picked
-                        ) + (c,)
-                        if 2 * g1 - 2 + len(left) <= 0 or 2 * g2 - 2 + len(right) <= 0:
-                            continue
-                        if sum(left) != 3 * g1 - 3 + len(left):
-                            continue
-                        total += (
-                            w
-                            * self.psi_correlator(g1, left)
-                            * self.psi_correlator(g2, right)
-                        )
+                if 2 * g1 - 1 + len(chosen) <= 0 or 2 * g2 - 1 + len(remainder) <= 0:
+                    continue
+                part += (
+                    self.psi_correlator(g1, chosen + (b,))
+                    * self.psi_correlator(g2, remainder + (c,))
+                    * weight
+                )
+            total += Fraction(double_factorial_odd(b) * double_factorial_odd(c), 2) * part
         return total / double_factorial_odd(a1)
 
     # -- kappa reduction -------------------------------------------------------
@@ -124,20 +152,15 @@ class Correlators:
         if not kappa_key:
             return self.psi_correlator(g, psi_exps)
         key = (g, psi_exps, kappa_key)
-        with self._lock:
-            if key in self._kp:
-                return self._kp[key]
+        if key in self._kp:
+            return self._kp[key]
         b, rest = kappa_key[-1], kappa_key[:-1]
         total = Q0
-        for size in range(len(rest) + 1):
-            for picked in combinations(range(len(rest)), size):
-                extra = sum(rest[i] for i in picked)
-                left = tuple(rest[i] for i in range(len(rest)) if i not in picked)
-                total += (-1) ** size * self.kappa_psi_correlator(
-                    g, psi_exps + (b + 1 + extra,), left
-                )
-        with self._lock:
-            self._kp[key] = total
+        for weight, picked, left in _sub_multisets(rest):
+            total += (-1) ** len(picked) * weight * self.kappa_psi_correlator(
+                g, psi_exps + (b + 1 + sum(picked),), left
+            )
+        self._kp[key] = total
         return total
 
     # -- consistency and persistence ------------------------------------------
@@ -175,34 +198,71 @@ class Correlators:
             )
         return "\n".join(lines) + ("\n" if lines else "")
 
-    def load(self, text):
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
+    def load(self, text, source="<text>"):
+        """Read entries in the format dump() writes, all or none.
+
+        Each non-blank line is `psi G E = V` or `kp G P K = V`: G a genus,
+        E, P and K comma-separated lists of non-negative integers (P may be
+        empty) and V an integer or a fraction.  Any other line raises
+        ValueError naming `source` and the line number, and nothing is read.
+        """
+        psi, kp = {}, {}
+        for number, line in enumerate(text.splitlines(), start=1):
+            if not line.strip():
                 continue
-            head, _, val = line.partition(" = ")
-            parts = head.split()
-            if parts[0] == "psi":
-                g = int(parts[1])
-                exps = tuple(int(x) for x in parts[2].split(",") if x != "")
-                self._psi[(g, exps)] = Fraction(val)
-            elif parts[0] == "kp":
-                g = int(parts[1])
-                pp = tuple(int(x) for x in parts[2].split(",") if x != "")
-                kk = tuple(int(x) for x in parts[3].split(",") if x != "")
-                self._kp[(g, pp, kk)] = Fraction(val)
+            try:
+                key, value = _parse_entry(line)
+            except ValueError as exc:
+                raise ValueError(
+                    "correlator cache %s, line %d: %s" % (source, number, exc)
+                ) from None
+            (psi if len(key) == 2 else kp)[key] = value
+        self._psi.update(psi)
+        self._kp.update(kp)
 
     def save_to(self, directory):
+        """Write dump() to correlators.txt through a temp file and a rename,
+        so a reader never sees a partly written file."""
         path = os.path.join(directory, "correlators.txt")
-        with open(path, "w") as fh:
-            fh.write(self.dump())
+        tmp = "%s.%d.tmp" % (path, os.getpid())
+        try:
+            with open(tmp, "w") as fh:
+                fh.write(self.dump())
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
         return path
 
     def load_from(self, directory):
         path = os.path.join(directory, "correlators.txt")
         if os.path.exists(path):
             with open(path) as fh:
-                self.load(fh.read())
+                self.load(fh.read(), path)
+
+
+_NUMS = r"(\d+(?:,\d+)*)"
+_ENTRY = re.compile(
+    r"(?:psi (\d+) %s|kp (\d+) %s? %s) = (-?\d+(?:/[1-9]\d*)?)" % (_NUMS, _NUMS, _NUMS),
+    re.ASCII,
+)
+
+
+def _parse_entry(line):
+    """(memo key, value) of one cache line; ValueError if it is malformed."""
+    m = _ENTRY.fullmatch(line)
+    if m is None:
+        raise ValueError("malformed entry %r" % line)
+    psi_g, psi_exps, kp_g, kp_exps, kp_kappa, value = m.groups()
+
+    def ints(field):
+        return tuple(int(x) for x in field.split(",")) if field else ()
+
+    if psi_g is not None:
+        key = (int(psi_g), ints(psi_exps))
+    else:
+        key = (int(kp_g), ints(kp_exps), ints(kp_kappa))
+    return key, Fraction(value)
 
 
 _DEFAULT = Correlators()

@@ -93,6 +93,19 @@ def _leg_assignments(n, nv, need):
     yield from rec(0, [0] * nv, total_need)
 
 
+def witten_top_closed_form(g):
+    """<tau_{3g-2}>_g = 1/(24^g g!), for g >= 1."""
+    return Fraction(1, 24**g * factorial(g))
+
+
+def genus0_multinomial(exps):
+    """<tau_{a_1} ... tau_{a_n}>_0 = (n-3)!/prod a_i!, when sum a_i = n-3."""
+    out = Fraction(factorial(len(exps) - 3))
+    for a in exps:
+        out /= factorial(a)
+    return out
+
+
 def multikappa_by_permutations(ks, cap):
     """kappa multi-index class by summing cycle products over all of S_m."""
     ks = list(ks)

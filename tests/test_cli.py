@@ -203,6 +203,34 @@ def test_cli_correlator_cache(tmp_path, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "bad_line",
+    ["junk", "psi 1 1 = 1/x", "psi 1 1 = 1/0", "kp 1 0 = 1/24", "psi 1 a = 1"],
+)
+def test_cli_correlator_cache_rejects_bad_line(tmp_path, monkeypatch, capsys, bad_line):
+    cfg = tmp_path / "spec.cfg"
+    cfg.write_text(SCALAR_CFG)
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "correlators.txt").write_text("psi 0 0,0,0 = 1\n%s\npsi 1 1 = 1/24\n" % bad_line)
+    monkeypatch.setenv("COHFT_CACHE_DIR", str(cache))
+    code, out = run_cli(["--config", str(cfg), "correlator", "1", "1"])
+    assert code == 1
+    assert out == ""
+    assert "line 2:" in capsys.readouterr().err
+
+
+def test_cli_correlator_cache_leaves_no_temp_file(tmp_path, monkeypatch):
+    cfg = tmp_path / "spec.cfg"
+    cfg.write_text(SCALAR_CFG)
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("COHFT_CACHE_DIR", str(cache))
+    for _ in range(2):
+        code, _ = run_cli(["--config", str(cfg), "correlator", "1", "1"])
+        assert code == 0
+    assert [p.name for p in cache.iterdir()] == ["correlators.txt"]
+
+
 def test_cli_verify_pass_and_fail(tmp_path):
     cfg = tmp_path / "spec.cfg"
     cfg.write_text(SCALAR_CFG)

@@ -1,4 +1,6 @@
+import hashlib
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 
@@ -64,6 +66,34 @@ def test_higher_genus_values():
     assert psi_correlator(2, 4, 1) == F(1, 384)
     assert psi_correlator(2, 3, 2) == F(29, 5760)
     assert psi_correlator(3, 7) == F(1, 82944)
+
+
+def test_top_psi_closed_form():
+    # independent oracle: <tau_{3g-2}>_g = 1/(24^g g!)
+    for g in range(1, 9):
+        assert Correlators().psi_correlator(g, (3 * g - 2,)) == F(1, 24**g * factorial(g)), g
+
+
+@pytest.mark.parametrize(
+    "g, exps, kappa, lines, digest",
+    [
+        (8, (22,), (), 259, "426e893d97d35baa6ef9df2df6851f938364efd9ef9e25d8e155522ce3d421a3"),
+        (10, (28,), (), 779, "bcddc257f368cd86e15502b61278d628e97cdb3ffb5772da41852fd255d2178b"),
+        (4, (6,), (1, 1, 2), 63, "b3f7baad400d7ec3516501b6780200d27f819b504eac749e98f8301c05db62cd"),
+    ],
+)
+def test_memo_table_pins(g, exps, kappa, lines, digest):
+    # the whole memo table a fresh backend fills for one query, pinned from
+    # the recursion that looped over index subsets and every split genus
+    backend = Correlators()
+    backend.kappa_psi_correlator(g, exps, kappa)
+    text = backend.dump()
+    assert len(text.splitlines()) == lines
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_kappa_repeated_part_value():
+    assert Correlators().kappa_psi_correlator(4, (6,), (1, 1, 2)) == F(105113, 17203200)
 
 
 def test_degree_mismatch_is_zero():
@@ -219,6 +249,8 @@ def test_memo_dump_load_roundtrip():
     backend = Correlators()
     backend.psi_correlator(1, (2, 1, 0))
     backend.kappa_psi_correlator(1, (0,), (1,))
+    # a key with no psi exponents writes an empty field
+    backend.kappa_psi_correlator(2, (), (3,))
     text = backend.dump()
     other = Correlators()
     other.load(text)
@@ -232,3 +264,10 @@ def test_backend_persistence(tmp_path):
     fresh = Correlators()
     fresh.load_from(str(tmp_path))
     assert fresh.psi_correlator(2, (4,)) == F(1, 1152)
+
+
+def test_load_is_all_or_nothing():
+    backend = Correlators()
+    with pytest.raises(ValueError, match="line 3"):
+        backend.load("psi 1 1 = 1/24\n\n psi 2 4 = 1/1152\n")
+    assert backend.dump() == ""
