@@ -1,9 +1,12 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 validation failure, 2 identity-check failure,
-3 internal error.  All output is deterministic: results are assembled in
-canonical order whatever the thread count, and --json switches to a
-machine-readable mirror of the same data.
+3 internal error.  A validation failure is a CohftError (config errors,
+unstable pairs, bad arguments and cache lines) or an algebra that does not
+split or invert; any other exception is an internal error.  All output is
+deterministic: results are assembled in canonical order whatever the
+thread count, and --json switches to a machine-readable mirror of the same
+data.
 
 The COHFT_CACHE_DIR environment variable, when set, persists the
 correlator memo table between runs as sorted key-value text; a cache file
@@ -19,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .config import ConfigError, parse_config, serialize_config
-from .frobenius import InvalidAlgebra, NotInvertible, NotSplit
+from .frobenius import NotInvertible, NotSplit
 from .givental import (
     r_action,
     reconstruct_fixed,
@@ -28,7 +31,7 @@ from .givental import (
 )
 from .graphs import enumerate_stable_graphs, special_order
 from .intersect import correlator_of_theory, default_backend
-from .linalg import frac_str
+from .linalg import CohftError, frac_str
 from .oracles import (
     brute_force_stable_graphs,
     genus0_multinomial,
@@ -104,7 +107,10 @@ def _parse_vectors(text, dim, n, unit):
         raise ConfigError([(None, "expected %d vectors, got %d" % (n, len(chunks)))])
     out = []
     for chunk in chunks:
-        coords = [Fraction(tok) for tok in chunk.replace(",", " ").split()]
+        try:
+            coords = [Fraction(tok) for tok in chunk.replace(",", " ").split()]
+        except (ValueError, ZeroDivisionError):
+            raise ConfigError([(None, "vector %r is not a list of rationals" % chunk)]) from None
         if len(coords) != dim:
             raise ConfigError([(None, "vector %r must have %d coordinates" % (chunk, dim))])
         out.append(tuple(coords))
@@ -232,7 +238,10 @@ def _cmd_correlator(args):
     backend = default_backend()
     if cache_dir:
         backend.load_from(cache_dir)
-    psi = tuple(int(x) for x in args.psi.split(",")) if args.psi else (0,) * args.n
+    try:
+        psi = tuple(int(x) for x in args.psi.split(",")) if args.psi else (0,) * args.n
+    except ValueError:
+        raise ConfigError([(None, "--psi must be comma-separated integers")]) from None
     if len(psi) != args.n:
         raise ConfigError([(None, "--psi needs %d entries" % args.n)])
     vectors = _parse_vectors(args.vectors, spec.algebra.dim, args.n, spec.algebra.unit)
@@ -375,10 +384,10 @@ def main(argv=None):
     except ConfigError as exc:
         print(exc.render(), file=sys.stderr)
         return 1
-    except (InvalidAlgebra, NotSplit, NotInvertible, ValueError) as exc:
+    except (CohftError, NotSplit, NotInvertible) as exc:
         print("validation failure: %s" % exc, file=sys.stderr)
         return 1
-    except Exception as exc:  # pragma: no cover
+    except Exception as exc:
         print("internal error: %s" % exc, file=sys.stderr)
         return 3
 

@@ -27,11 +27,11 @@ from fractions import Fraction
 
 from .frobenius import FrobeniusAlgebra, InvalidAlgebra, NotInvertible, NotSplit, SemisimpleData
 from .givental import CohFTSpec, IncoherentSpec, NotSymplectic
-from .linalg import frac_str, identity
+from .linalg import CohftError, frac_str, identity
 from .series import EndSeries
 
 
-class ConfigError(ValueError):
+class ConfigError(CohftError):
     """Carries a structured report: list of (line_number or None, message)."""
 
     def __init__(self, report):

@@ -14,6 +14,7 @@ from fractions import Fraction
 from .linalg import (
     Q0,
     Q1,
+    CohftError,
     bilinear,
     det,
     dot,
@@ -31,7 +32,7 @@ from .linalg import (
 )
 
 
-class InvalidAlgebra(ValueError):
+class InvalidAlgebra(CohftError):
     """Raised at construction; .problems lists every violated invariant."""
 
     def __init__(self, problems):
@@ -139,10 +140,6 @@ class SemisimpleData:
 
     def vector(self, mu):
         return self.basis_change[mu]
-
-    def covector_values(self, phi):
-        """phi given by ambient components; returns (phi(e_1), ..., phi(e_k))."""
-        return tuple(dot(self.basis_change[mu], phi) for mu in range(self.dim))
 
 
 class FrobeniusAlgebra:

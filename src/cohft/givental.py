@@ -14,6 +14,12 @@ theta_mu^{2-2h-k} exp(sum_j a_j^mu kappa_j) with the a_j^mu read off from
 one projector index at each end; eta is the identity in the semisimple
 basis, so no extra metric bookkeeping appears at the edges.
 
+The same logarithm fixes the coherent phi: the product of A is
+coordinatewise on the idempotents theta_mu e_mu, so
+log(R^{-1}(z) 1) = -sum_j z^j sum_mu theta_mu a_j^mu e_mu and
+phi_j = eta(sum_mu theta_mu a_j^mu e_mu, .).  One table of scalar logs
+(series.truncated_log per projector) serves the vertices and phi.
+
 The graph sum does work in proportion to its output.  graph_contribution
 walks the edge decorations depth first, cutting a branch once it overruns
 the degree budget or a vertex's psi load, then walks the vertices through
@@ -28,21 +34,17 @@ from itertools import product as iproduct
 
 from .frobenius import NotInvertible
 from .kappa import CovectorKappaPoly, KappaPoly, exp_conv, is_grouplike, log_conv
-from .linalg import Q0, Q1, identity, mat_inv, mat_mul, transpose, vec
-from .series import EndSeries, check_symplectic, edge_kernel, translation_vector
+from .graphs import UnstablePair, enumerate_stable_graphs
+from .linalg import Q0, Q1, CohftError, identity, mat_inv, mat_mul, mat_vec, transpose, vec
+from .series import EndSeries, check_symplectic, edge_kernel, truncated_log
 from .taut import DecoratedGraph, KPPoly, TautExpr
-from .graphs import enumerate_stable_graphs
 
 
-class UnstablePair(ValueError):
+class IncoherentSpec(CohftError):
     pass
 
 
-class IncoherentSpec(ValueError):
-    pass
-
-
-class NotSymplectic(ValueError):
+class NotSymplectic(CohftError):
     pass
 
 
@@ -96,7 +98,9 @@ class CohFTSpec:
 
     def phi_from_r(self):
         """The coherent covectors forced by R (see coherent_phi)."""
-        return self._get("phi_r", lambda: _phi_from_r(self.algebra, self.r_inverse(), self.degree))
+        return self._get(
+            "phi_r", lambda: _phi_from_log(self.algebra, self.ss, self.vertex_log_coeffs())
+        )
 
     def kernel_ss(self):
         """Edge kernel in semisimple coordinates, by projector pair.
@@ -133,17 +137,10 @@ class CohFTSpec:
 
     def vertex_log_coeffs(self):
         """a_j^mu from -log(s_mu(z)/theta_mu), for j = 1..degree."""
-
-        def build():
-            s = self.r_inverse().apply(self.algebra.unit)
-            coords = [self.ss.to_semisimple(c) for c in s.coeffs]
-            out = []
-            for mu in range(self.ss.dim):
-                u = [coords[k][mu] / self.ss.weights[mu] for k in range(self.degree + 1)]
-                out.append(_scalar_log_negated(u, self.degree))
-            return tuple(out)
-
-        return self._get("vertex_log", build)
+        return self._get(
+            "vertex_log",
+            lambda: _vertex_log_coeffs(self.algebra.unit, self.ss, self.r_inverse(), self.degree),
+        )
 
     def vertex_exp(self, mu, cap):
         """exp(sum_j a_j^mu kappa_j) through degree cap."""
@@ -156,29 +153,38 @@ class CohFTSpec:
 
         return self._get(key, build)
 
-    def translation(self):
-        return self._get("T", lambda: translation_vector(self.r, self.algebra.unit))
+
+def _vertex_log_coeffs(unit, ss, rinv, cap):
+    """a_j^mu = -[z^j] log u_mu(z) for j = 1..cap, one tuple per projector.
+
+    R^{-1}(z) unit = sum_mu s_mu(z) e_mu, and u_mu = s_mu / theta_mu has
+    constant term 1; each log is a scalar series, a dim-1 EndSeries.
+    """
+    coords = [ss.to_semisimple(c) for c in rinv.apply(unit).coeffs[: cap + 1]]
+    one = EndSeries.identity(1, cap)
+    out = []
+    for mu, theta in enumerate(ss.weights):
+        u = EndSeries(1, cap, [[[c[mu] / theta]] for c in coords])
+        log = truncated_log(u, one, cap)
+        out.append(tuple(-c[0][0] for c in log.coeffs[1:]))
+    return tuple(out)
 
 
-def _scalar_log_negated(u, cap):
-    """Coefficients a_1..a_cap with log(u) = -sum a_j z^j, u[0] = 1."""
-    diff = [Q0] + [u[k] for k in range(1, cap + 1)]
-    log = [Q0] * (cap + 1)
-    term = [Q0] * (cap + 1)
-    term[0] = Q1
-    for n in range(1, cap + 1):
-        nxt = [Q0] * (cap + 1)
-        for i, a in enumerate(term):
-            if a == 0:
-                continue
-            for j in range(1, cap + 1 - i):
-                if diff[j] != 0:
-                    nxt[i + j] += a * diff[j]
-        term = nxt
-        sign = Fraction((-1) ** (n - 1), n)
-        for i in range(cap + 1):
-            log[i] += sign * term[i]
-    return tuple(-log[j] for j in range(1, cap + 1))
+def _phi_from_log(algebra, ss, log_coeffs):
+    """phi_j = -eta(log(R^{-1}(z) unit)_j, .) from the per-projector logs.
+
+    The product is coordinatewise on the idempotents theta_mu e_mu and
+    R^{-1}(z) unit = sum_mu u_mu(z) theta_mu e_mu, so
+    log(R^{-1}(z) unit) = -sum_j z^j sum_mu theta_mu a_j^mu e_mu.
+    """
+    phi = []
+    for j in range(len(log_coeffs[0])):
+        x = [
+            sum(w * a[j] * e[i] for w, a, e in zip(ss.weights, log_coeffs, ss.basis_change))
+            for i in range(algebra.dim)
+        ]
+        phi.append(mat_vec(algebra.eta, x))
+    return phi
 
 
 def tqft_value(spec, g, n, vectors):
@@ -232,41 +238,9 @@ def compatibility_check(spec):
     return lhs == rhs_cov
 
 
-def _phi_from_r(algebra, rinv, cap):
-    """Covectors phi_j = -eta(log(R^{-1}(psi) unit)_j, .), the coherent choice."""
-    s = rinv.apply(algebra.unit)
-    # logarithm in the algebra, coefficientwise on the psi powers
-    delta = [list(s.coeffs[k]) for k in range(cap + 1)]
-    delta[0] = [a - b for a, b in zip(delta[0], algebra.unit)]
-    log = [list(t) for t in [(Q0,) * algebra.dim] * (cap + 1)]
-    term = [(Q0,) * algebra.dim for _ in range(cap + 1)]
-    term[0] = algebra.unit
-    for n in range(1, cap + 1):
-        nxt = [(Q0,) * algebra.dim for _ in range(cap + 1)]
-        for i in range(cap + 1):
-            if all(x == 0 for x in term[i]):
-                continue
-            for j in range(cap + 1 - i):
-                if all(x == 0 for x in delta[j]):
-                    continue
-                prod = algebra.multiply(term[i], tuple(delta[j]))
-                nxt[i + j] = tuple(a + b for a, b in zip(nxt[i + j], prod))
-        term = nxt
-        sign = Fraction((-1) ** (n - 1), n)
-        for i in range(cap + 1):
-            log[i] = [a + sign * b for a, b in zip(log[i], term[i])]
-    phi = []
-    from .linalg import mat_vec
-
-    for j in range(1, cap + 1):
-        lj = tuple(log[j])
-        phi.append(tuple(-x for x in mat_vec(algebra.eta, lj)))
-    return phi
-
-
 def coherent_phi(algebra, ss, r, cap):
     """The unique covectors making (phi, R) a coherent specification."""
-    return _phi_from_r(algebra, r.invert(), cap)
+    return _phi_from_log(algebra, ss, _vertex_log_coeffs(algebra.unit, ss, r.invert(), cap))
 
 
 def reconstruct_fixed(spec, g, n, vectors):

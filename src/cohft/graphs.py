@@ -16,9 +16,12 @@ from collections import Counter
 from itertools import permutations, product
 from math import factorial
 
+from .linalg import CohftError
 
-class UnstablePair(ValueError):
-    pass
+
+class UnstablePair(CohftError):
+    """(g, n) has no stable curves of the kind asked for: a negative genus,
+    2g-2+n <= 0, or no marked point where one is needed."""
 
 
 def _vertex_profile(genera, legs, edges):
@@ -286,6 +289,8 @@ class StableGraph:
 
 
 def smooth_graph(g, n):
+    if g < 0:
+        raise UnstablePair("negative genus")
     if 2 * g - 2 + n <= 0:
         raise UnstablePair("2g-2+n must be positive, got (%d,%d)" % (g, n))
     return StableGraph((g,), (0,) * n, ())

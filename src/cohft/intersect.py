@@ -27,11 +27,8 @@ from fractions import Fraction
 from itertools import groupby, product
 from math import comb
 
-from .linalg import Q0, Q1, frac_str
-
-
-class UnstablePair(ValueError):
-    pass
+from .graphs import UnstablePair
+from .linalg import Q0, Q1, CohftError, frac_str
 
 
 def double_factorial_odd(k):
@@ -204,7 +201,7 @@ class Correlators:
         Each non-blank line is `psi G E = V` or `kp G P K = V`: G a genus,
         E, P and K comma-separated lists of non-negative integers (P may be
         empty) and V an integer or a fraction.  Any other line raises
-        ValueError naming `source` and the line number, and nothing is read.
+        CohftError naming `source` and the line number, and nothing is read.
         """
         psi, kp = {}, {}
         for number, line in enumerate(text.splitlines(), start=1):
@@ -213,7 +210,7 @@ class Correlators:
             try:
                 key, value = _parse_entry(line)
             except ValueError as exc:
-                raise ValueError(
+                raise CohftError(
                     "correlator cache %s, line %d: %s" % (source, number, exc)
                 ) from None
             (psi if len(key) == 2 else kp)[key] = value
@@ -316,11 +313,13 @@ def correlator_of_theory(spec, g, n, vectors, psi_exps, backend=None):
     from .taut import DecoratedGraph, TautExpr
 
     if len(psi_exps) != n:
-        raise ValueError("need one psi exponent per marked point")
+        raise CohftError("need one psi exponent per marked point")
+    if any(a < 0 for a in psi_exps):
+        raise CohftError("negative psi exponent")
     if spec.degree < 3 * g - 3 + n:
         # an integral of a class truncated below the space dimension would
         # silently miss terms; graded comparisons may truncate, numbers not
-        raise ValueError(
+        raise CohftError(
             "truncation degree %d is below the dimension %d of the target space"
             % (spec.degree, 3 * g - 3 + n)
         )

@@ -8,7 +8,8 @@ Covector-valued polynomials X in A* (x) Q[kappa_j] are stored through their
 values on the ambient basis.  The convolution product diagonalizes over a
 semisimple basis:  (X * Y)(v) = sum_mu theta_mu^{-1} v^mu X(e_mu) Y(e_mu),
 with the Frobenius trace theta as neutral element; exp and log for this
-product are plain series since the argument has positive degree.
+product are plain series since the argument has positive degree, summed by
+series.truncated_exp and series.truncated_log.
 """
 
 from fractions import Fraction
@@ -16,6 +17,7 @@ from itertools import product as iproduct
 from math import comb, factorial
 
 from .linalg import Q0, frac_str, identity, vec
+from .series import truncated_exp, truncated_log
 
 
 class NonzeroConstantTerm(ValueError):
@@ -95,36 +97,15 @@ class KappaPoly:
 
     __rmul__ = __mul__
 
-    def power(self, n):
-        out = KappaPoly.constant(self.cap, 1)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def exp(self):
         if self.constant_term() != 0:
             raise NonzeroConstantTerm("exp needs zero constant term")
-        out = KappaPoly.constant(self.cap, 1)
-        term = KappaPoly.constant(self.cap, 1)
-        for n in range(1, self.cap + 1):
-            term = term * self
-            if term.is_zero():
-                break
-            out = out + term.scale(Fraction(1, factorial(n)))
-        return out
+        return truncated_exp(self, KappaPoly.constant(self.cap, 1), self.cap)
 
     def log(self):
         if self.constant_term() != 1:
             raise WrongConstantTerm("log needs constant term 1")
-        u = self - KappaPoly.constant(self.cap, 1)
-        out = KappaPoly(self.cap)
-        term = KappaPoly.constant(self.cap, 1)
-        for n in range(1, self.cap + 1):
-            term = term * u
-            if term.is_zero():
-                break
-            out = out + term.scale(Fraction((-1) ** (n - 1), n))
-        return out
+        return truncated_log(self, KappaPoly.constant(self.cap, 1), self.cap)
 
     def antipode(self):
         """kappa_j -> -kappa_j on every generator."""

@@ -12,12 +12,22 @@ Q0 = Fraction(0)
 Q1 = Fraction(1)
 
 
+class CohftError(ValueError):
+    """Base of the errors that reject a caller's input; the CLI reports
+    them as validation failures (exit 1)."""
+
+
+def _frac(x):
+    # a Fraction is immutable, so it is kept rather than copied
+    return x if type(x) is Fraction else Fraction(x)
+
+
 def vec(entries):
-    return tuple(Fraction(x) for x in entries)
+    return tuple(map(_frac, entries))
 
 
 def mat(rows):
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+    return tuple(tuple(map(_frac, row)) for row in rows)
 
 
 def zero_vec(n):
@@ -31,10 +41,6 @@ def identity(n):
 def zero_mat(n, m=None):
     m = n if m is None else m
     return tuple((Q0,) * m for _ in range(n))
-
-
-def mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_sub(a, b):
@@ -57,19 +63,6 @@ def mat_vec(a, v):
 
 def transpose(a):
     return tuple(zip(*a)) if a else ()
-
-
-def vec_add(u, v):
-    return tuple(x + y for x, y in zip(u, v))
-
-
-def vec_sub(u, v):
-    return tuple(x - y for x, y in zip(u, v))
-
-
-def vec_scale(c, v):
-    c = Fraction(c)
-    return tuple(c * x for x in v)
 
 
 def dot(u, v):
@@ -185,7 +178,3 @@ def linear_dependence(vectors):
 def frac_str(x):
     x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else "%d/%d" % (x.numerator, x.denominator)
-
-
-def parse_frac(text):
-    return Fraction(text)

@@ -3,8 +3,9 @@
 These deliberately avoid the main code paths: graphs are generated by
 unrestricted search with isomorphism rejection instead of degeneration
 walks, multi-index kappa classes by summing over all permutations instead
-of set partitions, and vertex insertion sums by the raw m-sum instead of
-the closed-form exponential.
+of set partitions, and vertex insertion sums by the raw m-sum over
+forgotten points (taut.forgotten_point_msum, read off R^{-1} unit) instead
+of the closed-form exponential of the vertex log.
 """
 
 from fractions import Fraction
@@ -14,7 +15,7 @@ from math import factorial
 from .graphs import StableGraph
 from .kappa import KappaPoly
 from .linalg import Q0
-from .taut import forgetful_pushforward_monomial
+from .taut import forgotten_point_msum
 
 
 def _connected(nv, edges):
@@ -129,42 +130,6 @@ def multikappa_by_permutations(ks, cap):
     return KappaPoly(cap, terms)
 
 
-def vertex_msum_kappa(t_hat, cap):
-    """Vertex insertion sum from the raw m-sum.
-
-    t_hat[k] is the z^k coefficient of the rescaled translation series at
-    one projector (valuation >= 2).  Returns
-    sum_m (1/m!) (p_m)_* (that(psi) ... that(psi)) through degree cap.
-    """
-    total = KappaPoly.constant(cap, 1)
-    tuples = []
-
-    def extend(prefix, start, deg):
-        if prefix:
-            tuples.append(list(prefix))
-        for a in range(start, len(t_hat)):
-            if deg + (a - 1) > cap:
-                break
-            prefix.append(a)
-            extend(prefix, a, deg + a - 1)
-            prefix.pop()
-
-    extend([], 2, 0)
-    for tup in tuples:
-        m = len(tup)
-        weight = Fraction(1, factorial(m))
-        arrangements = factorial(m)
-        for a in set(tup):
-            arrangements //= factorial(tup.count(a))
-        weight *= arrangements
-        for a in tup:
-            weight *= t_hat[a]
-        if weight == 0:
-            continue
-        total = total + forgetful_pushforward_monomial(tup, cap).scale(weight)
-    return total
-
-
 def vertex_factor_diff(spec, mu, cap):
     """Closed-form vertex exponential minus the m-sum, at one projector.
 
@@ -177,5 +142,4 @@ def vertex_factor_diff(spec, mu, cap):
     coords = [spec.ss.to_semisimple(c) for c in s.coeffs]
     u = [coords[k][mu] / spec.ss.weights[mu] for k in range(len(s.coeffs))]
     t_hat = [Q0, Q0] + [-u[k - 1] for k in range(2, min(cap + 1, len(u)) + 1)]
-    msum = vertex_msum_kappa(t_hat, cap)
-    return spec.vertex_exp(mu, cap) - msum
+    return spec.vertex_exp(mu, cap) - forgotten_point_msum(t_hat, cap)

@@ -11,8 +11,8 @@ from fractions import Fraction
 
 from .frobenius import FrobeniusAlgebra
 from .givental import CohFTSpec, coherent_phi
-from .linalg import Q0, det, identity, mat, mat_mul, mat_scale
-from .series import EndSeries, check_symplectic
+from .linalg import Q0, det, mat, mat_mul, zero_mat
+from .series import EndSeries, check_symplectic, truncated_exp
 
 
 def _rand_frac(rng, num=4, den=3):
@@ -64,41 +64,10 @@ def random_symplectic_r(rng, algebra, order, sparsity=2):
                     s[i][k] = val
                     s[k][i] = -val
         bs.append(mat_mul(eta_inv, mat(s)))
-    r = _matrix_exp_series(dim, order, bs)
+    b = EndSeries(dim, order, [zero_mat(dim)] + bs)
+    r = truncated_exp(b, EndSeries.identity(dim, order), order)
     assert check_symplectic(r, algebra.eta)
     return r
-
-
-def _matrix_exp_series(dim, order, higher):
-    """exp of B(z) = sum higher[j-1] z^j, truncated at the given order."""
-    def cauchy(a, b):
-        out = []
-        for k in range(order + 1):
-            acc = [[Q0] * dim for _ in range(dim)]
-            for i in range(k + 1):
-                if i > len(a) - 1 or k - i > len(b) - 1:
-                    continue
-                term = mat_mul(a[i], b[k - i])
-                for r in range(dim):
-                    for c in range(dim):
-                        acc[r][c] += term[r][c]
-            out.append(mat(acc))
-        return out
-
-    zero = mat([[0] * dim for _ in range(dim)])
-    bseries = [zero] + [mat(h) for h in higher]
-    while len(bseries) < order + 1:
-        bseries.append(zero)
-    result = [identity(dim)] + [zero] * order
-    term = [identity(dim)] + [zero] * order
-    for n in range(1, order + 1):
-        term = cauchy(term, bseries)
-        term = [mat_scale(Fraction(1, n), m) for m in term]
-        result = [
-            tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(m1, m2))
-            for m1, m2 in zip(result, term)
-        ]
-    return EndSeries(dim, order, result)
 
 
 def random_r_series(rng, dim, order):
@@ -140,7 +109,8 @@ def scalar_exp_spec(a, degree):
     """dim 1 with R = exp(a z) and the matching coherent phi."""
     algebra = FrobeniusAlgebra(1, [[1]], [[[1]]], [1])
     ss = algebra.semisimplify()
-    r = _matrix_exp_series(1, degree, [[[Fraction(a)]]] + [[[Q0]]] * (degree - 1))
+    b = EndSeries(1, degree, [[[0]], [[a]]] + [[[0]]] * (degree - 1))
+    r = truncated_exp(b, EndSeries.identity(1, degree), degree)
     return CohFTSpec(algebra, ss, None, r, degree, coherent=True)
 
 

@@ -1,4 +1,5 @@
-"""Truncated power series with matrix and vector coefficients.
+"""Truncated power series with matrix and vector coefficients, and the one
+truncated exp/log pair of the engine.
 
 EndSeries models End(A)-valued series R(z) = R_0 + R_1 z + ... + R_D z^D;
 all operations are exact through the truncation order and drop higher terms.
@@ -6,7 +7,16 @@ The two series-level facts the engine leans on are that inversion works
 order by order whenever R_0 is invertible, and that the edge numerator
 eta^{-1} - S(z) eta^{-1} S(w)^t is divisible by z + w exactly when S comes
 from a series satisfying the symplectic condition.
+
+truncated_exp and truncated_log sum the power series sum x^n/n! and
+sum (-1)^{n-1} (u-1)^n/n.  Only powers of a single element appear, so the
+sums are right over non-commuting coefficients as well: they serve
+End(A)-valued series, scalar z-series (dim-1 EndSeries) and kappa
+polynomials alike, asking only for +, -, the ring product and scaling by
+a Fraction.
 """
+
+from fractions import Fraction
 
 from .linalg import (
     Q1,
@@ -82,17 +92,50 @@ class EndSeries:
             [mat_scale(Q1 if k % 2 == 0 else -Q1, c) for k, c in enumerate(self.coeffs)],
         )
 
-    def multiply(self, other):
+    def _check_shape(self, other):
         if self.order != other.order or self.dim != other.dim:
             raise OrderMismatch("series orders or dimensions differ")
+
+    def __add__(self, other):
+        self._check_shape(other)
+        return EndSeries(
+            self.dim,
+            self.order,
+            [
+                tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+                for a, b in zip(self.coeffs, other.coeffs)
+            ],
+        )
+
+    def __sub__(self, other):
+        self._check_shape(other)
+        return EndSeries(
+            self.dim, self.order, [mat_sub(a, b) for a, b in zip(self.coeffs, other.coeffs)]
+        )
+
+    def __mul__(self, other):
+        """Series product with another EndSeries, else scaling by a number."""
+        if isinstance(other, EndSeries):
+            return self.multiply(other)
+        return EndSeries(self.dim, self.order, [mat_scale(other, c) for c in self.coeffs])
+
+    def multiply(self, other):
+        """The Cauchy product, entry by entry over the pairs of nonzero
+        coefficients: the powers summed by exp and log vanish to high order."""
+        self._check_shape(other)
+        dim = self.dim
+        left = [(i, c) for i, c in enumerate(self.coeffs) if any(any(row) for row in c)]
+        right = {j: transpose(c) for j, c in enumerate(other.coeffs) if any(any(row) for row in c)}
         out = []
         for k in range(self.order + 1):
-            acc = zero_mat(self.dim)
-            for i in range(k + 1):
-                term = mat_mul(self.coeffs[i], other.coeffs[k - i])
-                acc = tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(acc, term))
-            out.append(acc)
-        return EndSeries(self.dim, self.order, out)
+            pairs = [(a, right[k - i]) for i, a in left if k - i in right]
+            out.append(
+                [
+                    [sum(x * y for a, bt in pairs for x, y in zip(a[r], bt[c])) for c in range(dim)]
+                    for r in range(dim)
+                ]
+            )
+        return EndSeries(dim, self.order, out)
 
     def invert(self):
         """The inverse series; computed once per series and then reused."""
@@ -219,6 +262,29 @@ def edge_kernel(r, eta):
         if not _is_zero(m):
             raise NotDivisible("numerator is not divisible by z + w")
     return BivectorSeries(dim, order - 1 if order > 0 else 0, k_table)
+
+
+def truncated_exp(x, one, order):
+    """exp(x) = sum_{n <= order} x^n / n!, with `one` the neutral element.
+
+    x must vanish to first order (zero constant term, or positive degree),
+    so that x^n is zero above the truncation order and the sum is exact.
+    """
+    out = term = one
+    for n in range(1, order + 1):
+        term = term * x * Fraction(1, n)
+        out = out + term
+    return out
+
+
+def truncated_log(u, one, order):
+    """log(u) = sum_{1 <= n <= order} (-1)^{n-1} (u - one)^n / n, for u
+    whose constant term is `one`."""
+    y = power = out = u - one
+    for n in range(2, order + 1):
+        power = power * y
+        out = out + power * Fraction((-1) ** (n - 1), n)
+    return out
 
 
 def translation_vector(r, unit):

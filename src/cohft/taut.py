@@ -10,7 +10,9 @@ The kappa side is driven by one combinatorial identity: pushing forward a
 product of psi powers at m forgotten points yields the multi-index class
 kappa_{k_1..k_m} = sum over permutations, grouped by cycle type, of products
 of ordinary kappa classes.  kappa_multi_index computes that sum over set
-partitions (a block of size b accounts for the (b-1)! cycles on it).
+partitions (a block of size b accounts for the (b-1)! cycles on it), and
+forgotten_point_msum sums such pushforwards over every number of forgotten
+points.
 """
 
 from fractions import Fraction
@@ -19,6 +21,7 @@ from math import factorial
 
 from .kappa import KappaPoly, monomial_str
 from .linalg import Q0, Q1, frac_str
+from .series import EndSeries, truncated_exp
 
 
 class UnsupportedLowPower(ValueError):
@@ -108,6 +111,43 @@ def forgetful_pushforward_monomial(exponents, cap):
     return kappa_multi_index([a - 1 for a in exponents], cap)
 
 
+def forgotten_point_msum(series, cap):
+    """sum_m (1/m!) (p_m)_*(M(psi_1) ... M(psi_m)) through degree cap.
+
+    series[k] is the z^k coefficient of M(z), which has valuation >= 2; an
+    exponent-a factor pushes forward to kappa degree a - 1, so series needs
+    entries through z^{cap+1}.  The sum runs over multisets of exponents,
+    each weighted by its number of ordered arrangements.
+    """
+    tuples = []
+
+    def extend(prefix, start, deg):
+        if prefix:
+            tuples.append(list(prefix))
+        for a in range(start, len(series)):
+            if deg + (a - 1) > cap:
+                break
+            prefix.append(a)
+            extend(prefix, a, deg + a - 1)
+            prefix.pop()
+
+    extend([], 2, 0)
+    total = {(): Q1}
+    for tup in tuples:
+        m = len(tup)
+        arrangements = factorial(m)
+        for a in set(tup):
+            arrangements //= factorial(tup.count(a))
+        weight = Fraction(arrangements, factorial(m))
+        for a in tup:
+            weight *= series[a]
+        if weight == 0:
+            continue
+        for key, c in forgetful_pushforward_monomial(tup, cap).terms.items():
+            total[key] = total.get(key, Q0) + c * weight
+    return KappaPoly(cap, total)
+
+
 class KPPoly:
     """Polynomial in kappa_j and psi_1..psi_n, truncated at total degree cap.
 
@@ -145,12 +185,6 @@ class KPPoly:
         pp = [0] * n
         pp[i - 1] = exponent
         return cls(n, cap, {((), tuple(pp)): Q1})
-
-    def kappa_part(self):
-        """Drop every term with psi dependence; the result is a KappaPoly."""
-        return KappaPoly(
-            self.cap, {kk: c for (kk, pp), c in self.terms.items() if not any(pp)}
-        )
 
     def is_zero(self):
         return not self.terms
@@ -257,71 +291,19 @@ def exp_pushforward_diff(coeffs, cap):
 
     Left side: exp(a_1 kappa_1 + a_2 kappa_2 + ...).  Right side: the sum
     over m of (1/m!) times the pushforward of products of copies of
-    M(psi) = psi (1 - exp(-a_1 psi - a_2 psi^2 - ...)) at forgotten points,
-    evaluated termwise through forgetful_pushforward_monomial.
+    M(psi) = psi (1 - exp(-a_1 psi - a_2 psi^2 - ...)) at forgotten points.
     """
     coeffs = [Fraction(c) for c in coeffs]
-    lin = KappaPoly(cap, {(j,): c for j, c in enumerate(coeffs, start=1)})
-    left = lin.exp()
+    left = KappaPoly(cap, {(j,): c for j, c in enumerate(coeffs, start=1)}).exp()
 
-    # scalar coefficients of M(z) through z^{cap+1}: degree of kappa_{a-1} is a-1
-    zcap = cap + 1
-    expo = [Q0] * (zcap + 1)  # -a_1 z - a_2 z^2 - ...
-    for j, c in enumerate(coeffs, start=1):
-        if j <= zcap:
-            expo[j] = -c
-    body = [Q0] * (zcap + 1)
-    body[0] = Q1
-    term = [Q0] * (zcap + 1)
-    term[0] = Q1
-    for n in range(1, zcap + 1):
-        nxt = [Q0] * (zcap + 1)
-        for i, a in enumerate(term):
-            if a == 0:
-                continue
-            for j, b in enumerate(expo):
-                if b == 0 or i + j > zcap:
-                    continue
-                nxt[i + j] += a * b
-        term = nxt
-        for i, a in enumerate(term):
-            body[i] += a / factorial(n)
-    m_coeff = [Q0] * (zcap + 2)
-    for i in range(zcap + 1):
-        val = -body[i] if i > 0 else Q1 - body[0]
-        if i + 1 <= zcap + 1:
-            m_coeff[i + 1] = val
-    # m_coeff[k] is the z^k coefficient of M(z); valuation 2
-
-    right = {(): Q1}
-    tuples = []
-    # multisets of exponents >= 2 with total pushforward degree <= cap
-    def extend(prefix, start, deg):
-        if prefix:
-            tuples.append(list(prefix))
-        for a in range(start, cap + 2):
-            if deg + (a - 1) > cap:
-                break
-            prefix.append(a)
-            extend(prefix, a, deg + a - 1)
-            prefix.pop()
-
-    extend([], 2, 0)
-    for tup in tuples:
-        m = len(tup)
-        coeff = Fraction(1, factorial(m))
-        # number of ordered arrangements of the multiset
-        arrangements = factorial(m)
-        for a in set(tup):
-            arrangements //= factorial(tup.count(a))
-        weight = coeff * arrangements
-        for a in tup:
-            weight *= m_coeff[a]
-        if weight == 0:
-            continue
-        for key, c in forgetful_pushforward_monomial(tup, cap).terms.items():
-            right[key] = right.get(key, Q0) + c * weight
-    return left - KappaPoly(cap, right)
+    # M(z) through z^{cap+1}, from exp(-a_1 z - a_2 z^2 - ...) as a scalar
+    # series through z^cap
+    expo = [Q0] + [-c for c in coeffs[:cap]] + [Q0] * (cap - len(coeffs))
+    body = truncated_exp(
+        EndSeries(1, cap, [[[c]] for c in expo]), EndSeries.identity(1, cap), cap
+    )
+    m_series = [Q0, Q0] + [-c[0][0] for c in body.coeffs[1:]]
+    return left - forgotten_point_msum(m_series, cap)
 
 
 def exp_pushforward_check(coeffs, cap):

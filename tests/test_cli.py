@@ -1,11 +1,15 @@
+import hashlib
 import io
 import json
 import random
+import re
 from contextlib import redirect_stdout
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+from cohft import cli, intersect
 from cohft.cli import main
 from cohft.config import ConfigError, parse_config, serialize_config
 from cohft.sampling import coherent_spec, incoherent_spec
@@ -144,13 +148,18 @@ def test_cli_algebra_check_and_fixed_reconstruction(tmp_path):
     assert out.strip() == "1 + 1/2*k1"
 
 
-def test_cli_vector_argument_errors(tmp_path):
+def test_cli_vector_argument_errors(tmp_path, capsys):
     cfg = tmp_path / "spec.cfg"
     cfg.write_text(SCALAR_CFG)
     code, _ = run_cli(["--config", str(cfg), "correlator", "1", "1", "--vectors", "1;2"])
     assert code == 1  # wrong number of vectors
     code, _ = run_cli(["--config", str(cfg), "correlator", "1", "1", "--vectors", "1,2"])
     assert code == 1  # wrong coordinate count
+    for bad in ("1/0", "x"):
+        capsys.readouterr()
+        code, _ = run_cli(["--config", str(cfg), "reconstruct", "free", "1", "1", "--vectors", bad])
+        assert code == 1  # not a rational, named in the message
+        assert repr(bad) in capsys.readouterr().err
     code, out = run_cli(["--config", str(cfg), "correlator", "1", "1", "--psi", "1", "--vectors", "2"])
     assert code == 0
     assert out.strip() == "1/12"  # multilinearity: twice 1/24
@@ -159,6 +168,30 @@ def test_cli_vector_argument_errors(tmp_path):
 def test_cli_unstable_pair_is_validation_failure():
     code, _ = run_cli(["graphs", "enumerate", "0", "2"])
     assert code == 1
+    code, _ = run_cli(["graphs", "enumerate", "-1", "5"])
+    assert code == 1
+
+
+def test_cli_psi_argument_errors(tmp_path, capsys):
+    cfg = tmp_path / "spec.cfg"
+    cfg.write_text(SCALAR_CFG)
+    for psi, message in (("-1", "negative psi exponent"), ("a", "--psi")):
+        capsys.readouterr()
+        code, out = run_cli(["--config", str(cfg), "correlator", "1", "1", "--psi", psi])
+        assert (code, out) == (1, "")
+        assert message in capsys.readouterr().err
+
+
+def test_cli_value_error_in_a_handler_is_internal(monkeypatch, capsys):
+    # only CohftError and the algebra errors are validation failures; a bare
+    # ValueError from inside the engine is a bug
+    def broken(g, n):
+        raise ValueError("bug")
+
+    monkeypatch.setattr(cli, "enumerate_stable_graphs", broken)
+    code, _ = run_cli(["graphs", "enumerate", "1", "1"])
+    assert code == 3
+    assert "internal error: bug" in capsys.readouterr().err
 
 
 def test_cli_free_reconstruction_requires_coherence(tmp_path):
@@ -281,3 +314,51 @@ def test_cli_repeated_runs_byte_identical(tmp_path):
     cfg.write_text(SCALAR_CFG)
     runs = {run_cli(["--config", str(cfg), "reconstruct", "nodal", "1", "1"])[1] for _ in range(3)}
     assert len(runs) == 1
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# sha256 of the stdout of each `cohft ...` line in the README's CLI block,
+# run on the README's scalar config, as the earlier engine printed it
+README_PINS = {
+    "graphs enumerate 1 1": "c40a2bed98d32cc50a8b3f39280761dabfb6e91128b53a25d5ca864781e8deee",
+    "strata special 1 2": "86c5bd98c350540f7db96c0e0b28245878ebfb9b6bd4833b3f5d4aaeff06c1d1",
+    "--config spec.cfg algebra check": "fe7e9a55b9263fa50d9d7ba3bc2120578f50eeb7e12ac47a8c3a4473da6c53e0",
+    "--config spec.cfg classify": "7e1e8563e5ddaec5ae47ca957cbda57fc8f65c257e94097c26836f366a40a7d1",
+    "--config spec.cfg reconstruct free 1 1": "93a397b9f1df4e19118eab83d237a6acad29ea89c0a28aac0476f4b0ce53be19",
+    "--config spec.cfg reconstruct nodal 1 2": "76647efdd8697a287429c8211c5bd8105a5f52a560604d71306e4ff631812771",
+    "--config spec.cfg verify free --max-dim 2": "ed9dc072a2859a23823e9fb25119a70bfddfd882eaf58d2a969c6c3ec100a829",
+    "--config spec.cfg correlator 1 1 --psi 1": "fb2743bec153bc6094fb21d0ce07d780c228581dc696d5832809baff35ccc266",
+    "oracle graphs": "11777c93d5e2ea228eee8e9651c9bd73d5b41de366136904992d8ee9c54413f2",
+    "oracle dvv": "d3578b8dbc0ef5af422b8c3d6d596dac5a07ebd1ed89b45f7b50ac68b2aff835",
+    "--config spec.cfg oracle vertex-sum": "0a045a240205620a977a0c6c82cbc1e4379f86024f1a623120a2e6dfdce16ddb",
+}
+
+
+def _readme_cli_examples():
+    """The README's scalar config and its `cohft ...` lines, comments cut."""
+    blocks = re.findall(r"```(\w*)\n(.*?)```", README.read_text(), re.S)
+    config = next(body for _, body in blocks if body.startswith("dim:"))
+    commands = [
+        " ".join(line.split("#")[0].split()[1:])
+        for lang, body in blocks
+        if lang == "sh"
+        for line in body.splitlines()
+        if line.startswith("cohft ")
+    ]
+    return config, commands
+
+
+def test_readme_cli_examples_byte_identical(tmp_path, monkeypatch):
+    config, commands = _readme_cli_examples()
+    assert commands == list(README_PINS)
+    cfg = tmp_path / "spec.cfg"
+    cfg.write_text(config)
+    monkeypatch.delenv("COHFT_CACHE_DIR", raising=False)
+    for command in commands:
+        # each README line is a fresh process: start from an empty memo table
+        monkeypatch.setattr(intersect, "_DEFAULT", intersect.Correlators())
+        argv = [str(cfg) if tok == "spec.cfg" else tok for tok in command.split()]
+        code, out = run_cli(argv)
+        assert code == 0, command
+        assert hashlib.sha256(out.encode()).hexdigest() == README_PINS[command], command

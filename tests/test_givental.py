@@ -26,7 +26,7 @@ from cohft.givental import (
 from cohft.graphs import StableGraph, smooth_graph
 from cohft.intersect import Correlators, correlator_of_theory
 from cohft.kappa import KappaPoly, is_grouplike
-from cohft.linalg import identity
+from cohft.linalg import frac_str, identity
 from cohft.sampling import (
     coherent_spec,
     incoherent_spec,
@@ -533,6 +533,30 @@ def test_coherent_phi_matches_scalar_formula():
     spec = scalar_exp_spec(a, 4)
     assert spec.phi[0] == (a,)
     assert all(all(x == 0 for x in p) for p in spec.phi[1:])
+
+
+# sha256 of coherent_phi for a seeded algebra and dense symplectic R, one row per
+# phi_j, as the A-valued logarithm of R^{-1}(z) unit computed it
+COHERENT_PHI_PINS = {
+    (1, 6, 11): "342600d006f85f63b4d74f71c640300ec5f76cd2e4e141215a4417077842ce4e",
+    (1, 6, 12): "81492ad6584615f3f88fe9096f12057702824cf1c21e7be2c14c8b87235aafac",
+    (2, 5, 11): "9242b6f2244aae8fc9cf2bd1181fa08df7a0e737188a2d6360bea38cd66aff20",
+    (2, 5, 12): "9e246fe67555e966dd4e9be4587d73344a0c6b4bce499c0f5675f0854f227d44",
+    (3, 4, 11): "75b909397a533b592c2ee452565175442366a7a86fa7cf4ad67c9d5c3f95d955",
+    (3, 4, 12): "36a5c216b9345d9fc320423baf7313f87be3553a8137909337c032af50f17af1",
+}
+
+
+@pytest.mark.parametrize("dim, degree, seed", sorted(COHERENT_PHI_PINS))
+def test_coherent_phi_pins(dim, degree, seed):
+    rng = random.Random(seed)
+    alg, _, _ = random_semisimple_algebra(rng, dim)
+    ss = alg.semisimplify()
+    r = random_symplectic_r(rng, alg, degree, sparsity=1)
+    phi = coherent_phi(alg, ss, r, degree)
+    assert len(phi) == degree and any(any(p) for p in phi)
+    text = "\n".join(" ".join(frac_str(x) for x in p) for p in phi)
+    assert hashlib.sha256(text.encode()).hexdigest() == COHERENT_PHI_PINS[(dim, degree, seed)]
 
 
 def test_r_action_threads_deterministic():

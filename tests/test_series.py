@@ -3,8 +3,11 @@ from fractions import Fraction as F
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohft.frobenius import FrobeniusAlgebra
+from cohft.kappa import KappaPoly
 from cohft.linalg import identity
 from cohft.sampling import (
     random_r_series,
@@ -19,6 +22,8 @@ from cohft.series import (
     check_symplectic,
     edge_kernel,
     translation_vector,
+    truncated_exp,
+    truncated_log,
 )
 
 ETA1 = ((F(1),),)
@@ -180,3 +185,54 @@ def test_translation_valuation_random():
         alg, _, _ = random_semisimple_algebra(rng, dim)
         r = random_symplectic_r(rng, alg, 5)
         assert translation_vector(r, alg.unit).valuation() >= 2
+
+
+# -- the shared truncated exp/log ----------------------------------------------
+
+SMALL = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+@st.composite
+def kappa_polys(draw):
+    """A KappaPoly with zero constant term, cap 1..5."""
+    cap = draw(st.integers(1, 5))
+    keys = st.lists(st.integers(1, cap), min_size=1, max_size=3).map(lambda k: tuple(sorted(k)))
+    terms = draw(st.dictionaries(keys.filter(lambda k: sum(k) <= cap), SMALL, max_size=4))
+    return KappaPoly(cap, terms)
+
+
+@st.composite
+def end_series(draw):
+    """An EndSeries of dim 1-2 and order 1-4 with zero constant term."""
+    dim = draw(st.integers(1, 2))
+    order = draw(st.integers(1, 4))
+    entry = st.lists(SMALL, min_size=dim, max_size=dim)
+    higher = draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=order, max_size=order))
+    return EndSeries(dim, order, [[[0] * dim] * dim] + higher)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kappa_polys())
+def test_kappa_exp_log_round_trip(x):
+    one = KappaPoly.constant(x.cap, 1)
+    assert x.exp().log() == x
+    assert (one + x).log().exp() == one + x
+
+
+@settings(max_examples=40, deadline=None)
+@given(end_series())
+def test_end_series_exp_log_round_trip(x):
+    # the coefficients need not commute: only powers of x enter either sum
+    one = EndSeries.identity(x.dim, x.order)
+    assert truncated_log(truncated_exp(x, one, x.order), one, x.order) == x
+    assert truncated_exp(truncated_log(one + x, one, x.order), one, x.order) == one + x
+
+
+def test_scalar_exp_and_log_closed_forms():
+    order = 9
+    z = EndSeries.from_higher_coeffs(1, order, [[[1]]]) - EndSeries.identity(1, order)
+    one = EndSeries.identity(1, order)
+    exp = truncated_exp(z, one, order)
+    assert [c[0][0] for c in exp.coeffs] == [F(1, factorial(n)) for n in range(order + 1)]
+    log = truncated_log(one + z, one, order)
+    assert [c[0][0] for c in log.coeffs] == [0] + [F((-1) ** (n - 1), n) for n in range(1, order + 1)]
