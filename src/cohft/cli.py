@@ -95,8 +95,16 @@ def _build_parser():
 def _load_spec(args):
     if not args.config:
         raise ConfigError([(None, "this command needs --config")])
-    with open(args.config) as fh:
-        return parse_config(fh.read())
+    try:
+        with open(args.config) as fh:
+            text = fh.read()
+    except OSError as exc:
+        reason = exc.strerror
+    except UnicodeDecodeError:
+        reason = "not a text file"
+    else:
+        return parse_config(text)
+    raise ConfigError([(None, "cannot read config %r: %s" % (args.config, reason))])
 
 
 def _parse_vectors(text, dim, n, unit):

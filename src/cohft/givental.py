@@ -187,10 +187,16 @@ def _phi_from_log(algebra, ss, log_coeffs):
     return phi
 
 
-def tqft_value(spec, g, n, vectors):
-    """theta(alpha^g v_1 ... v_n): the degree-zero field theory."""
+def _require_stable(g, n):
+    if g < 0:
+        raise UnstablePair("negative genus")
     if 2 * g - 2 + n <= 0:
         raise UnstablePair("unstable pair (%d,%d)" % (g, n))
+
+
+def tqft_value(spec, g, n, vectors):
+    """theta(alpha^g v_1 ... v_n): the degree-zero field theory."""
+    _require_stable(g, n)
     if len(vectors) != n:
         raise ValueError("need %d vectors" % n)
     alg = spec.algebra
@@ -246,8 +252,7 @@ def coherent_phi(algebra, ss, r, cap):
 def reconstruct_fixed(spec, g, n, vectors):
     """Kappa-polynomial valued form: the classification formula for framed
     points; genus zero goes through the euler-class shift."""
-    if 2 * g - 2 + n <= 0:
-        raise UnstablePair("unstable pair (%d,%d)" % (g, n))
+    _require_stable(g, n)
     alg = spec.algebra
     cap = min(spec.degree, 3 * g - 3 + n)
     cap = max(cap, 0)
@@ -269,8 +274,7 @@ def reconstruct_fixed(spec, g, n, vectors):
 
 def reconstruct_free(spec, g, n, vectors):
     """Free-point form: R^{-1}(psi_i) in every slot, then the fixed formula."""
-    if 2 * g - 2 + n <= 0:
-        raise UnstablePair("unstable pair (%d,%d)" % (g, n))
+    _require_stable(g, n)
     alg = spec.algebra
     cap = max(min(spec.degree, 3 * g - 3 + n), 0)
     rinv = spec.r_inverse()
@@ -431,8 +435,7 @@ def r_action(spec, g, n, vectors, threads=1):
     threads is accepted and ignored: the sum is exact Fraction arithmetic,
     which holds the interpreter lock, so worker threads never made it faster.
     """
-    if 2 * g - 2 + n <= 0:
-        raise UnstablePair("unstable pair (%d,%d)" % (g, n))
+    _require_stable(g, n)
     cap = max(min(spec.degree, 3 * g - 3 + n), 0)
     total = {}
     for graph in enumerate_stable_graphs(g, n):

@@ -10,6 +10,16 @@ Enumeration walks one-edge degenerations starting from the smooth graph:
 every stable graph contracts edge by edge down to the smooth one, so the
 walk is complete.  The same walk records the degeneration order used by the
 special-type stratification.
+
+A degeneration inserts a loop or splits a vertex in two.  Splits are walked
+by orbits of the vertex's half edges under permutations of parallel edges
+and swaps of loop ends: each leg on its own, the loops by how many move
+with both ends and how many with one, the parallel edges to each neighbour
+by how many move.  A split and its complement (the two halves exchanged)
+give the same graph, so only one of the pair is built, and stability is
+decided from the counts before any candidate is built.  Every candidate
+still goes through StableGraph, whose canonical form removes the
+duplicates that remain.
 """
 
 from collections import Counter
@@ -297,7 +307,21 @@ def smooth_graph(g, n):
 
 
 def one_step_degenerations(graph):
-    """All stable graphs obtained by one loop insertion or one vertex split."""
+    """All stable graphs obtained by one loop insertion or one vertex split.
+
+    A split of v into v and a new vertex, joined by a new edge, is chosen by
+    orbits of the half edges at v rather than by subsets of them.  Each leg
+    moves or stays on its own.  Of the loops at v, a move with both ends
+    and b with one end (becoming edges between the two halves).  Of the
+    parallel edges to each neighbour, c move.  Parallel edges and the two
+    ends of a loop are interchangeable, so these counts name every subset
+    that gives the same graph.  Exchanging the two halves maps the choice
+    (g1, legs, a, b, c) to (g - g1, other legs, loops - a - b, b,
+    multiplicity - c) and gives the same graph again, so only the smaller
+    of the two is built.  Stability of both halves is read off the counts
+    before any graph is built; each candidate is canonicalized and
+    validated by StableGraph.
+    """
     out = set()
     nv = graph.num_vertices
     for v in range(nv):
@@ -307,47 +331,52 @@ def one_step_degenerations(graph):
             genera[v] = gv - 1
             out.add(StableGraph(genera, graph.legs, graph.edges + ((v, v),)))
         # split v into v (kept) and a new vertex nv
-        slots = []
-        for label in graph.legs_at(v):
-            slots.append(("leg", label))
-        for i, (u, w) in enumerate(graph.edges):
+        leg_slots = [i for i, x in enumerate(graph.legs) if x == v]
+        loops = 0
+        cross = {}  # neighbour -> number of parallel edges to it
+        rest = []  # edges away from v
+        for u, w in graph.edges:
             if u == v and w == v:
-                slots.append(("loop", i, 0))
-                slots.append(("loop", i, 1))
-            elif u == v:
-                slots.append(("end", i, 0))
-            elif w == v:
-                slots.append(("end", i, 1))
-        k = len(slots)
-        for g1 in range(gv + 1):
-            g2 = gv - g1
-            for mask in range(1 << k):
-                moved = [slots[i] for i in range(k) if mask >> i & 1]
-                genera = list(graph.genera) + [g2]
-                genera[v] = g1
-                legs = list(graph.legs)
-                edges = [list(e) for e in graph.edges]
-                for slot in moved:
-                    if slot[0] == "leg":
-                        legs[slot[1] - 1] = nv
-                    elif slot[0] == "end":
-                        edges[slot[1]][slot[2]] = nv
-                    else:
-                        edges[slot[1]][slot[2]] = nv
-                edges.append([v, nv])
-                # stability of the two halves; other vertices are untouched
-                cand_genera = tuple(genera)
-                cand_edges = tuple(tuple(e) for e in edges)
-                cand_legs = tuple(legs)
-                nva = [0, 0]
-                for idx, vv in enumerate((v, nv)):
-                    val = sum(1 for x in cand_legs if x == vv)
-                    for u, w in cand_edges:
-                        val += (u == vv) + (w == vv)
-                    nva[idx] = val
-                if 2 * g1 - 2 + nva[0] <= 0 or 2 * g2 - 2 + nva[1] <= 0:
-                    continue
-                out.add(StableGraph(cand_genera, cand_legs, cand_edges))
+                loops += 1
+            elif u == v or w == v:
+                other = w if u == v else u
+                cross[other] = cross.get(other, 0) + 1
+            else:
+                rest.append((u, w))
+        neighbours = sorted(cross)
+        mult = tuple(cross[w] for w in neighbours)
+        half_edges = len(leg_slots) + 2 * loops + sum(mult)
+        loop_choices = [(a, b) for a in range(loops + 1) for b in range(loops + 1 - a)]
+        cross_choices = [
+            (moved, sum(moved), tuple(m - c for m, c in zip(mult, moved)))
+            for moved in product(*[range(m + 1) for m in mult])
+        ]
+        for leg_moves in product((0, 1), repeat=len(leg_slots)):
+            leg_stays = tuple(1 - x for x in leg_moves)
+            legs_moved = sum(leg_moves)
+            for a, b in loop_choices:
+                kept_loops = loops - a - b
+                for moved, cross_moved, kept in cross_choices:
+                    # half edges at the new vertex and at v, before the new edge
+                    at_new = legs_moved + 2 * a + b + cross_moved
+                    at_old = half_edges - at_new
+                    for g1 in range(gv + 1):
+                        g2 = gv - g1
+                        if 2 * g1 - 1 + at_old <= 0 or 2 * g2 - 1 + at_new <= 0:
+                            continue
+                        if (g1, leg_moves, a, b, moved) > (g2, leg_stays, kept_loops, b, kept):
+                            continue  # the complement choice builds this graph
+                        genera = list(graph.genera) + [g2]
+                        genera[v] = g1
+                        legs = list(graph.legs)
+                        for i, x in zip(leg_slots, leg_moves):
+                            if x:
+                                legs[i] = nv
+                        edges = rest + [(nv, nv)] * a + [(v, nv)] * b + [(v, v)] * kept_loops
+                        for w, c, k in zip(neighbours, moved, kept):
+                            edges += [(w, nv)] * c + [(w, v)] * k
+                        edges.append((v, nv))
+                        out.add(StableGraph(genera, legs, edges))
     return out
 
 
@@ -371,13 +400,13 @@ def enumerate_stable_graphs(g, n, with_children=False):
             nxt = []
             for graph in frontier:
                 kids = one_step_degenerations(graph)
-                children[graph] = tuple(sorted(kids))
+                children[graph] = tuple(sorted(kids, key=StableGraph.sort_key))
                 for kid in kids:
                     if kid not in seen:
                         seen.add(kid)
                         nxt.append(kid)
-            frontier = sorted(nxt)
-        _ENUM_CACHE[key] = (tuple(sorted(seen)), children)
+            frontier = sorted(nxt, key=StableGraph.sort_key)
+        _ENUM_CACHE[key] = (tuple(sorted(seen, key=StableGraph.sort_key)), children)
     result, children = _ENUM_CACHE[key]
     if with_children:
         return list(result), children

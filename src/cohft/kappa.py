@@ -204,11 +204,12 @@ class CovectorKappaPoly:
 
     def value(self, v):
         """Value on an ambient-coordinate vector, by linearity."""
-        out = KappaPoly(self.cap)
+        out = {}
         for x, comp in zip(vec(v), self.components):
             if x != 0:
-                out = out + comp.scale(x)
-        return out
+                for k, c in comp.terms.items():
+                    out[k] = out.get(k, Q0) + c * x
+        return KappaPoly(self.cap, out)
 
     @classmethod
     def zero(cls, dim, cap):
@@ -221,11 +222,12 @@ class CovectorKappaPoly:
         comps = []
         for i in range(ss.dim):
             coords = ss.to_semisimple(identity(ss.dim)[i])
-            acc = KappaPoly(cap)
+            acc = {}
             for mu, c in enumerate(coords):
                 if c != 0:
-                    acc = acc + values[mu].scale(c)
-            comps.append(acc)
+                    for k, v in values[mu].terms.items():
+                        acc[k] = acc.get(k, Q0) + v * c
+            comps.append(KappaPoly(cap, acc))
         return cls(tuple(comps))
 
     def projector_value(self, ss, mu):

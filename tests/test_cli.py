@@ -165,11 +165,48 @@ def test_cli_vector_argument_errors(tmp_path, capsys):
     assert out.strip() == "1/12"  # multilinearity: twice 1/24
 
 
-def test_cli_unstable_pair_is_validation_failure():
+def test_cli_unstable_pair_is_validation_failure(tmp_path):
     code, _ = run_cli(["graphs", "enumerate", "0", "2"])
     assert code == 1
     code, _ = run_cli(["graphs", "enumerate", "-1", "5"])
     assert code == 1
+    cfg = tmp_path / "spec.cfg"
+    cfg.write_text(SCALAR_CFG)
+    for kind in ("free", "fixed"):
+        code, out = run_cli(["--config", str(cfg), "reconstruct", kind, "-1", "5"])
+        assert (code, out) == (1, "")
+
+
+def test_cli_unreadable_config_is_validation_failure(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"\xff\xfe\x00dim")
+    for path in (missing, binary, tmp_path):
+        capsys.readouterr()
+        code, out = run_cli(["--config", str(path), "classify"])
+        assert (code, out) == (1, "")
+        err = capsys.readouterr().err
+        assert repr(str(path)) in err
+        assert "internal error" not in err
+
+
+# sha256 of stdout for the cli bench's graph jobs, measured on the mask-loop
+# enumeration that the orbit walk replaced
+GRAPH_COMMAND_PINS = {
+    "graphs enumerate 2 3": "b8e68295be3969668ad1d0bd386f4d307506a17a61c15fd20c019452e23277e9",
+    "strata special 2 3": "fe18a37c150f17499587ce0cec3a73a558b79183e48d8a4edea9a50294e245a9",
+    "graphs enumerate 3 1": "ff874ae822aa9ff46dbae61e690eeecba8b0c062b286bb1868c899caf1f4fde2",
+    "strata special 3 1": "147dd297fb6ab4bada71f9bb5aa0a4bf90dec3d8d40b7179f326b34b9a40d696",
+    "graphs enumerate 1 4": "ed9c16695b0a0a5bfb24424a44ebc3266e1097f9c146cd3aba62f831d2525216",
+    "strata special 1 4": "ef6d49e6a0bbc9a49b81e32665c2fdc80ed1589954799f8b114e7faacef4bba2",
+}
+
+
+@pytest.mark.parametrize("command", list(GRAPH_COMMAND_PINS))
+def test_cli_graph_commands_byte_identical(command):
+    code, out = run_cli(command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GRAPH_COMMAND_PINS[command]
 
 
 def test_cli_psi_argument_errors(tmp_path, capsys):

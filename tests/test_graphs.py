@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohft.graphs import (
     SpecialType,
@@ -43,14 +45,35 @@ def test_invariants_on_enumerated_graphs():
                 assert 2 * graph.genera[v] - 2 + graph.valence(v) > 0
 
 
-@pytest.mark.parametrize(
-    "g,n",
-    [(0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (1, 1), (1, 2), (1, 3), (1, 4), (2, 0), (2, 1)],
-)
+# every stable (g, n) with 3g-3+n <= 4
+SMALL_PAIRS = [(0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (1, 1), (1, 2), (1, 3), (1, 4), (2, 0), (2, 1)]
+
+
+def test_small_pairs_are_every_pair_up_to_dimension_4():
+    pairs = [
+        (g, n) for g in range(3) for n in range(8) if 2 * g - 2 + n > 0 and 3 * g - 3 + n <= 4
+    ]
+    assert sorted(pairs) == SMALL_PAIRS
+
+
+@pytest.mark.parametrize("g,n", SMALL_PAIRS + [(2, 2), (3, 0), (2, 3)])
 def test_oracle_agreement(g, n):
-    # every (g, n) with 3g-3+n <= 4
-    assert 3 * g - 3 + n <= 4
     assert enumerate_stable_graphs(g, n) == brute_force_stable_graphs(g, n)
+
+
+@pytest.mark.parametrize("g,n", [(2, 3), (3, 1), (1, 4)])
+def test_children_are_exactly_the_graphs_contracting_to_the_parent(g, n):
+    # contract_edge shares no code with the split walk of one_step_degenerations
+    graphs, children = enumerate_stable_graphs(g, n, with_children=True)
+    parents = {graph: set() for graph in graphs}
+    for child in graphs:
+        for i in range(len(child.edges)):
+            parents[contract_edge(child, i)].add(child)
+    assert set(children) == set(graphs)
+    for graph in graphs:
+        kids = children[graph]
+        assert list(kids) == sorted(set(kids))
+        assert set(kids) == parents[graph]
 
 
 def test_automorphism_orders():
@@ -204,3 +227,28 @@ def test_invalid_graphs_rejected():
         StableGraph((0,), (0,), ())  # unstable vertex
     with pytest.raises(ValueError):
         StableGraph((1,), (3,), ())  # leg on a missing vertex
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_canonical_form_survives_relabelling_and_edge_reordering(data):
+    # the orbit walk drops candidates that differ only in such labels, so
+    # StableGraph must map all of them to one canonical form
+    g, n = data.draw(st.sampled_from([(0, 6), (1, 4), (2, 2), (3, 0), (3, 1)]))
+    graph = data.draw(st.sampled_from(enumerate_stable_graphs(g, n)))
+    nv = graph.num_vertices
+    perm = data.draw(st.permutations(range(nv)))
+    edges = data.draw(st.permutations(graph.edges))
+    flips = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    genera = [0] * nv
+    for v in range(nv):
+        genera[perm[v]] = graph.genera[v]
+    legs = [perm[v] for v in graph.legs]
+    edges = [(perm[w], perm[u]) if flip else (perm[u], perm[w]) for (u, w), flip in zip(edges, flips)]
+    relabelled = StableGraph(genera, legs, edges)
+    assert (relabelled.genera, relabelled.legs, relabelled.edges) == (
+        graph.genera,
+        graph.legs,
+        graph.edges,
+    )
+    assert hash(relabelled) == hash(graph)
