@@ -5,6 +5,14 @@ an ambient basis, and the coordinates of the unit.  The engine only ever
 works over exact rationals: an algebra is "split semisimple" when it admits
 an eta-orthonormal basis of rescaled projectors with rational coordinates,
 and semisimplify() finds that basis or reports NotSplit.
+
+Construction validates every axiom (_validate): eta symmetric and
+nondegenerate, the product commutative with a neutral unit, then
+associativity and invariance on the basis triples.  Invariance is the
+cyclic symmetry of the one table c_ijk = eta(b_i b_j, b_k), and
+associativity is checked for i < k only, because in a commutative algebra
+the associator changes sign when i and k swap.  The first violation found
+is the one a check of every triple in order would report.
 """
 
 import math
@@ -79,8 +87,9 @@ def rational_roots(poly):
     """Distinct rational roots of a polynomial with Fraction coefficients.
 
     poly is a low-to-high coefficient list.  Roots come from the classical
-    p/q criterion after clearing denominators; each candidate is verified by
-    exact evaluation, so the list is complete and exact.
+    p/q criterion after clearing denominators: each candidate p/q in lowest
+    terms is tested by evaluating sum c_i p^i q^(d-i) exactly in integers,
+    so the list is complete and exact.
     """
     while poly and poly[-1] == 0:
         poly = poly[:-1]
@@ -97,16 +106,19 @@ def rational_roots(poly):
             ints = ints[1:]
         if len(ints) <= 1:
             return roots
-    for p in _divisors(ints[0]):
-        for q in _divisors(ints[-1]):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand in roots:
-                    continue
-                val = Q0
-                for c in reversed(ints):
-                    val = val * cand + c
+    lead = ints[-1]
+    for q in _divisors(lead):
+        for p in _divisors(ints[0]):
+            if math.gcd(p, q) != 1:
+                continue
+            for cand in (p, -p):
+                # Horner's rule on the homogenised polynomial
+                val, qpow = lead, 1
+                for c in reversed(ints[:-1]):
+                    qpow *= q
+                    val = val * cand + c * qpow
                 if val == 0:
-                    roots.append(cand)
+                    roots.append(Fraction(cand, q))
     return sorted(roots)
 
 
@@ -128,15 +140,18 @@ class SemisimpleData:
         self.weights = vec(weights)
         self.basis_change = mat(basis_change)
         self.dim = len(self.weights)
+        if len(self.basis_change) != self.dim or any(len(r) != self.dim for r in self.basis_change):
+            raise InvalidAlgebra(["semisimple basis change is not a %dx%d matrix" % (self.dim, self.dim)])
         if any(w == 0 for w in self.weights):
             raise InvalidAlgebra(["semisimple weight is zero"])
-        if det(self.basis_change) == 0:
-            raise InvalidAlgebra(["semisimple basis change is singular"])
         # coordinates: ambient vector x ->  (B^t)^{-1} x  gives x in the e_mu basis
-        self._to_ss = mat_inv(transpose(self.basis_change))
+        try:
+            self.to_ss = mat_inv(transpose(self.basis_change))
+        except ZeroDivisionError:
+            raise InvalidAlgebra(["semisimple basis change is singular"]) from None
 
     def to_semisimple(self, v):
-        return mat_vec(self._to_ss, v)
+        return mat_vec(self.to_ss, v)
 
     def vector(self, mu):
         return self.basis_change[mu]
@@ -180,17 +195,23 @@ class FrobeniusAlgebra:
                 problems.append("unit is not neutral on basis vector %d" % i)
         if problems:
             return problems
+        # c[i][j][k] = eta(b_i b_j, b_k); eta is symmetric, so invariance
+        # eta(b_i b_j, b_k) = eta(b_i, b_j b_k) reads c[i][j][k] == c[j][k][i]
+        c = [[mat_vec(self.eta, prod) for prod in row] for row in self.structure]
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    ab_c = self._raw_multiply(self.structure[i][j], basis[k])
-                    a_bc = self._raw_multiply(basis[i], self.structure[j][k])
-                    if ab_c != a_bc:
-                        problems.append("product not associative at (%d,%d,%d)" % (i, j, k))
-                        return problems
-                    lhs = bilinear(self.eta, self.structure[i][j], basis[k])
-                    rhs = bilinear(self.eta, basis[i], self.structure[j][k])
-                    if lhs != rhs:
+                    # the product is commutative, so the associator changes
+                    # sign when i and k swap: it vanishes at i == k, and a
+                    # failure at i > k already failed at (k, j, i), which
+                    # comes first
+                    if i < k:
+                        ab_c = self._raw_multiply(self.structure[i][j], basis[k])
+                        a_bc = self._raw_multiply(basis[i], self.structure[j][k])
+                        if ab_c != a_bc:
+                            problems.append("product not associative at (%d,%d,%d)" % (i, j, k))
+                            return problems
+                    if c[i][j][k] != c[j][k][i]:
                         problems.append("eta is not invariant at (%d,%d,%d)" % (i, j, k))
                         return problems
         return problems

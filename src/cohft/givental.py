@@ -20,13 +20,21 @@ log(R^{-1}(z) 1) = -sum_j z^j sum_mu theta_mu a_j^mu e_mu and
 phi_j = eta(sum_mu theta_mu a_j^mu e_mu, .).  One table of scalar logs
 (series.truncated_log per projector) serves the vertices and phi.
 
+The edge kernel is built once, when the spec is constructed, and directly
+in the semisimple basis: eta^{-1} = B^t B there, so its numerator is
+delta Id - T(z) T(w)^t with T = B^{-t} R^{-1} B^t.  Its division by z + w
+leaves a zero remainder exactly when R is symplectic, so building it is the
+spec's symplectic check; series.check_symplectic and series.edge_kernel stay
+as independent checks of the same facts.
+
 The graph sum does work in proportion to its output.  graph_contribution
 walks the edge decorations depth first, cutting a branch once it overruns
 the degree budget or a vertex's psi load, then walks the vertices through
-per-call tables of (kappa monomial, leg psi) combinations sorted by degree;
-r_action adds every graph's terms into one dict and builds a single
-TautExpr.  The leg series R^{-1}(z) v and the edge kernel per projector pair
-are cached on the spec, so every graph of a sum shares them.
+tables of (kappa monomial, leg psi) combinations sorted by degree;
+r_action passes one dict of these tables, keyed by (leg labels, room,
+projector), to every graph, adds every graph's terms into one dict and
+builds a single TautExpr.  The leg series R^{-1}(z) v and one vertex
+exponential per projector, at the spec degree, are cached on the spec.
 """
 
 from fractions import Fraction
@@ -35,8 +43,8 @@ from itertools import product as iproduct
 from .frobenius import NotInvertible
 from .kappa import CovectorKappaPoly, KappaPoly, exp_conv, is_grouplike, log_conv
 from .graphs import UnstablePair, enumerate_stable_graphs
-from .linalg import Q0, Q1, CohftError, identity, mat_inv, mat_mul, mat_vec, transpose, vec
-from .series import EndSeries, check_symplectic, edge_kernel, truncated_log
+from .linalg import Q0, Q1, CohftError, dot, identity, mat_mul, mat_vec, transpose, vec
+from .series import EndSeries, NotDivisible, divide_by_z_plus_w, truncated_log
 from .taut import DecoratedGraph, KPPoly, TautExpr
 
 
@@ -51,9 +59,11 @@ class NotSymplectic(CohftError):
 class CohFTSpec:
     """Classification data: algebra, semisimple basis, phi covectors, R.
 
-    With coherent set and phi None, phi is derived from R through the
-    compatibility relation; the check then compares against that same
-    derivation rather than running it a second time.
+    Construction checks the semisimple data against the algebra first, then
+    builds the edge kernel in that basis, which raises NotSymplectic when R
+    is not symplectic.  With coherent set and phi None, phi is derived from
+    R through the compatibility relation; the check then compares against
+    that same derivation rather than running it a second time.
     """
 
     def __init__(self, algebra, ss, phi, r, degree, coherent=False):
@@ -61,23 +71,25 @@ class CohFTSpec:
         self.ss = ss
         self.degree = int(degree)
         if self.degree < 1:
-            raise ValueError("truncation degree must be >= 1")
+            raise CohftError("truncation degree must be >= 1")
         if isinstance(r, EndSeries):
             if r.order != self.degree:
                 r = EndSeries.from_higher_coeffs(algebra.dim, self.degree, r.coeffs[1:])
             if r.coeffs[0] != identity(algebra.dim):
-                raise ValueError("R must have constant term Id")
+                raise CohftError("R must have constant term Id")
         else:
             r = EndSeries.from_higher_coeffs(algebra.dim, self.degree, r)
         self.r = r
-        if not check_symplectic(self.r, algebra.eta):
-            raise NotSymplectic("R does not satisfy the symplectic condition")
         algebra.check_semisimple_data(ss)
+        try:
+            self._kernel_ss = _semisimple_kernel(ss, r.invert())
+        except NotDivisible:
+            raise NotSymplectic("R does not satisfy the symplectic condition") from None
         self._cache = {}
         self.coherent = bool(coherent)
         if phi is None:
             if not self.coherent:
-                raise ValueError("phi is derived from R only for a coherent spec")
+                raise CohftError("phi is derived from R only for a coherent spec")
             phi = self.phi_from_r()
         phi = [vec(p) for p in phi]
         while len(phi) < self.degree:
@@ -109,22 +121,7 @@ class CohFTSpec:
         coefficient pairing projector mu with projector nu.  Entries are
         sorted by a + b, so a walk can stop at the first that overruns.
         """
-
-        def build():
-            kernel = edge_kernel(self.r, self.algebra.eta)
-            b = self.ss.basis_change
-            binv = mat_inv(b)
-            binv_t = transpose(binv)
-            out = {}
-            for (a, bb), m in sorted(kernel.table.items(), key=lambda it: (sum(it[0]), it[0])):
-                conv = mat_mul(binv_t, mat_mul(m, binv))
-                for mu, row in enumerate(conv):
-                    for nu, c in enumerate(row):
-                        if c != 0:
-                            out.setdefault((mu, nu), []).append((a, bb, c))
-            return out
-
-        return self._get("kernel_ss", build)
+        return self._kernel_ss
 
     def leg_series(self, v):
         """R^{-1}(z) v in semisimple coordinates, one tuple per power of z."""
@@ -143,15 +140,53 @@ class CohFTSpec:
         )
 
     def vertex_exp(self, mu, cap):
-        """exp(sum_j a_j^mu kappa_j) through degree cap."""
-        key = ("vexp", mu, cap)
+        """exp(sum_j a_j^mu kappa_j) through degree cap.
+
+        One exponential per projector is built, at the spec degree; a
+        smaller cap takes its terms of degree <= cap, which are exactly the
+        exponential truncated there.
+        """
+        top = max(cap, self.degree)
 
         def build():
             coeffs = self.vertex_log_coeffs()[mu]
-            lin = KappaPoly(cap, {(j,): c for j, c in enumerate(coeffs, start=1) if j <= cap})
-            return lin.exp()
+            return KappaPoly(top, {(j,): c for j, c in enumerate(coeffs, start=1)}).exp()
 
-        return self._get(key, build)
+        full = self._get(("vexp", mu, top), build)
+        return full if cap == top else KappaPoly(cap, full.terms)
+
+
+def _semisimple_kernel(ss, s):
+    """The edge kernel (Id - T(z) T(w)^t) / (z + w) in the semisimple basis,
+    in the layout of CohFTSpec.kernel_ss, for S = R^{-1}.
+
+    The basis is eta-orthonormal, so eta^{-1} = B^t B with B the basis
+    change, and B^{-t} (eta^{-1} - S_a eta^{-1} S_b^t) B^{-1} is
+    delta_{a0} delta_{b0} Id - T_a T_b^t with T_a = B^{-t} S_a B^t.  The
+    division leaves a zero remainder exactly when R is symplectic, so
+    building the kernel is the symplectic check: NotDivisible otherwise.
+    """
+    order = s.order
+    bt = transpose(ss.basis_change)
+    t = [mat_mul(ss.to_ss, mat_mul(c, bt)) for c in s.coeffs]
+    numerator = {}
+    for a in range(order + 1):
+        for b in range(a, order + 1 - a):
+            m = tuple(
+                tuple((Q1 if a == b == 0 and i == j else Q0) - dot(ti, tj) for j, tj in enumerate(t[b]))
+                for i, ti in enumerate(t[a])
+            )
+            # N[b][a] is the transpose of N[a][b]
+            numerator[(a, b)] = m
+            numerator[(b, a)] = transpose(m)
+    out = {}
+    table = divide_by_z_plus_w(numerator, order)
+    for (a, b), m in sorted(table.items(), key=lambda it: (sum(it[0]), it[0])):
+        for mu, row in enumerate(m):
+            for nu, c in enumerate(row):
+                if c != 0:
+                    out.setdefault((mu, nu), []).append((a, b, c))
+    return out
 
 
 def _vertex_log_coeffs(unit, ss, rinv, cap):
@@ -321,7 +356,7 @@ def _bounded_tuples(n, cap):
             yield (head,) + tail
 
 
-def graph_contribution(spec, graph, vectors):
+def graph_contribution(spec, graph, vectors, tables=None):
     """The decorated-graph class attached to one boundary stratum.
 
     No automorphism weight here; r_action divides by |Aut|.  Decorations are
@@ -334,9 +369,12 @@ def graph_contribution(spec, graph, vectors):
     as soon as it leaves the remaining degree budget or a vertex's psi load
     passes the vertex dimension, so every leaf is an emitted term.  The
     (kappa monomial, leg psi powers) combinations of a vertex under a
-    projector are tabulated once per call, sorted by degree, and each visit
-    reads the prefix that fits the room left at that vertex.  Terms are
-    summed under their raw decorations and canonicalized once at the end.
+    projector are tabulated once, sorted by degree, and each visit reads
+    the prefix that fits the room left at that vertex.  A table depends
+    only on the vertex's leg labels, its room and the projector, so calls
+    with the same spec and vectors may share one dict of them as tables:
+    r_action passes one to every graph of its sum.  Terms are summed under
+    their raw decorations and canonicalized once at the end.
     """
     g = graph.total_genus()
     n = graph.num_legs
@@ -355,18 +393,20 @@ def graph_contribution(spec, graph, vectors):
     dims = [graph.vertex_dim(v) for v in range(nv)]
     labels = [graph.legs_at(v) for v in range(nv)]
     valences = [graph.valence(v) for v in range(nv)]
-    tables = {}
+    # the most room each vertex can ever have
+    rooms = [min(d, budget) for d in dims]
+    if tables is None:
+        tables = {}
 
-    def table(v, mu):
-        # (degree, kappa monomial, leg psi powers, coefficient) at vertex v
-        # under projector mu, through the most room v can ever have
-        room = min(dims[v], budget)
+    def table(labels, room, mu):
+        # (degree, kappa monomial, leg psi powers, coefficient) of a vertex
+        # with these legs under projector mu, through degree room
         rows = []
         for kk, kc in spec.vertex_exp(mu, room).terms.items():
             kdeg = sum(kk)
-            for exps in _bounded_tuples(len(labels[v]), room - kdeg):
+            for exps in _bounded_tuples(len(labels), room - kdeg):
                 c = kc
-                for label, e in zip(labels[v], exps):
+                for label, e in zip(labels, exps):
                     c *= legs[label - 1][e][mu]
                     if c == 0:
                         break
@@ -387,10 +427,10 @@ def graph_contribution(spec, graph, vectors):
             key = (tuple(kappa), tuple(leg_psi), tuple(edge_psi))
             raw[key] = raw.get(key, Q0) + coeff
             return
-        key = (v, assign[v])
+        key = (labels[v], rooms[v], assign[v])
         rows = tables.get(key)
         if rows is None:
-            rows = tables[key] = table(v, assign[v])
+            rows = tables[key] = table(*key)
         limit = min(dims[v] - load[v], left)
         for deg, kk, exps, c in rows:
             if deg > limit:
@@ -438,10 +478,11 @@ def r_action(spec, g, n, vectors, threads=1):
     _require_stable(g, n)
     cap = max(min(spec.degree, 3 * g - 3 + n), 0)
     total = {}
+    tables = {}  # vertex tables, shared by every graph of the sum
     for graph in enumerate_stable_graphs(g, n):
         weight = Fraction(1, graph.automorphism_order())
         # every key carries its graph, so no two graphs share a key
-        for key, c in graph_contribution(spec, graph, vectors).terms.items():
+        for key, c in graph_contribution(spec, graph, vectors, tables).terms.items():
             total[key] = c * weight
     return TautExpr(g, n, cap, total)
 

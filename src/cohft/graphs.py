@@ -480,9 +480,13 @@ def special_type(graph, n):
     return SpecialType(graph.genera[v] + mu, nu, k, mu)
 
 
-def enumerate_special_types(g, n):
+def _require_last_point(n):
     if n < 1:
         raise UnstablePair("special types need a last marked point")
+
+
+def enumerate_special_types(g, n):
+    _require_last_point(n)
     return sorted({special_type(graph, n) for graph in enumerate_stable_graphs(g, n)})
 
 
@@ -495,6 +499,7 @@ def special_order(g, n):
     full strict relation as a set of (tau, tau') pairs and hasse its
     transitive reduction.  The smooth type is the unique maximum.
     """
+    _require_last_point(n)
     graphs, children = enumerate_stable_graphs(g, n, with_children=True)
     # graph-level reachability by >= 1 degenerations
     desc = {}

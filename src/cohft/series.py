@@ -6,7 +6,12 @@ all operations are exact through the truncation order and drop higher terms.
 The two series-level facts the engine leans on are that inversion works
 order by order whenever R_0 is invertible, and that the edge numerator
 eta^{-1} - S(z) eta^{-1} S(w)^t is divisible by z + w exactly when S comes
-from a series satisfying the symplectic condition.
+from a series satisfying the symplectic condition.  divide_by_z_plus_w is
+that division; a spec builds its kernel with it in the semisimple basis
+(givental), which is the spec's symplectic check.  check_symplectic (the
+product R(z) R(-z)^*) and edge_kernel (the kernel in the ambient basis)
+are independent checks of the same two facts, which the tests compare
+with the spec's kernel.
 
 truncated_exp and truncated_log sum the power series sum x^n/n! and
 sum (-1)^{n-1} (u-1)^n/n.  Only powers of a single element appear, so the
@@ -225,43 +230,49 @@ def check_symplectic(r, eta):
 def edge_kernel(r, eta):
     """(eta^{-1} - S(z) eta^{-1} S(w)^t) / (z + w)  for S = R^{-1}.
 
-    Division runs column by column with an explicit remainder check: the
-    remainder is the numerator evaluated at w = -z, which vanishes exactly
-    when R is symplectic.  Raises NotDivisible otherwise.
+    The kernel in the ambient basis; raises NotDivisible when R is not
+    symplectic (see divide_by_z_plus_w).
     """
     dim, order = r.dim, r.order
-    eta = mat(eta)
-    eta_inv = mat_inv(eta)
+    eta_inv = mat_inv(mat(eta))
     s = r.invert()
-    # numerator N[a][b] for a+b <= order
-    n_table = {}
+    numerator = {}
     for a in range(order + 1):
         for b in range(order + 1 - a):
             term = mat_mul(s.coeffs[a], mat_mul(eta_inv, transpose(s.coeffs[b])))
             if a == 0 and b == 0:
                 term = mat_sub(term, eta_inv)
-            n_table[(a, b)] = mat_scale(-1, term)
+            numerator[(a, b)] = mat_scale(-1, term)
+    return BivectorSeries(dim, order - 1 if order > 0 else 0, divide_by_z_plus_w(numerator, order))
+
+
+def divide_by_z_plus_w(numerator, order):
+    """K with N = (z + w) K, for N given by its z^a w^b coefficient matrices
+    on the triangle a + b <= order; K is returned on a + b <= order - 1.
+
+    Division runs column by column with an explicit remainder check: the
+    remainder is the numerator evaluated at w = -z.  For the edge numerator
+    it vanishes exactly when R is symplectic.  Raises NotDivisible otherwise.
+    """
     # K[a][b] with a+b <= order-1 from N[a][b+1] = K[a][b] + K[a-1][b+1]
     k_table = {}
     for a in range(order):
         for b in range(order - a):
-            m = n_table[(a, b + 1)]
+            m = numerator[(a, b + 1)]
             if a > 0:
                 m = mat_sub(m, k_table[(a - 1, b + 1)])
             k_table[(a, b)] = m
+
     # remainder: N[0][0] and N[a][0] - K[a-1][0] for a >= 1 must vanish
     def _is_zero(m):
         return all(x == 0 for row in m for x in row)
 
-    if not _is_zero(n_table[(0, 0)]):
+    if not _is_zero(numerator[(0, 0)]):
         raise NotDivisible("numerator has constant term")
     for a in range(1, order + 1):
-        m = n_table[(a, 0)]
-        if a - 1 <= order - 1 and (a - 1, 0) in k_table:
-            m = mat_sub(m, k_table[(a - 1, 0)])
-        if not _is_zero(m):
+        if not _is_zero(mat_sub(numerator[(a, 0)], k_table[(a - 1, 0)])):
             raise NotDivisible("numerator is not divisible by z + w")
-    return BivectorSeries(dim, order - 1 if order > 0 else 0, k_table)
+    return k_table
 
 
 def truncated_exp(x, one, order):

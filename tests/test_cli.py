@@ -12,6 +12,7 @@ import pytest
 from cohft import cli, intersect
 from cohft.cli import main
 from cohft.config import ConfigError, parse_config, serialize_config
+from cohft.givental import CohFTSpec
 from cohft.sampling import coherent_spec, incoherent_spec
 
 SCALAR_CFG = """
@@ -87,11 +88,13 @@ def test_parse_rejects_non_symplectic_r(tmp_path):
 
 
 def test_parse_reports_bad_semisimple_data_at_its_line():
-    text = SCALAR_CFG + "weights: 2\nbasis: 1\n"
-    with pytest.raises(ConfigError) as exc:
-        parse_config(text)
-    assert all(line == 11 for line, _ in exc.value.report)
-    assert any("semisimple" in msg for _, msg in exc.value.report)
+    # a wrong weight, or a basis change that is not a 1x1 matrix
+    for basis in ("1", "1 0", "1 | 1", "1 0 | 0 1"):
+        text = SCALAR_CFG + "weights: 2\nbasis: %s\n" % basis
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert all(line == 11 for line, _ in exc.value.report)
+        assert any("semisimple" in msg for _, msg in exc.value.report)
 
 
 def test_cli_graphs_enumerate():
@@ -165,11 +168,15 @@ def test_cli_vector_argument_errors(tmp_path, capsys):
     assert out.strip() == "1/12"  # multilinearity: twice 1/24
 
 
-def test_cli_unstable_pair_is_validation_failure(tmp_path):
+def test_cli_unstable_pair_is_validation_failure(tmp_path, capsys):
     code, _ = run_cli(["graphs", "enumerate", "0", "2"])
     assert code == 1
     code, _ = run_cli(["graphs", "enumerate", "-1", "5"])
     assert code == 1
+    for argv in (["strata", "special", "3", "0"], ["--json", "strata", "special", "4", "0"]):
+        capsys.readouterr()
+        assert run_cli(argv) == (1, "")
+        assert "special types need a last marked point" in capsys.readouterr().err
     cfg = tmp_path / "spec.cfg"
     cfg.write_text(SCALAR_CFG)
     for kind in ("free", "fixed"):
@@ -229,6 +236,21 @@ def test_cli_value_error_in_a_handler_is_internal(monkeypatch, capsys):
     code, _ = run_cli(["graphs", "enumerate", "1", "1"])
     assert code == 3
     assert "internal error: bug" in capsys.readouterr().err
+
+
+def test_cli_spec_construction_error_is_validation_failure(tmp_path, monkeypatch, capsys):
+    # CohFTSpec's own checks raise CohftError, so a library path that
+    # reaches them exits 1, not 3
+    def zero_degree(text):
+        spec = parse_config(text)
+        return CohFTSpec(spec.algebra, spec.ss, [], spec.r, 0)
+
+    cfg = tmp_path / "spec.cfg"
+    cfg.write_text(SCALAR_CFG)
+    monkeypatch.setattr(cli, "parse_config", zero_degree)
+    code, _ = run_cli(["--config", str(cfg), "classify"])
+    assert code == 1
+    assert "validation failure: truncation degree must be >= 1" in capsys.readouterr().err
 
 
 def test_cli_free_reconstruction_requires_coherence(tmp_path):

@@ -1,17 +1,21 @@
 import random
 from fractions import Fraction as F
+from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohft.frobenius import (
     FrobeniusAlgebra,
     InvalidAlgebra,
     NotInvertible,
     NotSplit,
+    poly_eval_frac,
     rational_roots,
     rational_sqrt,
 )
-from cohft.linalg import identity, mat_mul, mat_inv, mat_vec, transpose
+from cohft.linalg import det, identity, mat_mul, mat_inv, mat_vec, transpose
 from cohft.sampling import random_nilpotent_algebra, random_semisimple_algebra
 
 
@@ -215,6 +219,107 @@ def test_validation_reports():
     with pytest.raises(InvalidAlgebra) as exc:
         FrobeniusAlgebra(2, [[0, 1], [1, 0]], [[[1, 0], [0, 1]], [[0, 1], [0, 0]]], [0, 1])
     assert any("neutral" in p for p in exc.value.problems)
+    # commutative, eta(b_i b_j, b_k) totally symmetric, but with
+    # b_1 b_1 = b_0 + b_1, b_1 b_2 = 0 and b_2 b_2 = b_0 not associative
+    structure = [
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [[0, 1, 0], [1, 1, 0], [0, 0, 0]],
+        [[0, 0, 1], [0, 0, 0], [1, 0, 0]],
+    ]
+    with pytest.raises(InvalidAlgebra) as exc:
+        FrobeniusAlgebra(3, identity(3), structure, [1, 0, 0])
+    assert exc.value.problems == ["product not associative at (1,1,2)"]
+    # Q x Q with a pairing that is not invariant: eta(b_0 b_0, b_1) = 1, eta(b_0, b_0 b_1) = 0
+    with pytest.raises(InvalidAlgebra) as exc:
+        FrobeniusAlgebra(2, [[1, 1], [1, 2]], [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], [1, 1])
+    assert exc.value.problems == ["eta is not invariant at (0,0,1)"]
+
+
+def _reference_axiom_problems(eta, s):
+    """Associativity, then invariance, on every basis triple in order: the
+    first violation, as FrobeniusAlgebra reports it."""
+    n = len(eta)
+    for i, j, k in product(range(n), repeat=3):
+        ab_c = [sum(s[i][j][l] * s[l][k][m] for l in range(n)) for m in range(n)]
+        a_bc = [sum(s[j][k][l] * s[i][l][m] for l in range(n)) for m in range(n)]
+        if ab_c != a_bc:
+            return ["product not associative at (%d,%d,%d)" % (i, j, k)]
+        lhs = sum(s[i][j][l] * eta[l][k] for l in range(n))
+        rhs = sum(eta[i][l] * s[j][k][l] for l in range(n))
+        if lhs != rhs:
+            return ["eta is not invariant at (%d,%d,%d)" % (i, j, k)]
+    return []
+
+
+def _unit_first_algebra(rng, dim):
+    """A random split algebra whose ambient basis starts with the unit."""
+    weights = [F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randrange(1, 3)) for _ in range(dim)]
+    while True:
+        # row 0 of the inverse basis change: the unit's semisimple coordinates
+        coords = [weights] + [[F(rng.randrange(-3, 4)) for _ in range(dim)] for _ in range(dim - 1)]
+        if det(coords) != 0:
+            break
+    alg = FrobeniusAlgebra.from_semisimple(weights, mat_inv(coords))
+    assert alg.unit == (1,) + (0,) * (dim - 1)
+    return alg
+
+
+def _problems(dim, eta, structure, unit):
+    try:
+        FrobeniusAlgebra(dim, eta, structure, unit)
+    except InvalidAlgebra as exc:
+        return exc.problems
+    return []
+
+
+def test_single_constant_changes_match_a_full_triple_check():
+    # Changes of one constant, each kept symmetric: s_ij[m] with s_ji[m];
+    # in dim 3, c_ijk = eta(b_i b_j, b_k) with its permutations, which keeps
+    # eta invariant (in dim 2 the product is generated by b_1, so always
+    # associative); one entry of eta with its mirror.  With b_0 the unit, a
+    # change away from b_0 leaves the unit neutral and reaches the triple
+    # checks, which must report what a check of every triple finds first
+    rng = random.Random(5)
+    counts = {}
+    for trial in range(12):
+        dim = 2 + trial % 2
+        alg = _unit_first_algebra(rng, dim)
+        generic, _, _ = random_semisimple_algebra(rng, dim)  # failures anywhere
+        c = [[mat_vec(alg.eta, prod) for prod in row] for row in alg.structure]
+        for i, j, m in product(range(dim), repeat=3):
+            delta = F(rng.choice([-2, -1, 1, 2]), rng.randrange(1, 4))
+            changed = []
+            if i <= j:
+                s = [[list(v) for v in row] for row in alg.structure]
+                s[i][j][m] += delta
+                if i != j:
+                    s[j][i][m] += delta
+                changed.append(("product", alg.eta, s, alg.unit))
+            if dim == 3 and 0 < i <= j <= m:
+                cc = [[list(v) for v in row] for row in c]
+                for a, b, d in set(permutations((i, j, m))):
+                    cc[a][b][d] += delta
+                s = [[mat_vec(alg.eta_inv, v) for v in row] for row in cc]
+                changed.append(("c", alg.eta, s, alg.unit))
+            if i <= j and m == 0:
+                eta = [list(row) for row in generic.eta]
+                eta[i][j] += delta
+                eta[j][i] += delta if i != j else 0
+                if det(eta) != 0:
+                    changed.append(("eta", eta, generic.structure, generic.unit))
+            for kind, eta, s, unit in changed:
+                problems = _problems(dim, eta, s, unit)
+                if kind == "product" and i == 0:
+                    assert any("neutral" in p for p in problems)
+                    continue
+                assert problems == _reference_axiom_problems(eta, s)
+                verdict = problems[0].split(" at ")[0] if problems else "accepted"
+                counts[kind, verdict] = counts.get((kind, verdict), 0) + 1
+    # nearly every change is rejected, and both triple checks fire
+    for kind in ("product", "c", "eta"):
+        rejected = sum(n for (k, v), n in counts.items() if k == kind and v != "accepted")
+        assert rejected > 5 * counts.get((kind, "accepted"), 0)
+    assert {v for _, v in counts} >= {"product not associative", "eta is not invariant"}
 
 
 def test_semisimple_data_rejects_singular_basis():
@@ -233,3 +338,29 @@ def test_rational_helpers():
     assert rational_roots([F(-2), F(1)]) == [F(2)]
     assert rational_roots([F(-2), F(0), F(1)]) == []  # x^2 - 2
     assert rational_roots([F(0), F(-1, 2), F(1)]) == [F(0), F(1, 2)]
+
+
+QUADRATICS = [  # irreducible over Q
+    [F(1), F(0), F(1)],
+    [F(-2), F(0), F(1)],
+    [F(1), F(1), F(1)],
+    [F(-3), F(0), F(2)],
+    [F(5), F(2), F(3)],
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.fractions(-6, 6, max_denominator=4), max_size=4),
+    st.sampled_from(QUADRATICS),
+    st.fractions(-5, 5, max_denominator=7).filter(bool),
+)
+def test_rational_roots_of_products_of_linear_factors(roots, quadratic, scale):
+    poly = list(quadratic)
+    for r in roots:
+        poly = [a - r * b for a, b in zip([F(0)] + poly, poly + [F(0)])]  # times (t - r)
+    poly = [scale * c for c in poly]
+    # brute force over every p/q with |p/q| <= 6 and q <= 4
+    grid = {F(p, q) for q in range(1, 5) for p in range(-6 * q, 6 * q + 1)}
+    brute = sorted(x for x in grid if poly_eval_frac(poly, x) == 0)
+    assert rational_roots(poly) == brute == sorted(set(roots))

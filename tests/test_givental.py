@@ -4,11 +4,14 @@ from fractions import Fraction as F
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cohft.frobenius import FrobeniusAlgebra
+from cohft.frobenius import FrobeniusAlgebra, InvalidAlgebra, SemisimpleData
 from cohft.givental import (
     CohFTSpec,
     IncoherentSpec,
+    NotSymplectic,
     UnstablePair,
     coherent_phi,
     compatibility_check,
@@ -26,18 +29,20 @@ from cohft.givental import (
 from cohft.graphs import StableGraph, smooth_graph
 from cohft.intersect import Correlators, correlator_of_theory
 from cohft.kappa import KappaPoly, is_grouplike
-from cohft.linalg import frac_str, identity
+from cohft.linalg import CohftError, frac_str, identity, mat_inv, mat_mul, transpose
 from cohft.sampling import (
     coherent_spec,
     incoherent_spec,
+    random_r_series,
     random_semisimple_algebra,
     random_symplectic_r,
     random_vector,
     scalar_exp_spec,
     trivial_spec,
 )
-from cohft.series import EndSeries, edge_kernel
+from cohft.series import EndSeries, check_symplectic, edge_kernel
 from cohft.taut import DecoratedGraph, KPPoly, TautExpr
+from test_graphs import SMALL_PAIRS
 
 
 def identity_spec(rng, dim, degree, phi=None):
@@ -181,8 +186,26 @@ def test_spec_rejects_non_symplectic_r():
     alg, _, _ = random_semisimple_algebra(rng, 1)
     ss = alg.semisimplify()
     bad = EndSeries.from_higher_coeffs(1, 3, [[[F(0)]], [[F(1)]]])
-    with pytest.raises(ValueError):
+    with pytest.raises(NotSymplectic, match="R does not satisfy the symplectic condition"):
         CohFTSpec(alg, ss, [], bad, 3)
+    # the semisimple data is checked first: the kernel is built in its basis
+    wrong = SemisimpleData([ss.weights[0] * 4], [[ss.basis_change[0][0] / 2]])
+    with pytest.raises(InvalidAlgebra):
+        CohFTSpec(alg, wrong, [], bad, 3)
+
+
+def test_spec_construction_errors_are_cohft_errors():
+    rng = random.Random(12)
+    alg, _, _ = random_semisimple_algebra(rng, 2)
+    ss = alg.semisimplify()
+    r = random_symplectic_r(rng, alg, 3)
+    with pytest.raises(CohftError, match="truncation degree must be >= 1"):
+        CohFTSpec(alg, ss, [], r, 0)
+    doubled = EndSeries(2, 3, [[[2, 0], [0, 2]]] + list(r.coeffs[1:]))
+    with pytest.raises(CohftError, match="R must have constant term Id"):
+        CohFTSpec(alg, ss, [], doubled, 3)
+    with pytest.raises(CohftError, match="only for a coherent spec"):
+        CohFTSpec(alg, ss, None, r, 3)
 
 
 def test_spec_derives_coherent_phi_from_r():
@@ -193,8 +216,6 @@ def test_spec_derives_coherent_phi_from_r():
     derived = CohFTSpec(alg, ss, None, r, 4, coherent=True)
     given = CohFTSpec(alg, ss, coherent_phi(alg, ss, r, 4), r, 4, coherent=True)
     assert derived.phi == given.phi
-    with pytest.raises(ValueError):
-        CohFTSpec(alg, ss, None, r, 4)
 
 
 def test_graph_contribution_identity_r_smooth():
@@ -566,3 +587,86 @@ def test_r_action_threads_deterministic():
     a = r_action(spec, 1, 2, vs, threads=1)
     b = r_action(spec, 1, 2, vs, threads=4)
     assert a == b and a.render_lines() == b.render_lines()
+
+
+@st.composite
+def algebra_and_r(draw):
+    """A random split algebra of dim 1-3 with an R of order 1-5 that is
+    symplectic, symplectic but for one changed entry, or unconstrained."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    dim = draw(st.integers(1, 3))
+    order = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["symplectic", "one entry changed", "unconstrained"]))
+    alg, _, _ = random_semisimple_algebra(rng, dim)
+    if kind == "unconstrained":
+        return alg, random_r_series(rng, dim, order)
+    r = random_symplectic_r(rng, alg, order)
+    if kind == "one entry changed":
+        coeffs = [[list(row) for row in c] for c in r.coeffs]
+        k, i, j = draw(st.integers(1, order)), draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+        coeffs[k][i][j] += draw(st.fractions(-2, 2, max_denominator=3).filter(bool))
+        r = EndSeries(dim, order, coeffs)
+    return alg, r
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebra_and_r())
+def test_semisimple_kernel_is_the_symplectic_check(data):
+    # the spec's kernel remainder against the independent R(z)R(-z)* product,
+    # and its entries against the ambient kernel moved to the semisimple basis
+    alg, r = data
+    ss = alg.semisimplify()
+    symplectic = check_symplectic(r, alg.eta)
+    try:
+        spec = CohFTSpec(alg, ss, [], r, r.order)
+    except NotSymplectic:
+        assert not symplectic
+        return
+    assert symplectic
+    binv = mat_inv(ss.basis_change)
+    want = {}
+    kernel = edge_kernel(r, alg.eta).table
+    for (a, b), m in sorted(kernel.items(), key=lambda it: (sum(it[0]), it[0])):
+        for mu, row in enumerate(mat_mul(transpose(binv), mat_mul(m, binv))):
+            for nu, c in enumerate(row):
+                if c != 0:
+                    want.setdefault((mu, nu), []).append((a, b, c))
+    assert spec.kernel_ss() == want
+
+
+def _generic_vector(rng, dim):
+    while True:
+        v = random_vector(rng, dim)
+        if all(v):
+            return v
+
+
+# sha256 of r_action rendered on every SMALL_PAIRS entry, each followed by a
+# correlator of the class where the degree allows one, for a seeded
+# degree-3 coherent spec per dim; measured before the edge kernel was built
+# in the semisimple basis and vertex tables were shared across the graphs
+# of a sum.  (0, 7) at dim 3 takes 6 s and is left out.
+R_ACTION_SMALL_PAIR_PINS = {
+    1: "f4b68caa043b692516e0d02b4bcdeb4dc028886acd306532d4f2fdedb00133e3",
+    2: "193ca009c5baa0c5d54c658d25bfb171b9d7b83974688be8ac0d357b7a960627",
+    3: "074df7e43a65c28873399dca85a16e990d7106d91366c16cff32d35baabfe6ae",
+}
+
+
+@pytest.mark.parametrize("dim", sorted(R_ACTION_SMALL_PAIR_PINS))
+def test_r_action_small_pair_pins(dim):
+    spec = coherent_spec(random.Random(40 + dim), dim, 3)
+    rng = random.Random(50 + dim)
+    lines = []
+    for g, n in SMALL_PAIRS:
+        vs = [_generic_vector(rng, dim) for _ in range(n)]
+        psi = [0] * n
+        for _ in range(rng.randrange(3 * g - 2 + n) if n else 0):
+            psi[rng.randrange(n)] += 1
+        if (dim, g, n) == (3, 0, 7):
+            continue
+        lines.extend(r_action(spec, g, n, vs).render_lines())
+        if 3 * g - 3 + n <= spec.degree:
+            lines.append(frac_str(correlator_of_theory(spec, g, n, vs, tuple(psi), Correlators())))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == R_ACTION_SMALL_PAIR_PINS[dim]
