@@ -1,12 +1,12 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 validation failure, 2 identity-check failure,
-3 internal error.  A validation failure is a CohftError (config errors,
-unstable pairs, bad arguments and cache lines) or an algebra that does not
-split or invert; any other exception is an internal error.  All output is
-deterministic: results are assembled in canonical order whatever the
-thread count, and --json switches to a machine-readable mirror of the same
-data.
+3 internal error.  A validation failure is a usage error (an unknown option
+or a malformed argument), a CohftError (config errors, unstable pairs, bad
+arguments and cache lines) or an algebra that does not split or invert; any
+other exception is an internal error.  All output is deterministic: results
+are assembled in canonical order, and --json switches to a
+machine-readable mirror of the same data.
 
 The COHFT_CACHE_DIR environment variable, when set, persists the
 correlator memo table between runs as sorted key-value text; a cache file
@@ -35,22 +35,16 @@ from .linalg import CohftError, frac_str
 from .oracles import (
     brute_force_stable_graphs,
     genus0_multinomial,
+    multikappa_by_permutations,
     vertex_factor_diff,
     witten_top_closed_form,
 )
-from .taut import exp_pushforward_check
+from .taut import exp_pushforward_check, kappa_multi_index
 
 
 def _build_parser():
     parser = argparse.ArgumentParser(prog="cohft", description=__doc__)
     parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="accepted and ignored: exact Fraction work holds the interpreter lock, "
-        "so the engine runs on one thread",
-    )
     parser.add_argument("--config", help="path to a spec config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -301,8 +295,6 @@ def _cmd_oracle(args):
         failures = backend.check_string_dilaton()
         mismatches += len(failures)
         lines.append("string/dilaton checks on %d keys: %s" % (len(backend._psi), "ok" if not failures else "FAIL"))
-        from .taut import kappa_multi_index
-
         for g in range(0, 2):
             for n in range(1, 4):
                 if 2 * g - 2 + n <= 0:
@@ -359,9 +351,6 @@ def _cmd_oracle(args):
                 "exponential pushforward %s: %s"
                 % (" ".join(frac_str(c) for c in coeffs), "ok" if ok else "MISMATCH")
             )
-        from .oracles import multikappa_by_permutations
-        from .taut import kappa_multi_index
-
         for parts in [[1, 1], [2, 1], [1, 2, 3], [2, 2, 1], [1, 1, 1, 1], [1, 1, 1, 2, 2]]:
             ok = kappa_multi_index(parts, 12) == multikappa_by_permutations(parts, 12)
             mismatches += 0 if ok else 1
@@ -376,7 +365,12 @@ def _cmd_oracle(args):
 
 def main(argv=None):
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 after printing a usage error;
+        # 2 is reserved for identity-check failures
+        return 0 if exc.code == 0 else 1
     handlers = {
         "algebra": _cmd_algebra,
         "graphs": _cmd_graphs,

@@ -153,9 +153,6 @@ class SemisimpleData:
     def to_semisimple(self, v):
         return mat_vec(self.to_ss, v)
 
-    def vector(self, mu):
-        return self.basis_change[mu]
-
 
 class FrobeniusAlgebra:
     """dim, eta (metric), structure[i][j] = coordinates of b_i * b_j, unit."""

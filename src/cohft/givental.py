@@ -469,12 +469,8 @@ def graph_contribution(spec, graph, vectors, tables=None):
     return TautExpr(g, n, cap, out)
 
 
-def r_action(spec, g, n, vectors, threads=1):
-    """Sum of contributions over all boundary strata, weighted by 1/|Aut|.
-
-    threads is accepted and ignored: the sum is exact Fraction arithmetic,
-    which holds the interpreter lock, so worker threads never made it faster.
-    """
+def r_action(spec, g, n, vectors):
+    """Sum of contributions over all boundary strata, weighted by 1/|Aut|."""
     _require_stable(g, n)
     cap = max(min(spec.degree, 3 * g - 3 + n), 0)
     total = {}
@@ -501,26 +497,6 @@ def two_point(spec, v, w):
     for k in range(cap + 1):
         _add_psi_times_kappa(out, (k,), op.value(alg.multiply(series[k], vec(w))), cap)
     return KPPoly(1, cap, out)
-
-
-def z_matrix(spec):
-    """Z(kappa, psi) with eta(Z v, w) = Omega^+(v (x) w), entrywise KPPoly."""
-    alg = spec.algebra
-    basis = identity(alg.dim)
-    omega = [[two_point(spec, basis[j], basis[i]) for j in range(alg.dim)] for i in range(alg.dim)]
-    out = []
-    for k in range(alg.dim):
-        row = []
-        for j in range(alg.dim):
-            acc = {}
-            for i in range(alg.dim):
-                weight = alg.eta_inv[k][i]
-                if weight != 0:
-                    for key, c in omega[i][j].terms.items():
-                        acc[key] = acc.get(key, Q0) + c * weight
-            row.append(KPPoly(1, spec.degree, acc))
-        out.append(row)
-    return out
 
 
 def verify_axioms(spec, mode="free", max_dim=2, max_perm_n=4):

@@ -129,9 +129,6 @@ class StableGraph:
     def __hash__(self):
         return self._hash
 
-    def __lt__(self, other):
-        return self.sort_key() < other.sort_key()
-
     def sort_key(self):
         return (len(self.edges), len(self.genera), self.genera, self.legs, self.edges)
 
@@ -414,7 +411,11 @@ def enumerate_stable_graphs(g, n, with_children=False):
 
 
 def contract_edge(graph, edge_index):
-    """Contract one edge: loops raise genus, cross edges merge vertices."""
+    """Contract one edge: loops raise genus, cross edges merge vertices.
+
+    The inverse of one degeneration step, sharing no code with the split
+    walk of one_step_degenerations; tests check the walk against it.
+    """
     u, w = graph.edges[edge_index]
     edges = [e for i, e in enumerate(graph.edges) if i != edge_index]
     genera = list(graph.genera)
@@ -540,9 +541,3 @@ def special_order(g, n):
         if not any((a, c) in greater and (c, b) in greater for c in types)
     }
     return types, greater, hasse
-
-
-def stratum_normal_chern(graph):
-    """Half-edge pairs at the nodes; minus the sum of their psi classes is
-    the Chern class of the stratum's normal bundle."""
-    return [(("edge", i, 0), ("edge", i, 1)) for i in range(len(graph.edges))]

@@ -27,6 +27,7 @@ from fractions import Fraction
 from itertools import groupby, product
 from math import comb
 
+from .givental import r_action
 from .graphs import UnstablePair
 from .linalg import Q0, Q1, CohftError, frac_str
 
@@ -77,7 +78,7 @@ class Correlators:
         if 2 * g - 2 + n <= 0:
             raise UnstablePair("no moduli space for (%d,%d)" % (g, n))
         if any(a < 0 for a in exps):
-            raise ValueError("negative psi exponent")
+            raise CohftError("negative psi exponent")
         if sum(exps) != 3 * g - 3 + n:
             return Q0
         key = (g, exps)
@@ -163,22 +164,30 @@ class Correlators:
     # -- consistency and persistence ------------------------------------------
 
     def check_string_dilaton(self):
-        """String and dilaton equations on every memoized pure-psi key."""
+        """String and dilaton equations on every memoized pure-psi key.
+
+        A key <exps>_g whose last exponent is 0 and that is stable without
+        that point is compared with the string-equation sum over the
+        (n-1)-point keys; every key <exps>_g with a stable (g, n+1) is
+        compared, through the dilaton equation, with <exps, tau_1>_g.
+        """
         failures = []
         for g, exps in sorted(self._psi):
             n = len(exps)
             val = self._psi[(g, exps)]
-            if 2 * g - 2 + (n + 1) > 0:
+            rest = exps[:-1]
+            if exps[-1] == 0 and 2 * g - 2 + (n - 1) > 0:
                 string = sum(
                     (
-                        self.psi_correlator(g, exps[:j] + (a - 1,) + exps[j + 1 :])
-                        for j, a in enumerate(exps)
+                        self.psi_correlator(g, rest[:j] + (a - 1,) + rest[j + 1 :])
+                        for j, a in enumerate(rest)
                         if a >= 1
                     ),
                     Q0,
                 )
-                if self.psi_correlator(g, exps + (0,)) != string:
+                if val != string:
                     failures.append(("string", g, exps))
+            if 2 * g - 2 + (n + 1) > 0:
                 dilaton = (2 * g - 2 + n) * val
                 if self.psi_correlator(g, exps + (1,)) != dilaton:
                     failures.append(("dilaton", g, exps))
@@ -277,24 +286,32 @@ def default_backend():
     return _DEFAULT
 
 
-def integrate_taut(expr, backend=None):
-    """Integrate a decorated graph sum over its moduli space.
+def integrate_taut(expr, backend=None, psi=None):
+    """Integrate a decorated graph sum, times psi powers at the legs, over
+    its moduli space.
 
     Each decorated graph integrates to the product over vertices of the
-    kappa-psi correlator of the local decoration; the pushforward along the
-    gluing map preserves integrals and the automorphism weights are already
-    in the coefficients.
+    kappa-psi correlator of the local decoration, with psi[i] added to the
+    power at leg i + 1; the pushforward along the gluing map preserves
+    integrals and the automorphism weights are already in the coefficients.
+    A term whose degree plus sum(psi) exceeds the dimension integrates to
+    zero and is skipped before any vertex is looked up.  Automorphisms fix
+    the legs, so adding psi leaves every key canonical.
     """
     backend = backend or _DEFAULT
+    psi = tuple(psi) if psi else (0,) * expr.n
+    room = 3 * expr.g - 3 + expr.n - sum(psi)
     total = Q0
     for key, coeff in expr.terms.items():
+        if key.degree() > room:
+            continue
         graph = key.graph
         value = coeff
         for v in range(graph.num_vertices):
             exps = []
             for kind in graph.half_edges(v):
                 if kind[0] == "leg":
-                    exps.append(key.leg_psi[kind[1] - 1])
+                    exps.append(key.leg_psi[kind[1] - 1] + psi[kind[1] - 1])
                 else:
                     _, i, end = kind
                     exps.append(key.edge_psi[i][end])
@@ -309,9 +326,6 @@ def integrate_taut(expr, backend=None):
 
 def correlator_of_theory(spec, g, n, vectors, psi_exps, backend=None):
     """Exact integral of the reconstructed class times psi powers."""
-    from .givental import r_action
-    from .taut import DecoratedGraph, TautExpr
-
     if len(psi_exps) != n:
         raise CohftError("need one psi exponent per marked point")
     if any(a < 0 for a in psi_exps):
@@ -323,17 +337,4 @@ def correlator_of_theory(spec, g, n, vectors, psi_exps, backend=None):
             "truncation degree %d is below the dimension %d of the target space"
             % (spec.degree, 3 * g - 3 + n)
         )
-    expr = r_action(spec, g, n, vectors)
-    if any(psi_exps):
-        shifted = {}
-        for key, c in expr.terms.items():
-            new_key = DecoratedGraph(
-                key.graph,
-                key.vertex_kappa,
-                tuple(a + b for a, b in zip(key.leg_psi, psi_exps)),
-                key.edge_psi,
-            )
-            if new_key.degree() <= 3 * g - 3 + n:
-                shifted[new_key] = shifted.get(new_key, Q0) + c
-        expr = TautExpr(g, n, 3 * g - 3 + n, shifted)
-    return integrate_taut(expr, backend)
+    return integrate_taut(r_action(spec, g, n, vectors), backend, psi_exps)

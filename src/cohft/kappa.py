@@ -107,12 +107,6 @@ class KappaPoly:
             raise WrongConstantTerm("log needs constant term 1")
         return truncated_log(self, KappaPoly.constant(self.cap, 1), self.cap)
 
-    def antipode(self):
-        """kappa_j -> -kappa_j on every generator."""
-        return KappaPoly(
-            self.cap, {k: c * (-1) ** len(k) for k, c in self.terms.items()}
-        )
-
     def render(self):
         if not self.terms:
             return "0"
@@ -186,18 +180,11 @@ class CovectorKappaPoly:
         self.cap = components[0].cap
         self.components = components
 
-    @property
-    def dim(self):
-        return len(self.components)
-
     def __eq__(self, other):
         return isinstance(other, CovectorKappaPoly) and self.components == other.components
 
     def __add__(self, other):
         return CovectorKappaPoly(tuple(a + b for a, b in zip(self.components, other.components)))
-
-    def __sub__(self, other):
-        return CovectorKappaPoly(tuple(a - b for a, b in zip(self.components, other.components)))
 
     def scale(self, c):
         return CovectorKappaPoly(tuple(a.scale(c) for a in self.components))
@@ -235,7 +222,11 @@ class CovectorKappaPoly:
 
 
 def theta_covector(algebra, cap):
-    """The Frobenius trace as a constant covector polynomial."""
+    """The Frobenius trace as a constant covector polynomial.
+
+    It is the neutral element theta of the convolution product, so
+    exp_conv(0) = theta and a group-like element has degree-0 part theta.
+    """
     basis = identity(algebra.dim)
     return CovectorKappaPoly(
         tuple(KappaPoly.constant(cap, algebra.frobenius_trace(basis[i])) for i in range(algebra.dim))
@@ -313,7 +304,11 @@ def log_conv(x, ss):
 
 
 def exp_conv_series(x, ss):
-    """exp_conv by literally summing convolution powers (test oracle)."""
+    """exp_conv by literally summing convolution powers.
+
+    The brute-force reference for exp_conv, which collapses the same sum
+    projector by projector; tests compare the two.
+    """
     for comp in x.components:
         if comp.constant_term() != 0:
             raise NonzeroConstantTerm("exp_conv needs zero degree-0 part")
@@ -340,6 +335,12 @@ def is_grouplike(x, ss):
 
 
 def is_primitive(x):
+    """Whether every component has coproduct k (x) 1 + 1 (x) k.
+
+    In Teleman's argument the classification homomorphism is a group-like
+    Omega^+ and its log is the phi-primitive sum_j phi_j kappa_j; this is
+    the test for the latter, as is_grouplike is for the former.
+    """
     for comp in x.components:
         want = {}
         for key, c in comp.terms.items():

@@ -71,7 +71,7 @@ def brute_force_stable_graphs(g, n):
                     continue
                 for legs in _leg_assignments(n, nv, need):
                     out.add(StableGraph(genera, legs, edges))
-    return sorted(out)
+    return sorted(out, key=StableGraph.sort_key)
 
 
 def _leg_assignments(n, nv, need):

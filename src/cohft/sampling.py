@@ -37,7 +37,11 @@ def random_semisimple_algebra(rng, dim):
 
 
 def random_nilpotent_algebra():
-    """Q[x]/(x^2) with the antidiagonal pairing: valid but not semisimple."""
+    """Q[x]/(x^2) with the antidiagonal pairing: valid but not semisimple.
+
+    Teleman's classification needs a semisimple algebra; this is the
+    Frobenius algebra it excludes, which semisimplify must reject.
+    """
     structure = [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]
     return FrobeniusAlgebra(2, [[0, 1], [1, 0]], structure, [1, 0])
 

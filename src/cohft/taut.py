@@ -20,7 +20,7 @@ from itertools import product as iproduct
 from math import factorial
 
 from .kappa import KappaPoly, monomial_str
-from .linalg import Q0, Q1, frac_str
+from .linalg import Q0, Q1, CohftError, frac_str
 from .series import EndSeries, truncated_exp
 
 
@@ -29,10 +29,6 @@ class UnsupportedLowPower(ValueError):
 
 
 class NodalTermPresent(ValueError):
-    pass
-
-
-class DistinctSupports(ValueError):
     pass
 
 
@@ -51,7 +47,7 @@ def kappa_multi_index(ks, cap):
     """kappa_{k_1,...,k_m} as a polynomial in the kappa_j."""
     ks = list(ks)
     if any(k < 1 for k in ks):
-        raise ValueError("multi-index entries must be >= 1")
+        raise CohftError("multi-index entries must be >= 1")
     terms = {}
     for part in _set_partitions(ks):
         weight = 1
@@ -62,39 +58,6 @@ def kappa_multi_index(ks, cap):
         key = tuple(sorted(key))
         terms[key] = terms.get(key, Q0) + weight
     return KappaPoly(cap, terms)
-
-
-def kappa_monomial_to_multi(key):
-    """Write the kappa monomial with parts `key` in multi-index classes.
-
-    Inverts the cycle-type expansion: returns a dict multi-index -> coeff
-    such that the monomial equals sum coeff * kappa_{multi}.  Triangular, so
-    plain recursion with memoization works.
-    """
-    return dict(_mono_to_multi(tuple(sorted(key))))
-
-
-_MONO_CACHE = {}
-
-
-def _mono_to_multi(key):
-    if key in _MONO_CACHE:
-        return _MONO_CACHE[key]
-    out = {key: Q1}
-    for part in _set_partitions(list(key)):
-        if all(len(b) == 1 for b in part):
-            continue  # that summand is the monomial itself
-        weight = 1
-        blocks = []
-        for block in part:
-            weight *= factorial(len(block) - 1)
-            blocks.append(sum(block))
-        inner = _mono_to_multi(tuple(sorted(blocks)))
-        for k2, c2 in inner.items():
-            out[k2] = out.get(k2, Q0) - weight * c2
-    out = {k: c for k, c in out.items() if c != 0}
-    _MONO_CACHE[key] = out
-    return out
 
 
 def forgetful_pushforward_monomial(exponents, cap):
@@ -414,47 +377,8 @@ class TautExpr:
             out[k] = out.get(k, Q0) + c
         return TautExpr(self.g, self.n, self.cap, out)
 
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Q0) - c
-        return TautExpr(self.g, self.n, self.cap, out)
-
-    def scale(self, c):
-        c = Fraction(c)
-        return TautExpr(self.g, self.n, self.cap, {k: v * c for k, v in self.terms.items()})
-
     def is_zero(self):
         return not self.terms
-
-    def single_graph(self):
-        graphs = {key.graph for key in self.terms}
-        if len(graphs) > 1:
-            raise DistinctSupports("expression lives on several graphs")
-        return graphs.pop() if graphs else None
-
-    def multiply(self, other):
-        """Decoration product of two expressions on one common graph."""
-        ga, gb = self.single_graph(), other.single_graph()
-        if ga is None or gb is None:
-            return TautExpr(self.g, self.n, self.cap)
-        if ga != gb:
-            raise DistinctSupports("expressions live on different graphs")
-        out = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                key = DecoratedGraph(
-                    ga,
-                    tuple(a + b for a, b in zip(k1.vertex_kappa, k2.vertex_kappa)),
-                    tuple(a + b for a, b in zip(k1.leg_psi, k2.leg_psi)),
-                    tuple(
-                        (a1 + a2, b1 + b2)
-                        for (a1, b1), (a2, b2) in zip(k1.edge_psi, k2.edge_psi)
-                    ),
-                )
-                if key.degree() <= self.cap:
-                    out[key] = out.get(key, Q0) + c1 * c2
-        return TautExpr(self.g, self.n, self.cap, out)
 
     def restrict_to_smooth(self):
         """Keep the edgeless term only, as a smooth-model polynomial."""
@@ -464,16 +388,6 @@ class TautExpr:
                 continue
             out[(key.vertex_kappa[0], key.leg_psi)] = c
         return KPPoly(self.n, self.cap, out)
-
-    @classmethod
-    def from_kp(cls, g, n, poly):
-        from .graphs import smooth_graph
-
-        graph = smooth_graph(g, n)
-        terms = {}
-        for (kk, pp), c in poly.terms.items():
-            terms[DecoratedGraph(graph, (kk,), pp, ())] = c
-        return cls(g, n, poly.cap, terms)
 
     def forgetful_pullback(self):
         for key in self.terms:

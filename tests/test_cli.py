@@ -8,6 +8,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohft import cli, intersect
 from cohft.cli import main
@@ -43,13 +45,19 @@ def test_parse_minimal_scalar_config():
     assert spec.phi[0] == (F(1, 2),)
 
 
-def test_serialize_roundtrip_idempotent():
-    rng = random.Random(0)
-    for dim in (1, 2):
-        spec = coherent_spec(rng, dim, 3)
-        text = serialize_config(spec)
-        again = serialize_config(parse_config(text))
-        assert again == text
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    dim=st.integers(1, 3),
+    degree=st.integers(1, 4),
+    coherent=st.booleans(),
+)
+def test_serialize_roundtrip_idempotent(seed, dim, degree, coherent):
+    # both kinds of spec write every nonzero phi_j as a line; an incoherent
+    # one has phi_1 moved off the value R forces
+    make = coherent_spec if coherent else incoherent_spec
+    text = serialize_config(make(random.Random(seed), dim, degree))
+    assert serialize_config(parse_config(text)) == text
 
 
 def test_parse_error_reports():
@@ -353,26 +361,36 @@ def test_cli_oracles(tmp_path):
     assert "mismatches: 0" in out
 
 
-def test_cli_deterministic_across_threads(tmp_path):
-    rng = random.Random(2)
-    spec = coherent_spec(rng, 2, 3)
-    cfg = tmp_path / "spec.cfg"
-    cfg.write_text(serialize_config(spec))
-    outputs = []
-    for threads in ("1", "4"):
-        code, out = run_cli(
-            ["--threads", threads, "--config", str(cfg), "reconstruct", "nodal", "1", "2"]
-        )
-        assert code == 0
-        outputs.append(out)
-    assert outputs[0] == outputs[1]
-
-
 def test_cli_repeated_runs_byte_identical(tmp_path):
-    cfg = tmp_path / "spec.cfg"
-    cfg.write_text(SCALAR_CFG)
-    runs = {run_cli(["--config", str(cfg), "reconstruct", "nodal", "1", "1"])[1] for _ in range(3)}
-    assert len(runs) == 1
+    scalar = tmp_path / "scalar.cfg"
+    scalar.write_text(SCALAR_CFG)
+    dim2 = tmp_path / "dim2.cfg"
+    dim2.write_text(serialize_config(coherent_spec(random.Random(2), 2, 3)))
+    for cfg, g, n in [(scalar, "1", "1"), (dim2, "1", "2")]:
+        runs = {run_cli(["--config", str(cfg), "reconstruct", "nodal", g, n]) for _ in range(3)}
+        assert len(runs) == 1
+        assert next(iter(runs))[0] == 0
+
+
+def test_cli_usage_errors_exit_1(capsys):
+    # 2 is the identity-check failure code, so argparse's own exit status 2
+    # is not passed on
+    for argv in (
+        ["graphs", "enumerate", "x", "1"],
+        ["--threads", "2", "graphs", "enumerate", "1", "1"],
+        ["graphs", "enumerate", "1", "1", "--bogus"],
+        [],
+    ):
+        code, out = run_cli(argv)
+        assert code == 1, argv
+        assert out == ""
+        assert capsys.readouterr().err.startswith("usage: cohft"), argv
+    code, out = run_cli(["--help"])
+    assert code == 0
+    assert out.startswith("usage: cohft")
+    code, out = run_cli(["graphs", "--help"])
+    assert code == 0
+    assert out.startswith("usage: cohft graphs")
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

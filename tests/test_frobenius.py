@@ -122,6 +122,9 @@ def test_invert_nilpotent_fails():
 
 def test_is_semisimple():
     assert not dual_numbers().is_semisimple()
+    # the non-semisimple algebra Teleman's classification excludes
+    with pytest.raises(NotInvertible, match="not semisimple"):
+        random_nilpotent_algebra().semisimplify()
     assert split_pair().is_semisimple()
     one = FrobeniusAlgebra(1, [[1]], [[[1]]], [1])
     assert one.is_semisimple()

@@ -24,7 +24,6 @@ from cohft.givental import (
     tqft_value,
     two_point,
     verify_axioms,
-    z_matrix,
 )
 from cohft.graphs import StableGraph, smooth_graph
 from cohft.intersect import Correlators, correlator_of_theory
@@ -274,9 +273,10 @@ def test_smooth_contribution_is_free_reconstruction_termwise():
         spec = coherent_spec(rng, dim, 4)
         for g, n in [(1, 1), (2, 1), (1, 2)]:
             vs = [random_vector(rng, dim) for _ in range(n)]
-            got = graph_contribution(spec, smooth_graph(g, n), vs)
-            want = TautExpr.from_kp(g, n, reconstruct_free(spec, g, n, vs))
-            assert got == want
+            graph = smooth_graph(g, n)
+            got = graph_contribution(spec, graph, vs)
+            assert all(key.graph == graph for key in got.terms)
+            assert got.restrict_to_smooth() == reconstruct_free(spec, g, n, vs)
 
 
 def test_r_action_identity_r_fixed_point():
@@ -539,15 +539,6 @@ def test_two_point_pairing_identity():
     assert acc == want
 
 
-def test_z_matrix_degree_zero_is_identity():
-    rng = random.Random(24)
-    spec = coherent_spec(rng, 2, 3)
-    zm = z_matrix(spec)
-    for i in range(2):
-        for j in range(2):
-            assert zm[i][j].terms.get(((), (0,)), 0) == (1 if i == j else 0)
-
-
 def test_coherent_phi_matches_scalar_formula():
     # dim 1, R = exp(az): log(R^{-1} unit) = -a psi so phi_1 = a, others 0
     a = F(5, 7)
@@ -578,15 +569,6 @@ def test_coherent_phi_pins(dim, degree, seed):
     assert len(phi) == degree and any(any(p) for p in phi)
     text = "\n".join(" ".join(frac_str(x) for x in p) for p in phi)
     assert hashlib.sha256(text.encode()).hexdigest() == COHERENT_PHI_PINS[(dim, degree, seed)]
-
-
-def test_r_action_threads_deterministic():
-    rng = random.Random(25)
-    spec = coherent_spec(rng, 2, 4)
-    vs = [random_vector(rng, 2) for _ in range(2)]
-    a = r_action(spec, 1, 2, vs, threads=1)
-    b = r_action(spec, 1, 2, vs, threads=4)
-    assert a == b and a.render_lines() == b.render_lines()
 
 
 @st.composite

@@ -12,6 +12,7 @@ from cohft.intersect import (
     psi_correlator,
     correlator_of_theory,
 )
+from cohft.linalg import CohftError
 from cohft.sampling import scalar_exp_spec, trivial_spec
 from cohft.taut import kappa_multi_index
 
@@ -114,6 +115,33 @@ def test_string_dilaton_on_all_memoized_keys():
     for g, exps in [(0, (2, 0, 0, 0, 0)), (1, (2, 1, 0)), (2, (4,)), (2, (3, 2)), (3, (7,))]:
         backend.psi_correlator(g, exps)
     assert backend.check_string_dilaton() == []
+
+
+def test_string_check_reports_a_corrupted_tau0_entry():
+    # the string half compares a memoized <exps, tau_0>_g with the string
+    # sum over the memoized keys it reduces to; <tau_1 tau_0^3>_0 = 1 is
+    # filled on the way to <tau_2 tau_0^4>_0
+    backend = Correlators()
+    for g, exps in [(0, (2, 0, 0, 0, 0)), (1, (2, 1, 0)), (3, (7,))]:
+        backend.psi_correlator(g, exps)
+    assert backend.check_string_dilaton() == []
+    assert backend.psi_correlator(0, (1, 0, 0, 0)) == 1
+    backend.load("psi 0 1,0,0,0 = 2")
+    failures = backend.check_string_dilaton()
+    assert ("string", 0, (1, 0, 0, 0)) in failures
+    # the 5-point key that reduces to it sees the wrong value as well
+    assert ("string", 0, (2, 0, 0, 0, 0)) in failures
+
+
+def test_library_argument_errors_are_cohft_errors():
+    # both stay ValueErrors, which CohftError subclasses
+    with pytest.raises(CohftError) as exc:
+        Correlators().psi_correlator(1, (2, -1))
+    assert type(exc.value) is CohftError
+    with pytest.raises(CohftError) as exc:
+        kappa_multi_index([2, 0], 4)
+    assert type(exc.value) is CohftError
+    assert issubclass(CohftError, ValueError)
 
 
 def test_kappa_reduction_examples():
@@ -233,16 +261,23 @@ def test_theory_correlators_satisfy_string_and_dilaton():
 
 def test_r_action_integral_matches_smooth_model_when_pure():
     # with R = Id the graph sum is pure smooth-model, so integrating the
-    # decorated-graph expression and integrating the polynomial agree
+    # decorated-graph expression and integrating the polynomial monomial by
+    # monomial agree
     from cohft.givental import r_action
     from cohft.intersect import integrate_taut
-    from cohft.taut import TautExpr
 
     spec = trivial_spec(4)
     expr = r_action(spec, 1, 2, [[1], [1]])
     poly = expr.restrict_to_smooth()
-    rebuilt = TautExpr.from_kp(1, 2, poly)
-    assert integrate_taut(expr) == integrate_taut(rebuilt)
+    for psi, want in [((0, 0), 0), ((2, 0), F(1, 24)), ((1, 1), F(1, 24))]:
+        by_monomial = sum(
+            (
+                c * kappa_psi_correlator(1, tuple(a + b for a, b in zip(pp, psi)), kk)
+                for (kk, pp), c in poly.terms.items()
+            ),
+            F(0),
+        )
+        assert integrate_taut(expr, psi=psi) == by_monomial == want
 
 
 def test_memo_dump_load_roundtrip():

@@ -168,16 +168,6 @@ def test_grouplike_needs_theta_constant():
         assert not is_grouplike(one, ss)
 
 
-def test_antipode_hopf_identity():
-    # m (S (x) id) Delta = unit . counit, on generators and on a product
-    cap = 6
-    for p in (KappaPoly.generator(cap, 3), KappaPoly.generator(cap, 1) * KappaPoly.generator(cap, 2)):
-        acc = KappaPoly(cap)
-        for (k1, k2), c in coproduct(p).items():
-            acc = acc + (KappaPoly(cap, {k1: 1}).antipode() * KappaPoly(cap, {k2: 1})).scale(c)
-        assert acc.is_zero()  # counit kills positive degree
-
-
 def test_convolution_tensor_matches_coproduct_for_grouplike():
     rng = random.Random(8)
     alg, _, _ = random_semisimple_algebra(rng, 2)

@@ -9,7 +9,6 @@ from cohft.kappa import KappaPoly
 from cohft.oracles import multikappa_by_permutations
 from cohft.taut import (
     DecoratedGraph,
-    DistinctSupports,
     KPPoly,
     NodalTermPresent,
     TautExpr,
@@ -17,7 +16,6 @@ from cohft.taut import (
     exp_pushforward_check,
     exp_pushforward_diff,
     forgetful_pushforward_monomial,
-    kappa_monomial_to_multi,
     kappa_multi_index,
 )
 
@@ -44,15 +42,6 @@ def test_multikappa_all_ones_counts_permutations():
 @pytest.mark.parametrize("ks", [[1, 1], [2, 1], [1, 2, 3], [2, 2, 1], [1, 1, 1, 1], [1, 1, 2, 3]])
 def test_multikappa_permutation_oracle(ks):
     assert kappa_multi_index(ks, 2 * CAP) == multikappa_by_permutations(ks, 2 * CAP)
-
-
-def test_monomial_to_multi_roundtrip():
-    for key in [(1,), (1, 1), (1, 2), (2, 2), (1, 1, 2)]:
-        conv = kappa_monomial_to_multi(key)
-        back = KappaPoly(CAP)
-        for mk, c in conv.items():
-            back = back + kappa_multi_index(mk, CAP).scale(c)
-        assert back == KappaPoly(CAP, {key: 1})
 
 
 def test_pushforward_monomial():
@@ -117,27 +106,6 @@ def test_kppoly_truncation():
     p = KPPoly(1, 5, {((3,), (2,)): 1})
     assert p.truncate(4).is_zero()
     assert not p.truncate(5).is_zero()
-
-
-def test_taut_expr_multiply():
-    g = smooth_graph(1, 1)
-    one = TautExpr(1, 1, 4, {DecoratedGraph(g, ((),), (0,), ()): F(1)})
-    psi = TautExpr(1, 1, 4, {DecoratedGraph(g, ((),), (1,), ()): F(1)})
-    kap = TautExpr(1, 1, 4, {DecoratedGraph(g, ((1,),), (0,), ()): F(1)})
-    assert one.multiply(psi) == psi
-    assert psi.multiply(psi) == TautExpr(1, 1, 4, {DecoratedGraph(g, ((),), (2,), ()): F(1)})
-    assert kap.multiply(psi.multiply(kap)) == TautExpr(
-        1, 1, 4, {DecoratedGraph(g, ((1, 1),), (1,), ()): F(1)}
-    )
-
-
-def test_taut_expr_distinct_supports():
-    g = smooth_graph(1, 1)
-    loop = StableGraph((0,), (0,), ((0, 0),))
-    a = TautExpr(1, 1, 4, {DecoratedGraph(g, ((),), (0,), ()): F(1)})
-    b = TautExpr(1, 1, 4, {DecoratedGraph(loop, ((), ), (0,), ((0, 0),)): F(1)})
-    with pytest.raises(DistinctSupports):
-        a.multiply(b)
 
 
 def test_decorated_graph_loop_flip_canonical():
