@@ -3,6 +3,7 @@ import io
 import json
 import random
 import re
+import threading
 from contextlib import redirect_stdout
 from fractions import Fraction as F
 from pathlib import Path
@@ -370,6 +371,45 @@ def test_cli_repeated_runs_byte_identical(tmp_path):
         runs = {run_cli(["--config", str(cfg), "reconstruct", "nodal", g, n]) for _ in range(3)}
         assert len(runs) == 1
         assert next(iter(runs))[0] == 0
+
+
+class _PerThreadStdout:
+    """A stdout that writes to the calling thread's own buffer."""
+
+    def __init__(self):
+        self.local = threading.local()
+
+    def write(self, text):
+        return self.local.buf.write(text)
+
+    def flush(self):
+        pass
+
+
+def test_cli_deterministic_across_threads(tmp_path):
+    # the memo tables main shares between runs (enumerated graphs, the
+    # correlator backend) only ever hold finished values, so runs on four
+    # threads at once print what a run on the main thread prints
+    cfg = tmp_path / "spec.cfg"
+    cfg.write_text(serialize_config(coherent_spec(random.Random(2), 2, 3)))
+    argv = ["--config", str(cfg), "reconstruct", "nodal", "1", "2"]
+    serial = run_cli(argv)
+    assert serial[0] == 0
+    stdout = _PerThreadStdout()
+    results = [None] * 4
+
+    def run(i):
+        stdout.local.buf = io.StringIO()
+        code = main(argv)
+        results[i] = (code, stdout.local.buf.getvalue())
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+    with redirect_stdout(stdout):
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    assert results == [serial] * 4
 
 
 def test_cli_usage_errors_exit_1(capsys):
