@@ -9,8 +9,9 @@ are assembled in canonical order, and --json switches to a
 machine-readable mirror of the same data.
 
 The COHFT_CACHE_DIR environment variable, when set, persists the
-correlator memo table between runs as sorted key-value text; a cache file
-with a malformed line is a validation failure that names the line.
+correlator memo table between runs as sorted key-value text; a cache that
+cannot be read is a validation failure that names its path, and a cache file
+with a malformed line one that names the line.
 """
 
 import argparse

@@ -4,7 +4,8 @@ An algebra is given by a metric eta, structure constants for the product in
 an ambient basis, and the coordinates of the unit.  The engine only ever
 works over exact rationals: an algebra is "split semisimple" when it admits
 an eta-orthonormal basis of rescaled projectors with rational coordinates,
-and semisimplify() finds that basis or reports NotSplit.
+and semisimplify() finds that basis, by splitting the unit along the
+rational eigenvalues of each basis vector in turn, or reports NotSplit.
 
 Construction validates every axiom (_validate): eta symmetric and
 nondegenerate, the product commutative with a neutral unit, then
@@ -16,7 +17,6 @@ is the one a check of every triple in order would report.
 """
 
 import math
-import random
 from fractions import Fraction
 
 from .linalg import (
@@ -32,7 +32,6 @@ from .linalg import (
     mat,
     mat_inv,
     mat_vec,
-    rank,
     solve,
     transpose,
     vec,
@@ -375,57 +374,23 @@ class FrobeniusAlgebra:
                 out = tuple(a + c * b for a, b in zip(out, unit))
         return out
 
-    def _block_dim(self, u):
-        cols = [self._raw_multiply(u, row) for row in identity(self.dim)]
-        return rank(cols)
-
     def semisimplify(self):
         """eta-orthonormal projector basis, or NotSplit.
 
-        A random element separates the projectors with overwhelming
-        probability; after 8 failures we refine block by block with the
-        ambient basis vectors, which succeeds exactly when the algebra splits
-        over the rationals.
+        The unit is split along the rational eigenvalues of each ambient
+        basis vector in turn.  The basis spans the algebra, so every final
+        block is a joint eigenspace of the whole algebra, and it is a single
+        projector exactly when the algebra splits over the rationals: what a
+        block still holds past that has no rational eigenvalues, and a
+        second pass could not split it.
         """
         if not self.is_semisimple():
             raise NotInvertible("euler class is not invertible: algebra is not semisimple")
-        rng = random.Random(0x5EED5)
         blocks = [self.unit]
-        for _ in range(8):
-            sep = vec(rng.randrange(-9, 10) for _ in range(self.dim))
-            try:
-                parts = self._split_block(self.unit, sep)
-            except NotSplit:
-                parts = None
-            if parts is not None and len(parts) == self.dim:
-                blocks = parts
-                break
-        else:
-            # per-basis-vector refinement
-            blocks = [self.unit]
-            basis = identity(self.dim)
-            changed = True
-            while changed:
-                changed = False
-                out = []
-                for u in blocks:
-                    if self._block_dim(u) == 1:
-                        out.append(u)
-                        continue
-                    refined = [u]
-                    for b in basis:
-                        step = []
-                        for w in refined:
-                            step.extend(self._split_block(w, b) if self._block_dim(w) > 1 else [w])
-                        refined = step
-                    if len(refined) > 1:
-                        changed = True
-                    out.extend(refined)
-                blocks = out
-            if any(self._block_dim(u) > 1 for u in blocks):
-                raise NotSplit("no rational splitting: irrational eigenvalues")
-        if len(blocks) != self.dim:
-            raise NotSplit("projector count %d does not match dimension" % len(blocks))
+        for b in identity(self.dim):
+            blocks = [p for u in blocks for p in self._split_block(u, b)]
+        if len(blocks) < self.dim:
+            raise NotSplit("no rational splitting: irrational eigenvalues")
         # orthonormalize: eta(pi, pi) must be a square of a rational
         raw = []
         for u in blocks:

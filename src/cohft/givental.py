@@ -38,10 +38,10 @@ exponential per projector, at the spec degree, are cached on the spec.
 """
 
 from fractions import Fraction
+from itertools import permutations
 from itertools import product as iproduct
 
-from .frobenius import NotInvertible
-from .kappa import CovectorKappaPoly, KappaPoly, exp_conv, is_grouplike, log_conv
+from .kappa import CovectorKappaPoly, KappaPoly, exp_conv, is_grouplike
 from .graphs import UnstablePair, enumerate_stable_graphs
 from .linalg import Q0, Q1, CohftError, dot, identity, mat_mul, mat_vec, transpose, vec
 from .series import EndSeries, NotDivisible, divide_by_z_plus_w, truncated_log
@@ -62,8 +62,9 @@ class CohFTSpec:
     Construction checks the semisimple data against the algebra first, then
     builds the edge kernel in that basis, which raises NotSymplectic when R
     is not symplectic.  With coherent set and phi None, phi is derived from
-    R through the compatibility relation; the check then compares against
-    that same derivation rather than running it a second time.
+    R through the compatibility relation; with coherent set and phi given,
+    the covectors are compared with that derivation (compatibility_check),
+    and IncoherentSpec is raised when they differ.  No Omega^+ is built.
     """
 
     def __init__(self, algebra, ss, phi, r, degree, coherent=False):
@@ -106,7 +107,7 @@ class CohFTSpec:
         return self._cache[key]
 
     def r_inverse(self):
-        return self._get("rinv", self.r.invert)
+        return self.r.invert()
 
     def phi_from_r(self):
         """The coherent covectors forced by R (see coherent_phi)."""
@@ -140,20 +141,19 @@ class CohFTSpec:
         )
 
     def vertex_exp(self, mu, cap):
-        """exp(sum_j a_j^mu kappa_j) through degree cap.
+        """exp(sum_j a_j^mu kappa_j) through degree cap <= degree.
 
         One exponential per projector is built, at the spec degree; a
         smaller cap takes its terms of degree <= cap, which are exactly the
         exponential truncated there.
         """
-        top = max(cap, self.degree)
 
         def build():
             coeffs = self.vertex_log_coeffs()[mu]
-            return KappaPoly(top, {(j,): c for j, c in enumerate(coeffs, start=1)}).exp()
+            return KappaPoly(self.degree, {(j,): c for j, c in enumerate(coeffs, start=1)}).exp()
 
-        full = self._get(("vexp", mu, top), build)
-        return full if cap == top else KappaPoly(cap, full.terms)
+        full = self._get(("vexp", mu), build)
+        return full if cap == self.degree else KappaPoly(cap, full.terms)
 
 
 def _semisimple_kernel(ss, s):
@@ -264,19 +264,14 @@ def omega_plus(spec, cap=None):
 
 
 def compatibility_check(spec):
-    """log of the classification homomorphism against -eta(beta log R^{-1}1, .)."""
-    lhs = log_conv(omega_plus(spec), spec.ss)
-    rhs = spec.phi_from_r()
-    rhs_cov = CovectorKappaPoly(
-        tuple(
-            KappaPoly(
-                spec.degree,
-                {(j,): rhs[j - 1][i] for j in range(1, spec.degree + 1) if rhs[j - 1][i] != 0},
-            )
-            for i in range(spec.algebra.dim)
-        )
-    )
-    return lhs == rhs_cov
+    """Whether phi_j = -eta([z^j] log(R^{-1}(z) unit), .) for j = 1..degree.
+
+    The relation reads log Omega^+ = sum_j phi_j kappa_j against the
+    covectors forced by R.  exp_conv and log_conv are inverse through the
+    truncation degree, so the log of Omega^+ = exp_conv(phi primitive) is
+    the phi primitive itself, and the relation is checked on the covectors.
+    """
+    return spec.phi == tuple(spec.phi_from_r())
 
 
 def coherent_phi(algebra, ss, r, cap):
@@ -286,23 +281,13 @@ def coherent_phi(algebra, ss, r, cap):
 
 def reconstruct_fixed(spec, g, n, vectors):
     """Kappa-polynomial valued form: the classification formula for framed
-    points; genus zero goes through the euler-class shift."""
+    points, Omega^+ evaluated at alpha^g v_1 ... v_n."""
     _require_stable(g, n)
     alg = spec.algebra
-    cap = min(spec.degree, 3 * g - 3 + n)
-    cap = max(cap, 0)
-    vectors = [vec(v) for v in vectors]
-    if g == 0:
-        try:
-            alpha_inv = alg.invert(alg.euler_class())
-        except NotInvertible:
-            raise NotInvertible("genus-zero reconstruction needs an invertible euler class")
-        vectors = vectors[:-1] + [alg.multiply(alpha_inv, vectors[-1])]
-        acc = alg.euler_power(1)
-    else:
-        acc = alg.euler_power(g)
+    cap = max(min(spec.degree, 3 * g - 3 + n), 0)
+    acc = alg.euler_power(g)
     for v in vectors:
-        acc = alg.multiply(acc, v)
+        acc = alg.multiply(acc, vec(v))
     value = omega_plus(spec).value(acc)
     return KPPoly.from_kappa(n, value).truncate(cap)
 
@@ -314,25 +299,13 @@ def reconstruct_free(spec, g, n, vectors):
     cap = max(min(spec.degree, 3 * g - 3 + n), 0)
     rinv = spec.r_inverse()
     slot_series = [rinv.apply(vec(v)).coeffs for v in vectors]
-    if g == 0:
-        alpha_g = alg.euler_power(1)
-        alpha_shift = alg.invert(alg.euler_class())
-    else:
-        alpha_g = alg.euler_power(g)
-        alpha_shift = None
+    alpha_g = alg.euler_power(g)
     op = omega_plus(spec)
     out = {}
     for exps in _bounded_tuples(n, cap):
         acc = alpha_g
         for i, e in enumerate(exps):
-            if e > spec.degree:
-                acc = None
-                break
             acc = alg.multiply(acc, slot_series[i][e])
-        if acc is None:
-            continue
-        if alpha_shift is not None:
-            acc = alg.multiply(acc, alpha_shift)
         _add_psi_times_kappa(out, exps, op.value(acc), cap)
     return KPPoly(n, cap, out)
 
@@ -534,14 +507,12 @@ def verify_axioms(spec, mode="free", max_dim=2, max_perm_n=4):
     # 2. symmetry under slot permutation with simultaneous psi relabeling
     pairs = [(g, n) for g in range(0, 3) for n in range(2, max_perm_n + 1)
              if 2 * g - 2 + n > 0 and 0 < 3 * g - 3 + n <= max_dim]
-    from itertools import permutations as _perms
-
     for g, n in pairs:
         tuples = list(iproduct(range(alg.dim), repeat=n))[: alg.dim ** min(n, 2)]
         for idx in tuples:
             vs = [basis[i] for i in idx]
             base = recon(spec, g, n, vs)
-            for perm in list(_perms(range(n)))[1:]:
+            for perm in list(permutations(range(n)))[1:]:
                 permuted = recon(spec, g, n, [vs[perm[i]] for i in range(n)])
                 # relabel psi slots: slot i of the permuted input is slot perm[i]
                 d = first_diff(permuted.permute_slots(perm), base)

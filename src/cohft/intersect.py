@@ -241,10 +241,23 @@ class Correlators:
         return path
 
     def load_from(self, directory):
+        """load() correlators.txt in directory; a missing file reads nothing.
+
+        A file that cannot be read, because directory is not a directory,
+        the file is a directory or it is not text, raises CohftError naming
+        the path.
+        """
         path = os.path.join(directory, "correlators.txt")
-        if os.path.exists(path):
+        try:
             with open(path) as fh:
-                self.load(fh.read(), path)
+                text = fh.read()
+        except FileNotFoundError:
+            return
+        except OSError as exc:
+            raise CohftError("correlator cache %s: %s" % (path, exc.strerror)) from None
+        except UnicodeDecodeError:
+            raise CohftError("correlator cache %s: not a text file" % path) from None
+        self.load(text, path)
 
 
 _NUMS = r"(\d+(?:,\d+)*)"

@@ -142,11 +142,6 @@ def solve(a, b):
     return tuple(x)
 
 
-def rank(a):
-    rows = [list(row) for row in a]
-    return len(_eliminate(rows, len(a[0]) if a else 0))
-
-
 def linear_dependence(vectors):
     """First nontrivial rational combination of the given vectors equal to zero.
 

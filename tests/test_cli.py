@@ -321,6 +321,30 @@ def test_cli_correlator_cache_rejects_bad_line(tmp_path, monkeypatch, capsys, ba
     assert "line 2:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["cache dir is a file", "not utf-8", "file is a directory"])
+def test_cli_unusable_correlator_cache_is_validation_failure(tmp_path, monkeypatch, capsys, kind):
+    # reported before anything is computed: the backend stays empty
+    cfg = tmp_path / "spec.cfg"
+    cfg.write_text(SCALAR_CFG)
+    cache = tmp_path / "cache"
+    if kind == "cache dir is a file":
+        cache.write_text("x\n")
+    elif kind == "not utf-8":
+        cache.mkdir()
+        (cache / "correlators.txt").write_bytes(b"\xff\xfe psi 1 1 = 1/24\n")
+    else:
+        (cache / "correlators.txt").mkdir(parents=True)
+    monkeypatch.setenv("COHFT_CACHE_DIR", str(cache))
+    backend = intersect.Correlators()
+    monkeypatch.setattr(intersect, "_DEFAULT", backend)
+    code, out = run_cli(["--config", str(cfg), "correlator", "1", "1", "--psi", "1"])
+    assert (code, out) == (1, "")
+    err = capsys.readouterr().err
+    assert str(cache / "correlators.txt") in err
+    assert "internal error" not in err
+    assert backend.dump() == ""
+
+
 def test_cli_correlator_cache_leaves_no_temp_file(tmp_path, monkeypatch):
     cfg = tmp_path / "spec.cfg"
     cfg.write_text(SCALAR_CFG)

@@ -175,6 +175,76 @@ def test_not_split_nonsquare_norm():
         alg.semisimplify()
 
 
+def _canonical(weights, rows):
+    """Construction data as semisimplify reports it: each row, with its
+    weight, negated when its first nonzero entry is negative, then sorted."""
+    pairs = []
+    for w, row in zip(weights, rows):
+        row = tuple(F(x) for x in row)
+        if next(x for x in row if x != 0) < 0:
+            w, row = -w, tuple(-x for x in row)
+        pairs.append((row, F(w)))
+    pairs.sort()
+    return tuple(w for _, w in pairs), tuple(row for row, _ in pairs)
+
+
+def test_semisimplify_recovers_the_construction_data():
+    # the eta-orthonormal projector basis is unique up to the sign of each
+    # vector, so it must be the data the algebra was built from; with the
+    # unit as the first basis vector, that vector splits nothing
+    rng = random.Random(17)
+    for dim in (1, 2, 3, 4):
+        for _ in range(6):
+            for alg, weights, rows in (
+                random_semisimple_algebra(rng, dim),
+                _unit_first_algebra(rng, dim),
+            ):
+                ss = alg.semisimplify()
+                assert (ss.weights, ss.basis_change) == _canonical(weights, rows)
+
+
+def trace_form_quotient(p):
+    """Q[x]/(p) in the basis 1, x, ..., x^{d-1} with eta(a, b) = Tr(ab); p is
+    monic and squarefree, its coefficients listed from low to high."""
+    d = len(p) - 1
+    powers = [tuple(F(int(i == k)) for i in range(d)) for k in range(d)]
+    while len(powers) < 3 * d - 2:
+        # x * x^{k-1}, with x^d = -(p_0 + p_1 x + ... + p_{d-1} x^{d-1})
+        prev = powers[-1]
+        powers.append(tuple((prev[i - 1] if i else F(0)) - prev[-1] * p[i] for i in range(d)))
+    structure = [[powers[i + j] for j in range(d)] for i in range(d)]
+    # Tr(x^k) is the trace of multiplication by x^k
+    trace = [sum(powers[k + j][j] for j in range(d)) for k in range(2 * d - 1)]
+    eta = [[trace[i + j] for j in range(d)] for i in range(d)]
+    return FrobeniusAlgebra(d, eta, structure, powers[0])
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        (0, -2, 0, 1),  # x(x^2 - 2)
+        (3, 0, -4, 0, 1),  # (x^2 - 1)(x^2 - 3)
+        (0, 1, 0, 1),  # x(x^2 + 1)
+    ],
+)
+def test_not_split_quotients(p):
+    # some basis vectors split off rational blocks, but a block with
+    # irrational eigenvalues is left
+    alg = trace_form_quotient(p)
+    assert alg.is_semisimple()
+    with pytest.raises(NotSplit):
+        alg.semisimplify()
+
+
+def test_split_quotient():
+    # Q[x]/((x-1)(x-2)(x-3)): the projectors are the Lagrange polynomials at
+    # 1, 2, 3, each of trace 1, so they are already orthonormal
+    alg = trace_form_quotient((-6, 11, -6, 1))
+    lagrange = [(3, F(-5, 2), F(1, 2)), (-3, 4, -1), (1, F(-3, 2), F(1, 2))]
+    ss = alg.semisimplify()
+    assert (ss.weights, ss.basis_change) == _canonical((1, 1, 1), lagrange)
+
+
 def test_semisimplify_requires_semisimple():
     with pytest.raises(NotInvertible):
         dual_numbers().semisimplify()
@@ -262,9 +332,10 @@ def _unit_first_algebra(rng, dim):
         coords = [weights] + [[F(rng.randrange(-3, 4)) for _ in range(dim)] for _ in range(dim - 1)]
         if det(coords) != 0:
             break
-    alg = FrobeniusAlgebra.from_semisimple(weights, mat_inv(coords))
+    rows = mat_inv(coords)
+    alg = FrobeniusAlgebra.from_semisimple(weights, rows)
     assert alg.unit == (1,) + (0,) * (dim - 1)
-    return alg
+    return alg, weights, rows
 
 
 def _problems(dim, eta, structure, unit):
@@ -286,7 +357,7 @@ def test_single_constant_changes_match_a_full_triple_check():
     counts = {}
     for trial in range(12):
         dim = 2 + trial % 2
-        alg = _unit_first_algebra(rng, dim)
+        alg, _, _ = _unit_first_algebra(rng, dim)
         generic, _, _ = random_semisimple_algebra(rng, dim)  # failures anywhere
         c = [[mat_vec(alg.eta, prod) for prod in row] for row in alg.structure]
         for i, j, m in product(range(dim), repeat=3):

@@ -17,6 +17,7 @@ from cohft.givental import (
     compatibility_check,
     graph_contribution,
     omega_plus,
+    phi_primitive,
     r_action,
     reconstruct_fixed,
     reconstruct_free,
@@ -27,7 +28,7 @@ from cohft.givental import (
 )
 from cohft.graphs import StableGraph, smooth_graph
 from cohft.intersect import Correlators, correlator_of_theory
-from cohft.kappa import KappaPoly, is_grouplike
+from cohft.kappa import KappaPoly, is_grouplike, log_conv
 from cohft.linalg import CohftError, frac_str, identity, mat_inv, mat_mul, transpose
 from cohft.sampling import (
     coherent_spec,
@@ -159,6 +160,30 @@ def test_reconstruct_free_scalar_closed_form():
     assert got == want
 
 
+# sha256 of the genus-0 fixed and free reconstructions rendered, one per line,
+# on non-unit vectors, as the euler-class shift alpha * ... * alpha^{-1} v_n
+# computed them
+GENUS0_RECONSTRUCTION_PINS = {
+    (2, 43, 3): "ce80a4f8939c12b6ac0610df36f4a6b13f5388e01033806269acafdca27b626a",
+    (2, 43, 4): "24d5a55ca3de56f650267e1b0edb667fa670ac8061c00a2fe30672afd9338eae",
+    (2, 43, 5): "2fee5f035d5aa923cfc6bd06af663711c325d30656fcdcbdd8049a4dda920e45",
+    (3, 46, 3): "395f65287d340886ce72febe45ef1bb9b17b1704e037fd51e8e63649b7a89e2a",
+    (3, 46, 4): "dc823874daaf002dcbae986255eba5056b02f9687ad3222efeca0908ddc39550",
+    (3, 46, 5): "775568aa9b7fe7a1ec55e08cdb8f6900da4a422807ee73be395cc5524100c7c1",
+}
+
+
+@pytest.mark.parametrize("dim, seed", [(2, 43), (3, 46)])
+def test_genus0_reconstruction_pins(dim, seed):
+    rng = random.Random(seed)
+    spec = coherent_spec(rng, dim, 4)
+    for n in (3, 4, 5):
+        vs = [random_vector(rng, dim) for _ in range(n)]
+        assert spec.algebra.unit not in vs
+        text = "\n".join(recon(spec, 0, n, vs).render() for recon in (reconstruct_fixed, reconstruct_free))
+        assert hashlib.sha256(text.encode()).hexdigest() == GENUS0_RECONSTRUCTION_PINS[(dim, seed, n)]
+
+
 def test_reconstruct_unstable():
     with pytest.raises(UnstablePair):
         reconstruct_free(trivial_spec(2), 0, 1, [[1]])
@@ -170,6 +195,32 @@ def test_compatibility_examples():
     rng = random.Random(8)
     spec = identity_spec(rng, 1, 3, phi=[[F(1)]])
     assert not compatibility_check(spec)
+
+
+@st.composite
+def coherent_and_changed(draw):
+    """A coherent spec of dim 1-3 and degree 1-4, paired with itself or with
+    the same data but one entry of one phi_j changed."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    dim, degree = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    coherent = coherent_spec(rng, dim, degree)
+    if draw(st.booleans()):
+        return coherent, coherent
+    phi = [list(p) for p in coherent.phi]
+    j, i = draw(st.integers(0, degree - 1)), draw(st.integers(0, dim - 1))
+    phi[j][i] += draw(st.fractions(-2, 2, max_denominator=3).filter(bool))
+    return coherent, CohFTSpec(coherent.algebra, coherent.ss, phi, coherent.r, degree)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coherent_and_changed())
+def test_compatibility_check_matches_the_log_form(data):
+    # the relation as stated: the log of Omega^+ against the phi primitive of
+    # the covectors forced by R, which the coherent spec derived
+    coherent, spec = data
+    log_form = log_conv(omega_plus(spec), spec.ss) == phi_primitive(coherent)
+    assert log_form == (spec is coherent)
+    assert compatibility_check(spec) == log_form
 
 
 def test_incoherent_flag_rejected():
