@@ -42,7 +42,7 @@ from itertools import permutations
 from itertools import product as iproduct
 
 from .kappa import CovectorKappaPoly, KappaPoly, exp_conv, is_grouplike
-from .graphs import UnstablePair, enumerate_stable_graphs
+from .graphs import enumerate_stable_graphs, require_stable
 from .linalg import Q0, Q1, CohftError, dot, identity, mat_mul, mat_vec, transpose, vec
 from .series import EndSeries, NotDivisible, divide_by_z_plus_w, truncated_log
 from .taut import DecoratedGraph, KPPoly, TautExpr
@@ -93,6 +93,8 @@ class CohFTSpec:
                 raise CohftError("phi is derived from R only for a coherent spec")
             phi = self.phi_from_r()
         phi = [vec(p) for p in phi]
+        if any(len(p) != algebra.dim for p in phi):
+            raise CohftError("each phi covector must have %d entries" % algebra.dim)
         while len(phi) < self.degree:
             phi.append(vec([0] * algebra.dim))
         self.phi = tuple(phi[: self.degree])
@@ -222,18 +224,15 @@ def _phi_from_log(algebra, ss, log_coeffs):
     return phi
 
 
-def _require_stable(g, n):
-    if g < 0:
-        raise UnstablePair("negative genus")
-    if 2 * g - 2 + n <= 0:
-        raise UnstablePair("unstable pair (%d,%d)" % (g, n))
+def _require_input(g, n, vectors):
+    require_stable(g, n)
+    if len(vectors) != n:
+        raise ValueError("need %d vectors" % n)
 
 
 def tqft_value(spec, g, n, vectors):
     """theta(alpha^g v_1 ... v_n): the degree-zero field theory."""
-    _require_stable(g, n)
-    if len(vectors) != n:
-        raise ValueError("need %d vectors" % n)
+    _require_input(g, n, vectors)
     alg = spec.algebra
     acc = alg.euler_power(g)
     for v in vectors:
@@ -282,7 +281,7 @@ def coherent_phi(algebra, ss, r, cap):
 def reconstruct_fixed(spec, g, n, vectors):
     """Kappa-polynomial valued form: the classification formula for framed
     points, Omega^+ evaluated at alpha^g v_1 ... v_n."""
-    _require_stable(g, n)
+    _require_input(g, n, vectors)
     alg = spec.algebra
     cap = max(min(spec.degree, 3 * g - 3 + n), 0)
     acc = alg.euler_power(g)
@@ -294,7 +293,7 @@ def reconstruct_fixed(spec, g, n, vectors):
 
 def reconstruct_free(spec, g, n, vectors):
     """Free-point form: R^{-1}(psi_i) in every slot, then the fixed formula."""
-    _require_stable(g, n)
+    _require_input(g, n, vectors)
     alg = spec.algebra
     cap = max(min(spec.degree, 3 * g - 3 + n), 0)
     rinv = spec.r_inverse()
@@ -444,7 +443,7 @@ def graph_contribution(spec, graph, vectors, tables=None):
 
 def r_action(spec, g, n, vectors):
     """Sum of contributions over all boundary strata, weighted by 1/|Aut|."""
-    _require_stable(g, n)
+    _require_input(g, n, vectors)
     cap = max(min(spec.degree, 3 * g - 3 + n), 0)
     total = {}
     tables = {}  # vertex tables, shared by every graph of the sum

@@ -4,7 +4,13 @@ A graph is a tuple of vertex genera, an assignment of the labeled legs
 1..n to vertices, and a multiset of edges (loops allowed).  Graphs are kept
 in a canonical form so that equality is isomorphism; automorphisms fix the
 legs pointwise and may permute vertices, parallel edges and the two ends of
-a loop.
+a loop.  One search over the vertex relabelings that permute only inside
+buckets of equal (genus, legs, valence, loops) gives both: the canonical
+form is the least relabeled graph, and the vertex automorphisms of a
+canonical graph are the relabelings that give it back.  Each vertex
+automorphism extends to the half edges in every way that matches parallel
+edges and flips loop ends; |Aut| is the length of that list, and the same
+list canonicalizes decorations.
 
 Enumeration walks one-edge degenerations starting from the smooth graph:
 every stable graph contracts edge by edge down to the smooth one, so the
@@ -22,9 +28,8 @@ still goes through StableGraph, whose canonical form removes the
 duplicates that remain.
 """
 
-from collections import Counter
-from itertools import permutations, product
-from math import factorial
+from collections import namedtuple
+from itertools import chain, permutations, product
 
 from .linalg import CohftError
 
@@ -34,63 +39,63 @@ class UnstablePair(CohftError):
     2g-2+n <= 0, or no marked point where one is needed."""
 
 
-def _vertex_profile(genera, legs, edges):
+def require_stable(g, n):
+    """Raise UnstablePair unless g >= 0 and 2g-2+n > 0."""
+    if g < 0:
+        raise UnstablePair("negative genus")
+    if 2 * g - 2 + n <= 0:
+        raise UnstablePair("2g-2+n must be positive, got (%d,%d)" % (g, n))
+
+
+def _relabelings(genera, legs, edges):
+    """Each vertex relabeling, as a list old index -> new index, that
+    permutes only inside the buckets of the isomorphism invariant (genus,
+    legs carried, valence, loop count), the buckets placed in sorted order.
+
+    Every isomorphism between two graphs maps buckets to equal buckets, so
+    the least relabeled graph is a canonical form; on a canonical graph the
+    buckets already sit in sorted order, so the relabelings that give the
+    graph back are its vertex automorphisms.
+    """
     nv = len(genera)
-    legs_at = [[] for _ in range(nv)]
-    for label, v in enumerate(legs, start=1):
-        legs_at[v].append(label)
     deg = [0] * nv
     loops = [0] * nv
     for u, w in edges:
-        if u == w:
-            deg[u] += 2
-            loops[u] += 1
-        else:
-            deg[u] += 1
-            deg[w] += 1
-    return [tuple(l) for l in legs_at], deg, loops
+        deg[u] += 1
+        deg[w] += 1
+        loops[u] += u == w
+    buckets = {}
+    for v in range(nv):
+        legs_at = tuple(label for label, x in enumerate(legs, start=1) if x == v)
+        buckets.setdefault((genera[v], legs_at, deg[v], loops[v]), []).append(v)
+    groups = [buckets[key] for key in sorted(buckets)]
+    for arrangement in product(*[permutations(group) for group in groups]):
+        perm = [0] * nv
+        for new, v in enumerate(chain.from_iterable(arrangement)):
+            perm[v] = new
+        yield perm
+
+
+def _relabel(perm, legs, edges):
+    return (
+        tuple(perm[v] for v in legs),
+        tuple(sorted((perm[u], perm[w]) if perm[u] <= perm[w] else (perm[w], perm[u]) for u, w in edges)),
+    )
 
 
 def _canonical(genera, legs, edges):
-    """Lexicographically least encoding over admissible vertex relabelings.
-
-    Vertices are first bucketed by the isomorphism invariant
-    (genus, legs carried, valence, loop count); relabelings permute only
-    inside buckets, arranged in bucket order.
-    """
-    nv = len(genera)
-    legs_at, deg, loops = _vertex_profile(genera, legs, edges)
-    inv = [(genera[v], legs_at[v], deg[v], loops[v]) for v in range(nv)]
-    buckets = {}
-    for v in range(nv):
-        buckets.setdefault(inv[v], []).append(v)
-    keys = sorted(buckets)
-    best = None
-    groups = [buckets[k] for k in keys]
-    for arrangement in product(*[permutations(group) for group in groups]):
-        perm = [0] * nv  # old index -> new index
-        pos = 0
-        for group in arrangement:
-            for v in group:
-                perm[v] = pos
-                pos += 1
-        new_legs = tuple(perm[v] for v in legs)
-        new_edges = tuple(
-            sorted((perm[u], perm[w]) if perm[u] <= perm[w] else (perm[w], perm[u]) for u, w in edges)
-        )
-        cand = (new_legs, new_edges)
-        if best is None or cand < best:
-            best = cand
-    new_genera = tuple(k[0] for k in keys for _ in buckets[k])
-    return new_genera, best[0], best[1]
+    """Lexicographically least (legs, edges) over the relabelings; the
+    buckets are sorted with genus first, so the genera come out sorted."""
+    legs, edges = min(_relabel(perm, legs, edges) for perm in _relabelings(genera, legs, edges))
+    return tuple(sorted(genera)), legs, edges
 
 
 class StableGraph:
     """Canonical stable graph; construct with any labeling, stored canonically."""
 
-    __slots__ = ("genera", "legs", "edges", "_hash", "_aut_order", "_edge_images")
+    __slots__ = ("genera", "legs", "edges", "_hash", "_edge_images")
 
-    def __init__(self, genera, legs, edges, _canonical_data=False):
+    def __init__(self, genera, legs, edges):
         genera = tuple(int(x) for x in genera)
         legs = tuple(int(v) for v in legs)
         edges = tuple((int(u), int(w)) if u <= w else (int(w), int(u)) for u, w in edges)
@@ -101,13 +106,11 @@ class StableGraph:
             raise ValueError("leg attached to missing vertex")
         if any(not (0 <= u < nv and 0 <= w < nv) for u, w in edges):
             raise ValueError("edge attached to missing vertex")
-        if not _canonical_data:
-            genera, legs, edges = _canonical(genera, legs, tuple(sorted(edges)))
+        genera, legs, edges = _canonical(genera, legs, edges)
         self.genera = genera
         self.legs = legs
         self.edges = edges
         self._hash = hash((genera, legs, edges))
-        self._aut_order = None
         self._edge_images = None
         self._validate()
 
@@ -206,27 +209,12 @@ class StableGraph:
 
     def vertex_automorphisms(self):
         """Vertex permutations preserving genus, legs pointwise and edge counts."""
-        nv = len(self.genera)
-        legs_at, deg, loops = _vertex_profile(self.genera, self.legs, self.edges)
-        inv = [(self.genera[v], legs_at[v], deg[v], loops[v]) for v in range(nv)]
-        buckets = {}
-        for v in range(nv):
-            buckets.setdefault(inv[v], []).append(v)
-        edge_count = Counter(self.edges)
-        out = []
-        groups = sorted(buckets.values())
-        for arrangement in product(*[permutations(g) for g in groups]):
-            perm = list(range(nv))
-            for group, image in zip(groups, arrangement):
-                for v, w in zip(group, image):
-                    perm[v] = w
-            mapped = Counter(
-                (perm[u], perm[w]) if perm[u] <= perm[w] else (perm[w], perm[u])
-                for u, w in self.edges
-            )
-            if mapped == edge_count:
-                out.append(tuple(perm))
-        return out
+        own = (self.legs, self.edges)
+        return [
+            tuple(perm)
+            for perm in _relabelings(self.genera, self.legs, self.edges)
+            if _relabel(perm, self.legs, self.edges) == own
+        ]
 
     def automorphism_order(self):
         """|Aut|: graph maps fixing every leg, counted on half edges.
@@ -235,20 +223,7 @@ class StableGraph:
         may be permuted, and each loop may also swap its two ends; this is
         where the 1/2 per non-separating node lives.
         """
-        if self._aut_order is not None:
-            return self._aut_order
-        total = 0
-        for perm in self.vertex_automorphisms():
-            ways = 1
-            pair_mult = Counter(self.edges)
-            for (u, w), m in pair_mult.items():
-                if u == w:
-                    ways *= factorial(m) * 2**m
-                else:
-                    ways *= factorial(m)
-            total += ways
-        self._aut_order = total
-        return total
+        return len(self.edge_automorphism_images())
 
     def edge_automorphism_images(self):
         """All decoration-level automorphisms as (vertex_perm, edge_perm, flips).
@@ -271,11 +246,8 @@ class StableGraph:
             sources = {}
             for i, (u, w) in enumerate(edges):
                 pu, pw = perm[u], perm[w]
-                key = (pu, pw) if pu <= pw else (pw, pu)
-                sources.setdefault(key, []).append(i)
+                sources.setdefault((pu, pw) if pu <= pw else (pw, pu), []).append(i)
             keys = sorted(sources)
-            if any(len(sources[k]) != len(by_pair.get(k, ())) for k in keys):
-                continue  # cannot happen for true automorphisms
             for matching in product(*[permutations(by_pair[k]) for k in keys]):
                 edge_perm = [0] * m
                 for key, targets in zip(keys, matching):
@@ -296,10 +268,7 @@ class StableGraph:
 
 
 def smooth_graph(g, n):
-    if g < 0:
-        raise UnstablePair("negative genus")
-    if 2 * g - 2 + n <= 0:
-        raise UnstablePair("2g-2+n must be positive, got (%d,%d)" % (g, n))
+    require_stable(g, n)
     return StableGraph((g,), (0,) * n, ())
 
 
@@ -436,7 +405,7 @@ def contract_edge(graph, edge_index):
     return StableGraph(genera, legs, edges)
 
 
-class SpecialType(tuple):
+class SpecialType(namedtuple("SpecialType", "gamma_prime nu_prime k mu")):
     """(gamma', nu', k, mu) of the component carrying the last leg.
 
     gamma' is the arithmetic genus of the special component including its mu
@@ -444,31 +413,11 @@ class SpecialType(tuple):
     the rest of the curve.  The stratum of this type has codimension mu + k.
     """
 
-    def __new__(cls, gamma_prime, nu_prime, k, mu):
-        return super().__new__(cls, (gamma_prime, nu_prime, k, mu))
-
-    @property
-    def gamma_prime(self):
-        return self[0]
-
-    @property
-    def nu_prime(self):
-        return self[1]
-
-    @property
-    def k(self):
-        return self[2]
-
-    @property
-    def mu(self):
-        return self[3]
+    __slots__ = ()
 
     @property
     def codimension(self):
-        return self[2] + self[3]
-
-    def __repr__(self):
-        return "SpecialType(gamma'=%d, nu'=%d, k=%d, mu=%d)" % self
+        return self.k + self.mu
 
 
 def special_type(graph, n):

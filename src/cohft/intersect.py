@@ -12,6 +12,10 @@ it.  The genus of the side holding S and tau_b is not looped over: its
 dimension fixes it, 3 g_1 = sum(S) + b - |S| + 2, so S is skipped when that
 is not a multiple of 3 or g_1 lies outside [0, g].
 
+The public entries sort and check each query once.  The recursion builds
+only stable keys of the right dimension, sorted where it builds them, and
+reads the memo tables without checking again.
+
 kappa classes are eliminated one at a time through the pushforward
 definition kappa_b = p_*(psi^{b+1}): on the space with one more point the
 remaining kappas pick up the correction kappa_s - psi_new^s, while the old
@@ -28,7 +32,7 @@ from itertools import groupby, product
 from math import comb
 
 from .givental import r_action
-from .graphs import UnstablePair
+from .graphs import require_stable
 from .linalg import Q0, Q1, CohftError, frac_str
 
 
@@ -38,6 +42,19 @@ def double_factorial_odd(k):
     for i in range(3, 2 * k + 2, 2):
         out *= i
     return out
+
+
+def _descending(values):
+    return tuple(sorted(values, reverse=True))
+
+
+def _right_degree(g, psi_exps, kappa_key):
+    """Whether a query has the dimension of its moduli space; an unstable
+    (g, n) raises UnstablePair and a negative exponent or index CohftError."""
+    require_stable(g, len(psi_exps))
+    if any(a < 0 for a in psi_exps + kappa_key):
+        raise CohftError("negative psi exponent or kappa index")
+    return sum(psi_exps) + sum(kappa_key) == 3 * g - 3 + len(psi_exps)
 
 
 def _sub_multisets(values):
@@ -73,14 +90,14 @@ class Correlators:
     # -- pure psi numbers ----------------------------------------------------
 
     def psi_correlator(self, g, exps):
-        exps = tuple(sorted(exps, reverse=True))
-        n = len(exps)
-        if 2 * g - 2 + n <= 0:
-            raise UnstablePair("no moduli space for (%d,%d)" % (g, n))
-        if any(a < 0 for a in exps):
-            raise CohftError("negative psi exponent")
-        if sum(exps) != 3 * g - 3 + n:
+        exps = _descending(exps)
+        if not _right_degree(g, exps, ()):
             return Q0
+        return self._psi_value(g, exps)
+
+    def _psi_value(self, g, exps):
+        """The memo lookup the recursion calls: (g, exps) stable, exps
+        sorted descending and of the dimension of the moduli space."""
         key = (g, exps)
         if key not in self._psi:
             self._psi[key] = self._psi_recurse(g, exps)
@@ -92,19 +109,20 @@ class Correlators:
             return Q1
         if (g, n) == (1, 1):
             return Fraction(1, 24)
+        rest = exps[:-1]
         if exps[-1] == 0:
-            # string equation
-            rest = exps[:-1]
+            # string equation: equal exponents give equal terms, and lowering
+            # the last of them keeps the order
             total = Q0
-            for j, a in enumerate(rest):
+            for a in dict.fromkeys(rest):
                 if a >= 1:
-                    reduced = rest[:j] + (a - 1,) + rest[j + 1 :]
-                    total += self.psi_correlator(g, reduced)
+                    m = rest.count(a)
+                    j = rest.index(a) + m
+                    total += m * self._psi_value(g, rest[: j - 1] + (a - 1,) + rest[j:])
             return total
         if exps[-1] == 1:
             # dilaton equation
-            rest = exps[:-1]
-            return (2 * g - 2 + (n - 1)) * self.psi_correlator(g, rest)
+            return (2 * g - 2 + (n - 1)) * self._psi_value(g, rest)
         # main recursion on the largest index, all entries >= 2 here
         a1, rest = exps[0], exps[1:]
         total = Q0
@@ -115,13 +133,13 @@ class Correlators:
             coeff = rest.count(aj) * Fraction(
                 double_factorial_odd(a1 + aj - 1), double_factorial_odd(aj - 1)
             )
-            total += coeff * self.psi_correlator(g, others + (a1 + aj - 1,))
+            total += coeff * self._psi_value(g, (a1 + aj - 1,) + others)
         # sum(S) - |S| decides the left genus for every b
         splits = [(w, s, t, sum(s) - len(s)) for w, s, t in _sub_multisets(rest)]
         # the terms of one b share the weight (2b+1)!! (2c+1)!! / 2
         for b in range(a1 - 1):
             c = a1 - 2 - b
-            part = self.psi_correlator(g - 1, rest + (b, c)) if g >= 1 else Q0
+            part = self._psi_value(g - 1, _descending(rest + (b, c))) if g >= 1 else Q0
             for weight, chosen, remainder, excess in splits:
                 g1, r = divmod(excess + b + 2, 3)
                 if r or not 0 <= g1 <= g:
@@ -130,8 +148,8 @@ class Correlators:
                 if 2 * g1 - 1 + len(chosen) <= 0 or 2 * g2 - 1 + len(remainder) <= 0:
                     continue
                 part += (
-                    self.psi_correlator(g1, chosen + (b,))
-                    * self.psi_correlator(g2, remainder + (c,))
+                    self._psi_value(g1, _descending(chosen + (b,)))
+                    * self._psi_value(g2, _descending(remainder + (c,)))
                     * weight
                 )
             total += Fraction(double_factorial_odd(b) * double_factorial_odd(c), 2) * part
@@ -140,26 +158,27 @@ class Correlators:
     # -- kappa reduction -------------------------------------------------------
 
     def kappa_psi_correlator(self, g, psi_exps, kappa_key=()):
-        psi_exps = tuple(sorted(psi_exps, reverse=True))
+        psi_exps = _descending(psi_exps)
         kappa_key = tuple(sorted(kappa_key))
-        n = len(psi_exps)
-        if 2 * g - 2 + n <= 0:
-            raise UnstablePair("no moduli space for (%d,%d)" % (g, n))
-        if sum(psi_exps) + sum(kappa_key) != 3 * g - 3 + n:
+        if not _right_degree(g, psi_exps, kappa_key):
             return Q0
+        return self._kp_value(g, psi_exps, kappa_key)
+
+    def _kp_value(self, g, psi_exps, kappa_key):
+        """The memo lookup of the kappa reduction, on keys as _psi_value
+        takes them, kappa_key sorted ascending."""
         if not kappa_key:
-            return self.psi_correlator(g, psi_exps)
+            return self._psi_value(g, psi_exps)
         key = (g, psi_exps, kappa_key)
-        if key in self._kp:
-            return self._kp[key]
-        b, rest = kappa_key[-1], kappa_key[:-1]
-        total = Q0
-        for weight, picked, left in _sub_multisets(rest):
-            total += (-1) ** len(picked) * weight * self.kappa_psi_correlator(
-                g, psi_exps + (b + 1 + sum(picked),), left
-            )
-        self._kp[key] = total
-        return total
+        if key not in self._kp:
+            b, rest = kappa_key[-1], kappa_key[:-1]
+            total = Q0
+            for weight, picked, left in _sub_multisets(rest):
+                total += (-1) ** len(picked) * weight * self._kp_value(
+                    g, _descending(psi_exps + (b + 1 + sum(picked),)), left
+                )
+            self._kp[key] = total
+        return self._kp[key]
 
     # -- consistency and persistence ------------------------------------------
 

@@ -279,7 +279,7 @@ class DecoratedGraph:
 
     __slots__ = ("graph", "vertex_kappa", "leg_psi", "edge_psi", "_hash")
 
-    def __init__(self, graph, vertex_kappa, leg_psi, edge_psi, _canonical=False):
+    def __init__(self, graph, vertex_kappa, leg_psi, edge_psi):
         vertex_kappa = tuple(tuple(sorted(k)) for k in vertex_kappa)
         leg_psi = tuple(int(x) for x in leg_psi)
         edge_psi = tuple((int(a), int(b)) for a, b in edge_psi)
@@ -289,10 +289,7 @@ class DecoratedGraph:
             or len(edge_psi) != len(graph.edges)
         ):
             raise ValueError("decoration does not fit the graph")
-        if not _canonical:
-            vertex_kappa, leg_psi, edge_psi = self._canonicalize(
-                graph, vertex_kappa, leg_psi, edge_psi
-            )
+        vertex_kappa, leg_psi, edge_psi = self._canonicalize(graph, vertex_kappa, leg_psi, edge_psi)
         self.graph = graph
         self.vertex_kappa = vertex_kappa
         self.leg_psi = leg_psi

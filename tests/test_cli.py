@@ -1,4 +1,6 @@
 import hashlib
+import importlib
+import importlib.util
 import io
 import json
 import random
@@ -77,6 +79,46 @@ def test_parse_error_reports():
     with pytest.raises(ConfigError) as exc:
         parse_config(SCALAR_CFG.replace("1/48", "0.02"))
     assert any("rational" in msg for _, msg in exc.value.report)
+
+
+DIM2_CFG = "dim: 2\neta: 1 0 | 0 1\nunit: 1 1\nmul 1 1: 1 0\nmul 1 2: 0 0\nmul 2 2: 0 1\n"
+
+
+@pytest.mark.parametrize(
+    "text,report",
+    [
+        ("dim: 1\nno colon here\n", [(2, "expected 'key: values', got 'no colon here'")]),
+        ("dim: 1\ndim: 1\n", [(2, "duplicate entry 'dim'")]),
+        ("dim: two\n", [(1, "dim must be an integer")]),
+        ("dim: 0\n", [(1, "dim must be positive")]),
+        (DIM2_CFG + "degree: 2.5\n", [(7, "degree must be an integer")]),
+        (DIM2_CFG + "degree: 0\n", [(7, "degree must be >= 1")]),
+        (DIM2_CFG + "coherent: maybe\n", [(7, "coherent must be yes or no")]),
+        (DIM2_CFG.replace("eta: 1 0 | 0 1\n", ""), [(None, "missing 'eta'")]),
+        (DIM2_CFG.replace("unit: 1 1\n", ""), [(None, "missing 'unit'")]),
+        (DIM2_CFG.replace("mul 1 2: 0 0\n", ""), [(None, "missing 'mul 1 2'")]),
+        (DIM2_CFG.replace("eta: 1 0 | 0 1", "eta: 1 0 | 0"), [(2, "eta must be a 2x2 matrix")]),
+        (DIM2_CFG.replace("unit: 1 1", "unit: 1"), [(3, "unit must have 2 entries")]),
+        (DIM2_CFG.replace("mul 1 2: 0 0", "mul 1 2: 0 0 0"), [(5, "mul 1 2 must have 2 entries")]),
+        (DIM2_CFG + "phi 1: 1/2\n", [(7, "phi 1 must have 2 entries")]),
+        (DIM2_CFG + "R 1: 0 1\n", [(7, "R 1 must be a 2x2 matrix")]),
+        (DIM2_CFG + "weights: 1 1\n", [(None, "weights and basis must be given together")]),
+        (DIM2_CFG + "weights: 1 x\nbasis: 1 0 | 0 1\n", [(7, "not an exact rational: 'x'")]),
+        ("dim: 1\neta: 1\nunit: 1\nmul 1 1: 2\n", [(None, "unit is not neutral on basis vector 0")]),
+        (
+            # Q[x]/(x^2 - 2): semisimple, but not split over Q
+            "dim: 2\neta: 1 0 | 0 2\nunit: 1 0\nmul 1 1: 1 0\nmul 1 2: 0 1\nmul 2 2: 2 0\n",
+            [(None, "semisimple basis: no rational splitting: irrational eigenvalues")],
+        ),
+    ],
+)
+def test_parse_error_report_lines(tmp_path, capsys, text, report):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert exc.value.report == report
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert run_cli(["--config", str(cfg), "classify"]) == (1, "")
 
 
 def test_parse_rejects_float_literals():
@@ -503,3 +545,20 @@ def test_readme_cli_examples_byte_identical(tmp_path, monkeypatch):
         code, out = run_cli(argv)
         assert code == 0, command
         assert hashlib.sha256(out.encode()).hexdigest() == README_PINS[command], command
+
+
+def test_every_bench_tracer_target_resolves():
+    # bench/tracer.py's install() reads a method from its class's own
+    # __dict__ and a function from its module, so a rename of a target
+    # would break `--trace 1` silently
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for _, module, attr, _, _ in tracer.TARGETS:
+        mod = importlib.import_module("cohft." + module)
+        if "." in attr:
+            cls_name, name = attr.split(".")
+            assert name in vars(getattr(mod, cls_name)), attr
+        else:
+            assert callable(getattr(mod, attr, None)), attr

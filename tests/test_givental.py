@@ -12,7 +12,6 @@ from cohft.givental import (
     CohFTSpec,
     IncoherentSpec,
     NotSymplectic,
-    UnstablePair,
     coherent_phi,
     compatibility_check,
     graph_contribution,
@@ -26,7 +25,7 @@ from cohft.givental import (
     two_point,
     verify_axioms,
 )
-from cohft.graphs import StableGraph, smooth_graph
+from cohft.graphs import StableGraph, UnstablePair, smooth_graph
 from cohft.intersect import Correlators, correlator_of_theory
 from cohft.kappa import KappaPoly, is_grouplike, log_conv
 from cohft.linalg import CohftError, frac_str, identity, mat_inv, mat_mul, transpose
@@ -221,6 +220,24 @@ def test_compatibility_check_matches_the_log_form(data):
     log_form = log_conv(omega_plus(spec), spec.ss) == phi_primitive(coherent)
     assert log_form == (spec is coherent)
     assert compatibility_check(spec) == log_form
+
+
+def test_reconstructions_need_one_vector_per_point():
+    # three vectors at (1,1): fixed once multiplied all in, free used the first
+    spec = trivial_spec(3)
+    for recon in (tqft_value, reconstruct_fixed, reconstruct_free):
+        with pytest.raises(ValueError, match="need 1 vectors"):
+            recon(spec, 1, 1, [[1], [2], [3]])
+
+
+def test_spec_rejects_phi_of_the_wrong_length():
+    # incoherent specs too: [[]] was accepted and omega_plus then failed
+    algebra = FrobeniusAlgebra(1, [[1]], [[[1]]], [1])
+    ss = algebra.semisimplify()
+    for phi in ([[1, 2, 3]], [[]]):
+        for coherent in (False, True):
+            with pytest.raises(CohftError, match="each phi covector must have 1 entries"):
+                CohFTSpec(algebra, ss, phi, EndSeries.identity(1, 3), 3, coherent=coherent)
 
 
 def test_incoherent_flag_rejected():

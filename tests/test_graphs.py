@@ -1,3 +1,5 @@
+from itertools import permutations, product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from cohft.graphs import (
     special_type,
 )
 from cohft.oracles import brute_force_stable_graphs
+from cohft.taut import DecoratedGraph
 
 
 def test_counts_small():
@@ -85,9 +88,50 @@ def test_automorphism_orders():
     assert dumbbell.automorphism_order() == 8
     two_loops = StableGraph((0,), (), ((0, 0), (0, 0)))
     assert two_loops.automorphism_order() == 8
-    # the decoration-level automorphisms enumerate the same group
-    for graph in (loop, theta, dumbbell, two_loops):
-        assert len(graph.edge_automorphism_images()) == graph.automorphism_order()
+    for g, n in SMALL_PAIRS:
+        for graph in enumerate_stable_graphs(g, n):
+            assert graph.automorphism_order() == len(_brute_force_automorphisms(graph))
+
+
+def _brute_force_automorphisms(graph):
+    """Every (vertex perm, edge perm, flips) that keeps each genus, fixes
+    each leg and maps edge i, its ends swapped when flips[i], onto edge
+    perm[i]; tried exhaustively, reading only the graph's fields."""
+    genera, legs, edges = graph.genera, graph.legs, graph.edges
+    out = []
+    for sigma in permutations(range(len(genera))):
+        if any(genera[s] != h for s, h in zip(sigma, genera)) or any(sigma[v] != v for v in legs):
+            continue
+        for pi in permutations(range(len(edges))):
+            for flips in product((False, True), repeat=len(edges)):
+                if all(
+                    edges[j] == ((sigma[w], sigma[u]) if flip else (sigma[u], sigma[w]))
+                    for (u, w), j, flip in zip(edges, pi, flips)
+                ):
+                    out.append((sigma, pi, flips))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_decorated_graph_is_invariant_under_automorphisms(data):
+    g, n = data.draw(st.sampled_from(SMALL_PAIRS))
+    graph = data.draw(st.sampled_from(enumerate_stable_graphs(g, n)))
+    small = st.integers(0, 2)
+    vertex_kappa = [data.draw(st.lists(st.integers(1, 3), max_size=2)) for _ in graph.genera]
+    leg_psi = data.draw(st.lists(small, min_size=n, max_size=n))
+    edge_psi = data.draw(st.lists(st.tuples(small, small), min_size=len(graph.edges), max_size=len(graph.edges)))
+    key = DecoratedGraph(graph, vertex_kappa, leg_psi, edge_psi)
+    for sigma, pi, flips in _brute_force_automorphisms(graph):
+        kappa = [None] * graph.num_vertices
+        for v, k in enumerate(vertex_kappa):
+            kappa[sigma[v]] = k
+        psi = [None] * len(edge_psi)
+        for i, ((a, b), flip) in enumerate(zip(edge_psi, flips)):
+            psi[pi[i]] = (b, a) if flip else (a, b)
+        moved = DecoratedGraph(graph, kappa, leg_psi, psi)
+        assert moved == key
+        assert hash(moved) == hash(key)
 
 
 def test_contract_loop_raises_genus():

@@ -4,9 +4,9 @@ from math import factorial
 
 import pytest
 
+from cohft.graphs import UnstablePair
 from cohft.intersect import (
     Correlators,
-    UnstablePair,
     default_backend,
     kappa_psi_correlator,
     psi_correlator,
@@ -108,6 +108,16 @@ def test_unstable_pair_raises():
         psi_correlator(0, 0)
     with pytest.raises(UnstablePair):
         kappa_psi_correlator(1, (), (1,))
+
+
+def test_negative_genus_raises():
+    # (-1, 5) passes 2g-2+n > 0, and its degree 3g-3+n = -1 once read 0
+    with pytest.raises(UnstablePair, match="negative genus"):
+        psi_correlator(-1, 0, 0, 0, 0, 0)
+    with pytest.raises(UnstablePair, match="negative genus"):
+        kappa_psi_correlator(-1, (0,) * 5)
+    with pytest.raises(CohftError, match="negative"):
+        kappa_psi_correlator(1, (2, -1), (1,))
 
 
 def test_string_dilaton_on_all_memoized_keys():
