@@ -33,9 +33,12 @@ from .givental import (
 from .graphs import enumerate_stable_graphs, special_order
 from .intersect import correlator_of_theory, default_backend
 from .linalg import CohftError, frac_str
+from .sampling import hodge_spec
 from .oracles import (
     brute_force_stable_graphs,
     genus0_multinomial,
+    lambda_g_cases,
+    lambda_g_closed_form,
     multikappa_by_permutations,
     vertex_factor_diff,
     witten_top_closed_form,
@@ -82,7 +85,7 @@ def _build_parser():
     p.add_argument("--dump-table", action="store_true", help="also print every memoized number")
 
     p = sub.add_parser("oracle", help="diff independent brute-force paths")
-    p.add_argument("kind", choices=["graphs", "dvv", "vertex-sum"])
+    p.add_argument("kind", choices=["graphs", "dvv", "vertex-sum", "hodge"])
     p.add_argument("--max-dim", type=int, default=3)
     return parser
 
@@ -335,6 +338,19 @@ def _cmd_oracle(args):
             lines.append(
                 "genus-0 multinomial (n-3)!/prod a_i! on %d keys with n=%d: %s"
                 % (len(keys), n, "ok" if not bad else "MISMATCH at %s" % bad)
+            )
+    elif args.kind == "hodge":
+        # the Hodge theory's correlators against the lambda_g formula
+        backend = default_backend()
+        spec = hodge_spec(max(args.max_dim, 1))
+        for g, n, exps in lambda_g_cases(args.max_dim):
+            value = correlator_of_theory(spec, g, n, [[1]] * n, exps, backend)
+            want = lambda_g_closed_form(g, exps)
+            ok = value == want
+            mismatches += 0 if ok else 1
+            lines.append(
+                "lambda_g (%d,%d) psi %s: %s vs %s %s"
+                % (g, n, ",".join(map(str, exps)), frac_str(value), frac_str(want), "ok" if ok else "MISMATCH")
             )
     else:  # vertex-sum
         spec = _load_spec(args)

@@ -27,14 +27,21 @@ leaves a zero remainder exactly when R is symplectic, so building it is the
 spec's symplectic check; series.check_symplectic and series.edge_kernel stay
 as independent checks of the same facts.
 
-The graph sum does work in proportion to its output.  graph_contribution
-walks the edge decorations depth first, cutting a branch once it overruns
-the degree budget or a vertex's psi load, then walks the vertices through
-tables of (kappa monomial, leg psi) combinations sorted by degree;
-r_action passes one dict of these tables, keyed by (leg labels, room,
-projector), to every graph, adds every graph's terms into one dict and
-builds a single TautExpr.  The leg series R^{-1}(z) v and one vertex
-exponential per projector, at the spec degree, are cached on the spec.
+The graph sum does work in proportion to its output, and its two pieces
+serve both sums over graphs, the class and the correlator.  A
+DecorationWalk picks each projector assignment and then the edge
+decorations depth first, cutting a branch once it overruns the degree left
+or a vertex's psi limit.  VertexTables holds, per (leg labels, room,
+projector), the (kappa monomial, leg psi) decorations of a vertex sorted by
+degree; one dict of them serves every graph of a sum.  graph_contribution
+walks the vertices through these tables under each edge decoration, and
+r_action adds every graph's terms into one dict and builds a single
+TautExpr.  intersect.correlator_of_theory runs the same walk with each
+vertex limited by what the psi powers at its legs leave of its dimension,
+and reads from the same tables only the rows of the one degree that
+integrates to a number (see intersect).  The leg series R^{-1}(z) v and one
+vertex exponential per projector, at the spec degree, are cached on the
+spec.
 """
 
 from fractions import Fraction
@@ -224,7 +231,8 @@ def _phi_from_log(algebra, ss, log_coeffs):
     return phi
 
 
-def _require_input(g, n, vectors):
+def require_input(g, n, vectors):
+    """UnstablePair for an unstable (g, n), ValueError unless n vectors."""
     require_stable(g, n)
     if len(vectors) != n:
         raise ValueError("need %d vectors" % n)
@@ -232,7 +240,7 @@ def _require_input(g, n, vectors):
 
 def tqft_value(spec, g, n, vectors):
     """theta(alpha^g v_1 ... v_n): the degree-zero field theory."""
-    _require_input(g, n, vectors)
+    require_input(g, n, vectors)
     alg = spec.algebra
     acc = alg.euler_power(g)
     for v in vectors:
@@ -281,7 +289,7 @@ def coherent_phi(algebra, ss, r, cap):
 def reconstruct_fixed(spec, g, n, vectors):
     """Kappa-polynomial valued form: the classification formula for framed
     points, Omega^+ evaluated at alpha^g v_1 ... v_n."""
-    _require_input(g, n, vectors)
+    require_input(g, n, vectors)
     alg = spec.algebra
     cap = max(min(spec.degree, 3 * g - 3 + n), 0)
     acc = alg.euler_power(g)
@@ -293,7 +301,7 @@ def reconstruct_fixed(spec, g, n, vectors):
 
 def reconstruct_free(spec, g, n, vectors):
     """Free-point form: R^{-1}(psi_i) in every slot, then the fixed formula."""
-    _require_input(g, n, vectors)
+    require_input(g, n, vectors)
     alg = spec.algebra
     cap = max(min(spec.degree, 3 * g - 3 + n), 0)
     rinv = spec.r_inverse()
@@ -328,53 +336,28 @@ def _bounded_tuples(n, cap):
             yield (head,) + tail
 
 
-def graph_contribution(spec, graph, vectors, tables=None):
-    """The decorated-graph class attached to one boundary stratum.
+class VertexTables(dict):
+    """The vertex tables of one graph sum, keyed by (labels, room, mu).
 
-    No automorphism weight here; r_action divides by |Aut|.  Decorations are
-    truncated at each vertex's dimension (classes above it vanish) and at
-    the global cap.
-
-    For each projector assignment a depth-first walk picks the edge
-    decorations one edge at a time, then the vertex decorations one vertex
-    at a time, and carries the partial coefficient down.  A branch is cut
-    as soon as it leaves the remaining degree budget or a vertex's psi load
-    passes the vertex dimension, so every leaf is an emitted term.  The
-    (kappa monomial, leg psi powers) combinations of a vertex under a
-    projector are tabulated once, sorted by degree, and each visit reads
-    the prefix that fits the room left at that vertex.  A table depends
-    only on the vertex's leg labels, its room and the projector, so calls
-    with the same spec and vectors may share one dict of them as tables:
-    r_action passes one to every graph of its sum.  Terms are summed under
-    their raw decorations and canonicalized once at the end.
+    A table lists the decorations of a vertex that carries the legs labels
+    under projector mu, through degree room: rows (degree, kappa monomial,
+    leg psi powers, coefficient), one per term of
+    exp(sum_j a_j^mu kappa_j) times the leg factors [z^e] R^{-1}(z) v at
+    mu, sorted by degree so that a walk reads the prefix that fits.  A
+    table depends only on its key, the spec and the vectors, so one dict
+    serves every graph of a sum; a table is built the first time it is read.
     """
-    g = graph.total_genus()
-    n = graph.num_legs
-    if len(vectors) != n:
-        raise ValueError("need %d vectors" % n)
-    cap = max(min(spec.degree, 3 * g - 3 + n), 0)
-    edges = graph.edges
-    ne = len(edges)
-    if ne > cap:
-        return TautExpr(g, n, cap)
-    budget = cap - ne  # decoration degree available globally
-    legs = [spec.leg_series(v) for v in vectors]
-    kernel = spec.kernel_ss()
-    weights = spec.ss.weights
-    nv = graph.num_vertices
-    dims = [graph.vertex_dim(v) for v in range(nv)]
-    labels = [graph.legs_at(v) for v in range(nv)]
-    valences = [graph.valence(v) for v in range(nv)]
-    # the most room each vertex can ever have
-    rooms = [min(d, budget) for d in dims]
-    if tables is None:
-        tables = {}
 
-    def table(labels, room, mu):
-        # (degree, kappa monomial, leg psi powers, coefficient) of a vertex
-        # with these legs under projector mu, through degree room
+    def __init__(self, spec, vectors):
+        super().__init__()
+        self.spec = spec
+        self.legs = [spec.leg_series(v) for v in vectors]
+
+    def __missing__(self, key):
+        labels, room, mu = key
+        legs = self.legs
         rows = []
-        for kk, kc in spec.vertex_exp(mu, room).terms.items():
+        for kk, kc in self.spec.vertex_exp(mu, room).terms.items():
             kdeg = sum(kk)
             for exps in _bounded_tuples(len(labels), room - kdeg):
                 c = kc
@@ -385,11 +368,107 @@ def graph_contribution(spec, graph, vectors, tables=None):
                 if c != 0:
                     rows.append((kdeg + sum(exps), kk, exps, c))
         rows.sort(key=lambda row: row[0])
+        self[key] = rows
         return rows
 
-    assign = [0] * nv
-    load = [0] * nv  # psi degree the chosen edge ends put on each vertex
-    edge_psi = [None] * ne
+
+class DecorationWalk:
+    """The projector assignments and edge decorations of one graph, depth
+    first.
+
+    run(left, leaf) sets assign to each projector assignment in turn, then
+    picks a kernel entry (a, b, c) for each edge, one edge at a time, and
+    carries prod_v theta_mu^{2-2h-k} times the chosen c down.  A branch is
+    cut as soon as an edge's a + b passes the degree left (the entries are
+    sorted by a + b, so the loop stops there) or a vertex's load, the psi
+    degree its edge ends carry, passes its limit.  Each decoration that
+    fits calls leaf(left, coeff), with assign, load and edge_psi holding
+    the choice.  graph_contribution limits each vertex by its dimension;
+    the correlator sum of intersect by what the psi powers at its legs
+    leave of it.
+    """
+
+    __slots__ = ("spec", "graph", "limits", "assign", "load", "edge_psi")
+
+    def __init__(self, spec, graph, limits):
+        self.spec = spec
+        self.graph = graph
+        self.limits = limits
+        self.assign = [0] * graph.num_vertices
+        self.load = [0] * graph.num_vertices
+        self.edge_psi = [None] * len(graph.edges)
+
+    def run(self, left, leaf):
+        graph = self.graph
+        edges = graph.edges
+        ne = len(edges)
+        kernel = self.spec.kernel_ss()
+        weights = self.spec.ss.weights
+        limits, assign, load, edge_psi = self.limits, self.assign, self.load, self.edge_psi
+        # theta_mu^{2-2h-k} by vertex and projector
+        factors = [
+            [w ** (2 - 2 * h - graph.valence(v)) for w in weights]
+            for v, h in enumerate(graph.genera)
+        ]
+
+        def walk(i, left, coeff):
+            if i == ne:
+                leaf(left, coeff)
+                return
+            u, w = edges[i]
+            for a, b, c in kernel.get((assign[u], assign[w]), ()):
+                if a + b > left:
+                    break
+                load[u] += a
+                load[w] += b
+                if load[u] <= limits[u] and load[w] <= limits[w]:
+                    edge_psi[i] = (a, b)
+                    walk(i + 1, left - a - b, coeff * c)
+                load[u] -= a
+                load[w] -= b
+
+        for assignment in iproduct(range(self.spec.algebra.dim), repeat=len(assign)):
+            assign[:] = assignment
+            pref = Q1
+            for mu, row in zip(assignment, factors):
+                pref *= row[mu]
+            walk(0, left, pref)
+
+
+def graph_contribution(spec, graph, vectors, tables=None):
+    """The decorated-graph class attached to one boundary stratum.
+
+    No automorphism weight here; r_action divides by |Aut|.  Decorations are
+    truncated at each vertex's dimension (classes above it vanish) and at
+    the global cap.
+
+    A DecorationWalk picks the edge decorations within the degree budget
+    and the vertex dimensions; under each, a depth-first walk picks the
+    vertex decorations one vertex at a time from the VertexTables, reading
+    the prefix that fits the room left at that vertex, and carries the
+    partial coefficient down, so every leaf is an emitted term.  Calls with
+    the same spec and vectors may share one VertexTables as tables: r_action
+    passes one to every graph of its sum.  Terms are summed under their raw
+    decorations and canonicalized once at the end.
+    """
+    g = graph.total_genus()
+    n = graph.num_legs
+    if len(vectors) != n:
+        raise ValueError("need %d vectors" % n)
+    cap = max(min(spec.degree, 3 * g - 3 + n), 0)
+    ne = len(graph.edges)
+    if ne > cap:
+        return TautExpr(g, n, cap)
+    budget = cap - ne  # decoration degree available globally
+    if tables is None:
+        tables = VertexTables(spec, vectors)
+    nv = graph.num_vertices
+    dims = [graph.vertex_dim(v) for v in range(nv)]
+    labels = [graph.legs_at(v) for v in range(nv)]
+    # the most room each vertex can ever have
+    rooms = [min(d, budget) for d in dims]
+    walk = DecorationWalk(spec, graph, dims)
+    assign, load, edge_psi = walk.assign, walk.load, walk.edge_psi
     kappa = [None] * nv
     leg_psi = [0] * n
     raw = {}
@@ -399,12 +478,8 @@ def graph_contribution(spec, graph, vectors, tables=None):
             key = (tuple(kappa), tuple(leg_psi), tuple(edge_psi))
             raw[key] = raw.get(key, Q0) + coeff
             return
-        key = (labels[v], rooms[v], assign[v])
-        rows = tables.get(key)
-        if rows is None:
-            rows = tables[key] = table(*key)
         limit = min(dims[v] - load[v], left)
-        for deg, kk, exps, c in rows:
+        for deg, kk, exps, c in tables[(labels[v], rooms[v], assign[v])]:
             if deg > limit:
                 break
             kappa[v] = kk
@@ -412,28 +487,7 @@ def graph_contribution(spec, graph, vectors, tables=None):
                 leg_psi[label - 1] = e
             walk_vertices(v + 1, left - deg, coeff * c)
 
-    def walk_edges(i, left, coeff):
-        if i == ne:
-            walk_vertices(0, left, coeff)
-            return
-        u, w = edges[i]
-        for a, b, c in kernel.get((assign[u], assign[w]), ()):
-            if a + b > left:
-                break
-            load[u] += a
-            load[w] += b
-            if load[u] <= dims[u] and load[w] <= dims[w]:
-                edge_psi[i] = (a, b)
-                walk_edges(i + 1, left - a - b, coeff * c)
-            load[u] -= a
-            load[w] -= b
-
-    for assignment in iproduct(range(spec.algebra.dim), repeat=nv):
-        assign[:] = assignment
-        pref = Q1
-        for v, mu in enumerate(assignment):
-            pref *= weights[mu] ** (2 - 2 * graph.genera[v] - valences[v])
-        walk_edges(0, budget, pref)
+    walk.run(budget, lambda left, coeff: walk_vertices(0, left, coeff))
     out = {}
     for (vertex_kappa, legs_psi, edges_psi), c in raw.items():
         key = DecoratedGraph(graph, vertex_kappa, legs_psi, edges_psi)
@@ -443,10 +497,10 @@ def graph_contribution(spec, graph, vectors, tables=None):
 
 def r_action(spec, g, n, vectors):
     """Sum of contributions over all boundary strata, weighted by 1/|Aut|."""
-    _require_input(g, n, vectors)
+    require_input(g, n, vectors)
     cap = max(min(spec.degree, 3 * g - 3 + n), 0)
     total = {}
-    tables = {}  # vertex tables, shared by every graph of the sum
+    tables = VertexTables(spec, vectors)
     for graph in enumerate_stable_graphs(g, n):
         weight = Fraction(1, graph.automorphism_order())
         # every key carries its graph, so no two graphs share a key

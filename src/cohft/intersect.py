@@ -23,6 +23,28 @@ psi classes need no correction because every term carries a positive power
 of the new psi class, which kills the correction divisors.  Expanding the
 product of corrections is again a sum over the sub-multisets S of the
 remaining kappa indices, with sign (-1)^|S| and the same binomial weights.
+
+correlator_of_theory integrates a theory's class times psi powers without
+building the class.  Only the part of the graph sum of degree 3g-3+n -
+sum(psi) integrates to a number, and it factorises (the vertex/edge
+factorisation of Dunin-Barkowski, Orantin, Shadrin and Spitz, CMP 2014):
+
+  sum_Gamma 1/|Aut Gamma| sum_mu prod_v theta_mu(v)^{2-2h-k}
+      sum_{edge decorations} prod_e K_e prod_v F_v,
+
+where F_v sums, over the rows of the vertex's table of exactly the degree
+left at v (its dimension less its edge-end and leg psi powers), the row
+coefficient times the kappa-psi number of the vertex.  The walk over
+projector assignments and edge decorations, and the vertex tables, are
+givental's, shared with the class (givental.DecorationWalk and
+VertexTables); here each vertex is limited by what the psi powers at its
+legs leave of its dimension, so a branch is cut once a vertex's load
+passes that.  F_v is memoised for one call by (genus, leg labels,
+projector, sorted edge-end psi).  integrate_taut(r_action(...)) computes
+the same numbers through the class and stays as the bit-exact reference.
+The factorised sum may memoise a few intersection numbers that the class
+path never looks up, because terms that cancel in the class are never
+integrated there.
 """
 
 import os
@@ -31,8 +53,8 @@ from fractions import Fraction
 from itertools import groupby, product
 from math import comb
 
-from .givental import r_action
-from .graphs import require_stable
+from .givental import DecorationWalk, VertexTables, require_input
+from .graphs import enumerate_stable_graphs, require_stable
 from .linalg import Q0, Q1, CohftError, frac_str
 
 
@@ -357,7 +379,12 @@ def integrate_taut(expr, backend=None, psi=None):
 
 
 def correlator_of_theory(spec, g, n, vectors, psi_exps, backend=None):
-    """Exact integral of the reconstructed class times psi powers."""
+    """Exact integral of the reconstructed class times psi powers.
+
+    The factorised top-degree graph sum of the module docstring; no class
+    is built.  integrate_taut(r_action(...), backend, psi_exps) gives the
+    same number through the class.
+    """
     if len(psi_exps) != n:
         raise CohftError("need one psi exponent per marked point")
     if any(a < 0 for a in psi_exps):
@@ -369,4 +396,80 @@ def correlator_of_theory(spec, g, n, vectors, psi_exps, backend=None):
             "truncation degree %d is below the dimension %d of the target space"
             % (spec.degree, 3 * g - 3 + n)
         )
-    return integrate_taut(r_action(spec, g, n, vectors), backend, psi_exps)
+    require_input(g, n, vectors)
+    backend = backend or _DEFAULT
+    psi = tuple(psi_exps)
+    if sum(psi) > 3 * g - 3 + n:
+        return Q0
+    tables = VertexTables(spec, vectors)
+    values = {}  # vertex values of this call, shared by every graph
+    total = Q0
+    for graph in enumerate_stable_graphs(g, n):
+        part = _graph_integral(spec, graph, psi, backend, tables, values)
+        if part:
+            total += part / graph.automorphism_order()
+    return total
+
+
+def _graph_integral(spec, graph, psi, backend, tables, values):
+    """One graph's part of the correlator, before its 1/|Aut| weight.
+
+    Each vertex is limited by what psi at its legs leaves of its dimension,
+    and each edge decoration that fits contributes its coefficient times
+    the value of every vertex at the degree its load leaves.  values
+    memoises a vertex value by (genus, leg labels, projector, sorted edge
+    end psi powers), which fix that degree.
+    """
+    nv = graph.num_vertices
+    genera = graph.genera
+    # one pass over legs and edges: labels, edge ends and 3h - 3 + valence
+    # less the psi at the legs, for every vertex
+    limits = [3 * h - 3 for h in genera]
+    labels = [[] for _ in range(nv)]
+    for label, v in enumerate(graph.legs, start=1):
+        labels[v].append(label)
+        limits[v] += 1 - psi[label - 1]
+    ends = [[] for _ in range(nv)]
+    for i, (u, w) in enumerate(graph.edges):
+        ends[u].append((i, 0))
+        ends[w].append((i, 1))
+        limits[u] += 1
+        limits[w] += 1
+    if min(limits) < 0:
+        return Q0
+    labels = [tuple(at) for at in labels]
+    walk = DecorationWalk(spec, graph, limits)
+    assign, load, edge_psi = walk.assign, walk.load, walk.edge_psi
+    total = Q0
+
+    def leaf(left, coeff):
+        nonlocal total
+        for v in range(nv):
+            at = tuple(sorted(edge_psi[i][end] for i, end in ends[v]))
+            key = (genera[v], labels[v], assign[v], at)
+            value = values.get(key)
+            if value is None:
+                rows = tables[(labels[v], limits[v], assign[v])]
+                value = values[key] = _vertex_value(
+                    backend, rows, limits[v] - load[v], genera[v], labels[v], psi, at
+                )
+            coeff *= value
+        total += coeff
+
+    walk.run(sum(limits), leaf)
+    return total
+
+
+def _vertex_value(backend, rows, degree, h, labels, psi, ends):
+    """Sum over the table rows of exactly this degree of the row coefficient
+    times the kappa-psi number of a genus-h vertex: the row's leg powers
+    shifted by psi, then the edge-end powers ends."""
+    total = Q0
+    for deg, kk, exps, c in rows:
+        if deg < degree:
+            continue
+        if deg > degree:
+            break
+        legs = tuple(e + psi[label - 1] for label, e in zip(labels, exps))
+        total += c * backend.kappa_psi_correlator(h, legs + ends, kk)
+    return total

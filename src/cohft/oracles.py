@@ -5,7 +5,10 @@ unrestricted search with isomorphism rejection instead of degeneration
 walks, multi-index kappa classes by summing over all permutations instead
 of set partitions, and vertex insertion sums by the raw m-sum over
 forgotten points (taut.forgotten_point_msum, read off R^{-1} unit) instead
-of the closed-form exponential of the vertex log.
+of the closed-form exponential of the vertex log.  Closed forms check whole
+correlators: the Hodge theory's against the lambda_g formula, whose b_g
+come from the series (t/2)/sin(t/2), not from the Bernoulli numbers that
+build the theory's R.
 """
 
 from fractions import Fraction
@@ -104,6 +107,48 @@ def genus0_multinomial(exps):
     out = Fraction(factorial(len(exps) - 3))
     for a in exps:
         out /= factorial(a)
+    return out
+
+
+def hodge_b(g):
+    """b_g in sum_g b_g t^{2g} = (t/2) / sin(t/2), by inverting the exact
+    series sin(t/2) / (t/2) = sum_k (-1)^k t^{2k} / (4^k (2k+1)!)."""
+    sine = [Fraction((-1) ** k, 4**k * factorial(2 * k + 1)) for k in range(g + 1)]
+    b = [Fraction(1)]
+    for m in range(1, g + 1):
+        b.append(-sum(sine[k] * b[m - k] for k in range(1, m + 1)))
+    return b[g]
+
+
+def lambda_g_closed_form(g, exps):
+    """<tau_{a_1} ... tau_{a_n} lambda_g>_g = C(2g-3+n; a) b_g when
+    sum a_i = 2g-3+n, else 0 (Faber-Pandharipande, math/9810173)."""
+    if sum(exps) != 2 * g - 3 + len(exps):
+        return Q0
+    out = Fraction(factorial(sum(exps)))
+    for a in exps:
+        out /= factorial(a)
+    return out * hodge_b(g)
+
+
+def lambda_g_cases(max_dim):
+    """(g, n, exps) for every stable (g, n) with n >= 1 and 3g-3+n <= max_dim
+    and every descending exps of length n summing to 2g-3+n."""
+
+    def descending(total, n, top):
+        if n == 0:
+            if total == 0:
+                yield ()
+            return
+        for a in range(min(total, top), -1, -1):
+            for rest in descending(total - a, n - 1, a):
+                yield (a,) + rest
+
+    out = []
+    for g in range(max_dim // 3 + 2):
+        for n in range(1, max_dim - 3 * g + 4):
+            if 2 * g - 2 + n > 0:
+                out.extend((g, n, exps) for exps in descending(2 * g - 3 + n, n, 2 * g - 3 + n))
     return out
 
 

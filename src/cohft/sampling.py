@@ -8,10 +8,11 @@ from the compatibility relation; incoherent ones perturb phi_1.
 """
 
 from fractions import Fraction
+from math import comb
 
 from .frobenius import FrobeniusAlgebra
 from .givental import CohFTSpec, coherent_phi
-from .linalg import Q0, det, mat, mat_mul, zero_mat
+from .linalg import Q0, Q1, det, mat, mat_mul, zero_mat
 from .series import EndSeries, check_symplectic, truncated_exp
 
 
@@ -116,6 +117,33 @@ def scalar_exp_spec(a, degree):
     b = EndSeries(1, degree, [[[0]], [[a]]] + [[[0]]] * (degree - 1))
     r = truncated_exp(b, EndSeries.identity(1, degree), degree)
     return CohFTSpec(algebra, ss, None, r, degree, coherent=True)
+
+
+def bernoulli_numbers(count):
+    """B_0 .. B_{count-1} as Fractions, B_1 = -1/2, from
+    sum_{k<=m} C(m+1, k) B_k = 0 for m >= 1."""
+    out = [Q1]
+    for m in range(1, count):
+        out.append(-sum(comb(m + 1, k) * b for k, b in enumerate(out)) / (m + 1))
+    return out[:count]
+
+
+def hodge_spec(degree, sign=1):
+    """dim 1 with R(z) = exp(sign sum_k B_2k / (2k (2k-1)) z^(2k-1)) and the
+    matching coherent phi.
+
+    By Mumford's formula for ch(E) the R-matrix action of this R, sign 1,
+    is the total Chern class of the Hodge bundle, 1 + lambda_1 + ... +
+    lambda_g; sign -1 gives that of its dual, whose lambda_i carry (-1)^i.
+    """
+    bern = bernoulli_numbers(degree + 2)
+    log_r = [Q0] * (degree + 1)
+    for k in range(1, (degree + 1) // 2 + 1):
+        log_r[2 * k - 1] = sign * bern[2 * k] / (2 * k * (2 * k - 1))
+    algebra = FrobeniusAlgebra(1, [[1]], [[[1]]], [1])
+    b = EndSeries(1, degree, [[[c]] for c in log_r])
+    r = truncated_exp(b, EndSeries.identity(1, degree), degree)
+    return CohFTSpec(algebra, algebra.semisimplify(), None, r, degree, coherent=True)
 
 
 def random_vector(rng, dim, num=3):

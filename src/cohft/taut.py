@@ -277,7 +277,7 @@ class DecoratedGraph:
     """A stable graph with a kappa monomial per vertex and psi powers per
     half edge, canonicalized under the graph's automorphisms."""
 
-    __slots__ = ("graph", "vertex_kappa", "leg_psi", "edge_psi", "_hash")
+    __slots__ = ("graph", "vertex_kappa", "leg_psi", "edge_psi", "_hash", "_degree")
 
     def __init__(self, graph, vertex_kappa, leg_psi, edge_psi):
         vertex_kappa = tuple(tuple(sorted(k)) for k in vertex_kappa)
@@ -295,6 +295,12 @@ class DecoratedGraph:
         self.leg_psi = leg_psi
         self.edge_psi = edge_psi
         self._hash = hash((graph, vertex_kappa, leg_psi, edge_psi))
+        self._degree = (
+            len(edge_psi)
+            + sum(map(sum, vertex_kappa))
+            + sum(leg_psi)
+            + sum(a + b for a, b in edge_psi)
+        )
 
     @staticmethod
     def _canonicalize(graph, vertex_kappa, leg_psi, edge_psi):
@@ -327,12 +333,8 @@ class DecoratedGraph:
         return (self.graph.sort_key(), self.vertex_kappa, self.leg_psi, self.edge_psi)
 
     def degree(self):
-        return (
-            len(self.graph.edges)
-            + sum(sum(k) for k in self.vertex_kappa)
-            + sum(self.leg_psi)
-            + sum(a + b for a, b in self.edge_psi)
-        )
+        """Edges plus every kappa and psi degree, counted once when built."""
+        return self._degree
 
     def encode(self):
         kk = ";".join(monomial_str(k) for k in self.vertex_kappa)
@@ -353,13 +355,12 @@ class TautExpr:
         self.g = g
         self.n = n
         self.cap = cap
-        self.terms = {}
-        if terms:
-            for key, c in terms.items():
-                if c == 0 or key.degree() > cap:
-                    continue
-                self.terms[key] = self.terms.get(key, Q0) + Fraction(c)
-        self.terms = {k: c for k, c in self.terms.items() if c != 0}
+        # one pass: a Fraction is kept as it is, anything else coerced
+        self.terms = {
+            key: c if type(c) is Fraction else Fraction(c)
+            for key, c in (terms or {}).items()
+            if c != 0 and key.degree() <= cap
+        }
 
     def __eq__(self, other):
         return (

@@ -426,6 +426,10 @@ def test_cli_oracles(tmp_path):
     code, out = run_cli(["--config", str(cfg), "oracle", "vertex-sum"])
     assert code == 0
     assert "mismatches: 0" in out
+    code, out = run_cli(["oracle", "hodge", "--max-dim", "4"])
+    assert code == 0
+    assert out.count(" ok\n") == len(out.splitlines()) - 1
+    assert out.endswith("mismatches: 0\n")
 
 
 def test_cli_repeated_runs_byte_identical(tmp_path):
@@ -515,6 +519,7 @@ README_PINS = {
     "oracle graphs": "11777c93d5e2ea228eee8e9651c9bd73d5b41de366136904992d8ee9c54413f2",
     "oracle dvv": "d3578b8dbc0ef5af422b8c3d6d596dac5a07ebd1ed89b45f7b50ac68b2aff835",
     "--config spec.cfg oracle vertex-sum": "0a045a240205620a977a0c6c82cbc1e4379f86024f1a623120a2e6dfdce16ddb",
+    "oracle hodge": "325d201e1417bf43657abbe9c9f6ede1d44a168f86b3b045fea43806890406ed",
 }
 
 

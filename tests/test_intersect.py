@@ -1,20 +1,35 @@
 import hashlib
+import random
 from fractions import Fraction as F
 from math import factorial
 
 import pytest
 
+from cohft import givental, intersect, taut
+from cohft.givental import CohFTSpec, r_action
 from cohft.graphs import UnstablePair
 from cohft.intersect import (
     Correlators,
     default_backend,
+    integrate_taut,
     kappa_psi_correlator,
     psi_correlator,
     correlator_of_theory,
 )
 from cohft.linalg import CohftError
-from cohft.sampling import scalar_exp_spec, trivial_spec
+from cohft.oracles import hodge_b, lambda_g_cases, lambda_g_closed_form
+from cohft.sampling import (
+    bernoulli_numbers,
+    coherent_spec,
+    hodge_spec,
+    random_semisimple_algebra,
+    random_symplectic_r,
+    random_vector,
+    scalar_exp_spec,
+    trivial_spec,
+)
 from cohft.taut import kappa_multi_index
+from test_graphs import SMALL_PAIRS
 
 
 def test_base_cases():
@@ -316,3 +331,114 @@ def test_load_is_all_or_nothing():
     with pytest.raises(ValueError, match="line 3"):
         backend.load("psi 1 1 = 1/24\n\n psi 2 4 = 1/1152\n")
     assert backend.dump() == ""
+
+
+# -- the factorised correlator sum against the class ------------------------
+
+
+def _dense_spec(rng, dim, degree):
+    """A coherent spec whose R_1..R_degree have no zero entry."""
+    algebra, _, _ = random_semisimple_algebra(rng, dim)
+    for _ in range(100):
+        r = random_symplectic_r(rng, algebra, degree, sparsity=1)
+        if all(x != 0 for k in range(1, degree + 1) for row in r.coeffs[k] for x in row):
+            break
+    return CohFTSpec(algebra, algebra.semisimplify(), None, r, degree, coherent=True)
+
+
+def _spread(rng, total, n):
+    out = [0] * n
+    for _ in range(total):
+        out[rng.randrange(n)] += 1
+    return tuple(out)
+
+
+# (0, 7) at dims 2 and 3 is left out: r_action alone takes 5 s and 39 s there
+CLASS_CASES = [(g, n, dim) for dim in (1, 2, 3) for g, n in SMALL_PAIRS if (n, dim) not in ((7, 2), (7, 3))]
+
+
+@pytest.mark.parametrize("dense", [True, False], ids=["dense_r", "sparse_r"])
+@pytest.mark.parametrize("g, n, dim", CLASS_CASES)
+def test_correlator_equals_the_integrated_class(g, n, dim, dense):
+    # the factorised sum against integrate_taut(r_action(...)): the same
+    # value, and a memo table holding every entry the class path memoised;
+    # psi summing above the dimension gives 0
+    d = 3 * g - 3 + n
+    rng = random.Random("%d:%d:%d:%s" % (g, n, dim, dense))
+    spec = (_dense_spec if dense else coherent_spec)(rng, dim, max(d, 1))
+    vs = [random_vector(rng, dim) for _ in range(n)]
+    expr = r_action(spec, g, n, vs)
+    totals = [rng.randrange(d + 1), d + 1 + rng.randrange(2)] if n else [0]
+    for total in totals:
+        psi = _spread(rng, total, n)
+        new, old = Correlators(), Correlators()
+        value = correlator_of_theory(spec, g, n, vs, psi, new)
+        assert value == integrate_taut(expr, old, psi)
+        assert set(old.dump().splitlines()) <= set(new.dump().splitlines())
+        if total > d:
+            assert value == 0
+
+
+def test_correlator_builds_no_class(monkeypatch):
+    spec = coherent_spec(random.Random(3), 2, 3)
+    vs = [(1, 2), (-1, 3), (2, 1)]
+    want = integrate_taut(r_action(spec, 1, 3, vs), Correlators(), (1, 0, 0))
+    assert want != 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the correlator built a class")
+
+    monkeypatch.setattr(givental, "r_action", refuse)
+    monkeypatch.setattr(intersect, "integrate_taut", refuse)
+    monkeypatch.setattr(taut.DecoratedGraph, "__init__", refuse)
+    monkeypatch.setattr(taut.TautExpr, "__init__", refuse)
+    assert correlator_of_theory(spec, 1, 3, vs, (1, 0, 0), Correlators()) == want
+
+
+def test_correlator_argument_errors_keep_their_types():
+    spec = scalar_exp_spec(F(1, 2), 3)
+    cases = [
+        ((0, 2, [[1]] * 2, (0, 0)), UnstablePair),  # unstable pair
+        ((1, 2, [[1]], (0, 0)), ValueError),  # one vector for two points
+        ((1, 2, [[1]] * 2, (0,)), CohftError),  # one psi exponent for two points
+        ((1, 2, [[1]] * 2, (-1, 0)), CohftError),  # negative psi exponent
+        ((1, 4, [[1]] * 4, (0,) * 4), CohftError),  # degree 3 below dimension 4
+    ]
+    for args, kind in cases:
+        with pytest.raises(ValueError) as exc:
+            correlator_of_theory(spec, *args)
+        assert type(exc.value) is kind, args
+
+
+# -- the Hodge theory: Teleman's classification against the lambda_g formula --
+
+
+def test_bernoulli_numbers_and_b_g():
+    # b_g = (2^{2g-1} - 1) |B_2g| / (2^{2g-1} (2g)!) against the exact
+    # expansion of (t/2) / sin(t/2)
+    bern = bernoulli_numbers(15)
+    assert [str(b) for b in bern[:9]] == ["1", "-1/2", "1/6", "0", "-1/30", "0", "1/42", "0", "-1/30"]
+    assert bern[12] == F(-691, 2730) and bern[14] == F(7, 6)
+    assert [hodge_b(g) for g in range(4)] == [1, F(1, 24), F(7, 5760), F(31, 967680)]
+    for g in range(1, 8):
+        assert hodge_b(g) == (2 ** (2 * g - 1) - 1) * abs(bern[2 * g]) / (2 ** (2 * g - 1) * factorial(2 * g))
+
+
+def test_lambda_g_cases_cover_every_point_count_to_dimension_5():
+    pairs = {(g, n) for g, n, _ in lambda_g_cases(5)}
+    assert pairs == {(g, n) for g, n in [(0, n) for n in range(3, 9)] + [(1, n) for n in range(1, 6)] + [(2, 1), (2, 2)]}
+    for g, n, exps in lambda_g_cases(5):
+        assert len(exps) == n and sum(exps) == 2 * g - 3 + n and list(exps) == sorted(exps, reverse=True)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_hodge_correlators_are_lambda_g_numbers(sign):
+    # <tau_a lambda_g>_g = C(2g-3+n; a) b_g on every (g, n, a) with
+    # 3g-3+n <= 5 (a up to order: the points all carry the unit), and at
+    # (3,2) and (4,1); R^{-1} in place of R gives (-1)^g times each value
+    spec = hodge_spec(10, sign)
+    backend = Correlators()
+    for g, n, exps in lambda_g_cases(5) + [(3, 2, (4, 1)), (4, 1, (6,))]:
+        value = correlator_of_theory(spec, g, n, [[1]] * n, exps, backend)
+        assert value == sign**g * lambda_g_closed_form(g, exps), (g, n, exps)
+    assert backend.check_string_dilaton() == []
