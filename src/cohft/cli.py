@@ -46,6 +46,17 @@ from .oracles import (
 from .taut import exp_pushforward_check, kappa_multi_index
 
 
+def _dimension(text):
+    """A --max-dim value: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError("expected a non-negative integer, got %r" % text)
+    return value
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(prog="cohft", description=__doc__)
     parser.add_argument("--json", action="store_true", help="machine-readable output")
@@ -75,7 +86,7 @@ def _build_parser():
 
     p = sub.add_parser("verify", help="check the field-theory axioms")
     p.add_argument("kind", choices=["fixed", "free"])
-    p.add_argument("--max-dim", type=int, default=2)
+    p.add_argument("--max-dim", type=_dimension, default=2)
 
     p = sub.add_parser("correlator", help="exact correlator of the theory")
     p.add_argument("g", type=int)
@@ -86,7 +97,7 @@ def _build_parser():
 
     p = sub.add_parser("oracle", help="diff independent brute-force paths")
     p.add_argument("kind", choices=["graphs", "dvv", "vertex-sum", "hodge"])
-    p.add_argument("--max-dim", type=int, default=3)
+    p.add_argument("--max-dim", type=_dimension, default=3)
     return parser
 
 

@@ -464,7 +464,7 @@ def graph_contribution(spec, graph, vectors, tables=None):
         tables = VertexTables(spec, vectors)
     nv = graph.num_vertices
     dims = [graph.vertex_dim(v) for v in range(nv)]
-    labels = [graph.legs_at(v) for v in range(nv)]
+    labels = graph.labels
     # the most room each vertex can ever have
     rooms = [min(d, budget) for d in dims]
     walk = DecorationWalk(spec, graph, dims)
@@ -525,7 +525,12 @@ def two_point(spec, v, w):
     return KPPoly(1, cap, out)
 
 
-def verify_axioms(spec, mode="free", max_dim=2, max_perm_n=4):
+# the symmetry axiom permutes the slots of every pair with at most this
+# many points
+_MAX_PERM_N = 4
+
+
+def verify_axioms(spec, mode="free", max_dim=2):
     """Check the field-theory axioms as exact polynomial identities.
 
     mode is "fixed" or "free".  Returns a list of failure records, each a
@@ -558,7 +563,7 @@ def verify_axioms(spec, mode="free", max_dim=2, max_perm_n=4):
                 failures.append({"axiom": "unit", "at": (i, j), "diff": d})
 
     # 2. symmetry under slot permutation with simultaneous psi relabeling
-    pairs = [(g, n) for g in range(0, 3) for n in range(2, max_perm_n + 1)
+    pairs = [(g, n) for g in range(0, 3) for n in range(2, _MAX_PERM_N + 1)
              if 2 * g - 2 + n > 0 and 0 < 3 * g - 3 + n <= max_dim]
     for g, n in pairs:
         tuples = list(iproduct(range(alg.dim), repeat=n))[: alg.dim ** min(n, 2)]

@@ -12,10 +12,20 @@ automorphism extends to the half edges in every way that matches parallel
 edges and flips loop ends; |Aut| is the length of that list, and the same
 list canonicalizes decorations.
 
+Every layer reads which legs and edge ends sit at a vertex from one
+incidence table, built by _incidence once per graph from its canonical legs
+and edges: labels[v] holds the leg labels at v in label order, ends[v] the
+(edge index, end) pairs at v in edge order.  The relabeling buckets, the
+stability and connectivity checks, the vertex accessors, the decorated
+graph sum and the integrals read it rather than scanning legs and edges.
+
 Enumeration walks one-edge degenerations starting from the smooth graph:
 every stable graph contracts edge by edge down to the smooth one, so the
-walk is complete.  The same walk records the degeneration order used by the
-special-type stratification.
+walk is complete.  Each graph is kept as one canonical instance, which the
+children of every parent share, so a graph found many times holds its
+table once.  The same walk records the one-step degenerations, whose type
+pairs, closed transitively, give the order of the special-type
+stratification.
 
 A degeneration inserts a loop or splits a vertex in two.  Splits are walked
 by orbits of the vertex's half edges under permutations of parallel edges
@@ -47,10 +57,29 @@ def require_stable(g, n):
         raise UnstablePair("2g-2+n must be positive, got (%d,%d)" % (g, n))
 
 
-def _relabelings(genera, legs, edges):
+def _incidence(nv, legs, edges):
+    """The incidence table of a graph: per vertex, the leg labels in label
+    order, and the (edge index, end) pairs in edge order."""
+    labels = [[] for _ in range(nv)]
+    for label, v in enumerate(legs, start=1):
+        labels[v].append(label)
+    ends = [[] for _ in range(nv)]
+    for i, (u, w) in enumerate(edges):
+        ends[u].append((i, 0))
+        ends[w].append((i, 1))
+    return tuple(map(tuple, labels)), tuple(map(tuple, ends))
+
+
+def _loops(edges, ends, v):
+    # end 1 of an edge at v whose end 0 sits there too closes a loop
+    return sum(1 for i, end in ends[v] if end and edges[i][0] == v)
+
+
+def _relabelings(genera, edges, labels, ends):
     """Each vertex relabeling, as a list old index -> new index, that
     permutes only inside the buckets of the isomorphism invariant (genus,
-    legs carried, valence, loop count), the buckets placed in sorted order.
+    legs carried, edge ends, loop count), read off the incidence table, the
+    buckets placed in sorted order.
 
     Every isomorphism between two graphs maps buckets to equal buckets, so
     the least relabeled graph is a canonical form; on a canonical graph the
@@ -58,16 +87,10 @@ def _relabelings(genera, legs, edges):
     graph back are its vertex automorphisms.
     """
     nv = len(genera)
-    deg = [0] * nv
-    loops = [0] * nv
-    for u, w in edges:
-        deg[u] += 1
-        deg[w] += 1
-        loops[u] += u == w
     buckets = {}
     for v in range(nv):
-        legs_at = tuple(label for label, x in enumerate(legs, start=1) if x == v)
-        buckets.setdefault((genera[v], legs_at, deg[v], loops[v]), []).append(v)
+        key = (genera[v], labels[v], len(ends[v]), _loops(edges, ends, v))
+        buckets.setdefault(key, []).append(v)
     groups = [buckets[key] for key in sorted(buckets)]
     for arrangement in product(*[permutations(group) for group in groups]):
         perm = [0] * nv
@@ -86,14 +109,19 @@ def _relabel(perm, legs, edges):
 def _canonical(genera, legs, edges):
     """Lexicographically least (legs, edges) over the relabelings; the
     buckets are sorted with genus first, so the genera come out sorted."""
-    legs, edges = min(_relabel(perm, legs, edges) for perm in _relabelings(genera, legs, edges))
+    relabelings = _relabelings(genera, edges, *_incidence(len(genera), legs, edges))
+    legs, edges = min(_relabel(perm, legs, edges) for perm in relabelings)
     return tuple(sorted(genera)), legs, edges
 
 
 class StableGraph:
-    """Canonical stable graph; construct with any labeling, stored canonically."""
+    """Canonical stable graph; construct with any labeling, stored canonically.
 
-    __slots__ = ("genera", "legs", "edges", "_hash", "_edge_images")
+    labels and ends are the incidence table of the canonical labeling:
+    labels[v] the leg labels at v, ends[v] the (edge index, end) pairs at v.
+    """
+
+    __slots__ = ("genera", "legs", "edges", "labels", "ends", "_hash", "_edge_images")
 
     def __init__(self, genera, legs, edges):
         genera = tuple(int(x) for x in genera)
@@ -110,6 +138,7 @@ class StableGraph:
         self.genera = genera
         self.legs = legs
         self.edges = edges
+        self.labels, self.ends = _incidence(nv, legs, edges)
         self._hash = hash((genera, legs, edges))
         self._edge_images = None
         self._validate()
@@ -146,37 +175,30 @@ class StableGraph:
         return len(self.legs)
 
     def legs_at(self, v):
-        return tuple(label for label, vv in enumerate(self.legs, start=1) if vv == v)
+        return self.labels[v]
 
     def loops_at(self, v):
-        return sum(1 for u, w in self.edges if u == v and w == v)
+        return _loops(self.edges, self.ends, v)
 
     def cross_edges_at(self, v):
-        return sum(1 for u, w in self.edges if (u == v) != (w == v))
+        return len(self.ends[v]) - 2 * self.loops_at(v)
 
     def valence(self, v):
-        n = sum(1 for vv in self.legs if vv == v)
-        for u, w in self.edges:
-            n += (u == v) + (w == v)
-        return n
+        return len(self.labels[v]) + len(self.ends[v])
 
     def is_connected(self):
-        nv = len(self.genera)
-        if nv == 0:
+        if not self.genera:
             return False
+        edges = self.edges
         seen = {0}
         frontier = [0]
-        adj = [[] for _ in range(nv)]
-        for u, w in self.edges:
-            adj[u].append(w)
-            adj[w].append(u)
         while frontier:
-            v = frontier.pop()
-            for w in adj[v]:
+            for i, end in self.ends[frontier.pop()]:
+                w = edges[i][1 - end]
                 if w not in seen:
                     seen.add(w)
                     frontier.append(w)
-        return len(seen) == nv
+        return len(seen) == len(self.genera)
 
     def first_betti(self):
         return len(self.edges) - len(self.genera) + 1
@@ -186,13 +208,7 @@ class StableGraph:
 
     def half_edges(self, v):
         """Decoration slots at v: ('leg', label) and ('edge', index, end)."""
-        out = [("leg", label) for label in self.legs_at(v)]
-        for i, (u, w) in enumerate(self.edges):
-            if u == v:
-                out.append(("edge", i, 0))
-            if w == v:
-                out.append(("edge", i, 1))
-        return out
+        return [("leg", label) for label in self.labels[v]] + [("edge", i, end) for i, end in self.ends[v]]
 
     def vertex_dim(self, v):
         return 3 * self.genera[v] - 3 + self.valence(v)
@@ -212,7 +228,7 @@ class StableGraph:
         own = (self.legs, self.edges)
         return [
             tuple(perm)
-            for perm in _relabelings(self.genera, self.legs, self.edges)
+            for perm in _relabelings(self.genera, self.edges, self.labels, self.ends)
             if _relabel(perm, self.legs, self.edges) == own
         ]
 
@@ -297,7 +313,7 @@ def one_step_degenerations(graph):
             genera[v] = gv - 1
             out.add(StableGraph(genera, graph.legs, graph.edges + ((v, v),)))
         # split v into v (kept) and a new vertex nv
-        leg_slots = [i for i, x in enumerate(graph.legs) if x == v]
+        leg_slots = [label - 1 for label in graph.labels[v]]
         loops = 0
         cross = {}  # neighbour -> number of parallel edges to it
         rest = []  # edges away from v
@@ -359,18 +375,19 @@ def enumerate_stable_graphs(g, n, with_children=False):
     key = (g, n)
     if key not in _ENUM_CACHE:
         root = smooth_graph(g, n)
-        seen = {root}
+        seen = {root: root}  # canonical graph -> the one instance kept
         frontier = [root]
         children = {}
         while frontier:
             nxt = []
             for graph in frontier:
-                kids = one_step_degenerations(graph)
-                children[graph] = tuple(sorted(kids, key=StableGraph.sort_key))
-                for kid in kids:
-                    if kid not in seen:
-                        seen.add(kid)
+                kids = []
+                for kid in one_step_degenerations(graph):
+                    known = seen.setdefault(kid, kid)
+                    if known is kid:
                         nxt.append(kid)
+                    kids.append(known)
+                children[graph] = tuple(sorted(kids, key=StableGraph.sort_key))
             frontier = sorted(nxt, key=StableGraph.sort_key)
         _ENUM_CACHE[key] = (tuple(sorted(seen, key=StableGraph.sort_key)), children)
     result, children = _ENUM_CACHE[key]
@@ -451,28 +468,11 @@ def special_order(g, n):
     """
     _require_last_point(n)
     graphs, children = enumerate_stable_graphs(g, n, with_children=True)
-    # graph-level reachability by >= 1 degenerations
-    desc = {}
-
-    def descendants(graph):
-        if graph in desc:
-            return desc[graph]
-        out = set()
-        for kid in children[graph]:
-            out.add(kid)
-            out |= descendants(kid)
-        desc[graph] = out
-        return out
-
-    types = sorted({special_type(gr, n) for gr in graphs})
-    greater = set()
-    for gr in graphs:
-        t = special_type(gr, n)
-        for d in descendants(gr):
-            t2 = special_type(d, n)
-            if t2 != t:
-                greater.add((t, t2))
-    # transitive closure at type level
+    kind = {gr: special_type(gr, n) for gr in graphs}
+    types = sorted(set(kind.values()))
+    # the type pairs of one-step degenerations; every iterated degeneration
+    # is a chain of these, so their transitive closure is the order
+    greater = {(kind[gr], kind[kid]) for gr in graphs for kid in children[gr] if kind[gr] != kind[kid]}
     changed = True
     while changed:
         changed = False

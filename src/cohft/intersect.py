@@ -340,6 +340,16 @@ def default_backend():
     return _DEFAULT
 
 
+def _require_psi(psi, n):
+    """psi as a tuple, once it is checked to hold n non-negative powers."""
+    psi = tuple(psi)
+    if len(psi) != n:
+        raise CohftError("need one psi exponent per marked point")
+    if any(a < 0 for a in psi):
+        raise CohftError("negative psi exponent")
+    return psi
+
+
 def integrate_taut(expr, backend=None, psi=None):
     """Integrate a decorated graph sum, times psi powers at the legs, over
     its moduli space.
@@ -350,10 +360,11 @@ def integrate_taut(expr, backend=None, psi=None):
     integrals and the automorphism weights are already in the coefficients.
     A term whose degree plus sum(psi) exceeds the dimension integrates to
     zero and is skipped before any vertex is looked up.  Automorphisms fix
-    the legs, so adding psi leaves every key canonical.
+    the legs, so adding psi leaves every key canonical.  psi, when given,
+    holds one non-negative power per leg, as for correlator_of_theory.
     """
     backend = backend or _DEFAULT
-    psi = tuple(psi) if psi else (0,) * expr.n
+    psi = (0,) * expr.n if psi is None else _require_psi(psi, expr.n)
     room = 3 * expr.g - 3 + expr.n - sum(psi)
     total = Q0
     for key, coeff in expr.terms.items():
@@ -361,17 +372,10 @@ def integrate_taut(expr, backend=None, psi=None):
             continue
         graph = key.graph
         value = coeff
-        for v in range(graph.num_vertices):
-            exps = []
-            for kind in graph.half_edges(v):
-                if kind[0] == "leg":
-                    exps.append(key.leg_psi[kind[1] - 1] + psi[kind[1] - 1])
-                else:
-                    _, i, end = kind
-                    exps.append(key.edge_psi[i][end])
-            value *= backend.kappa_psi_correlator(
-                graph.genera[v], tuple(exps), key.vertex_kappa[v]
-            )
+        for v, h in enumerate(graph.genera):
+            exps = tuple(key.leg_psi[label - 1] + psi[label - 1] for label in graph.labels[v])
+            exps += tuple(key.edge_psi[i][end] for i, end in graph.ends[v])
+            value *= backend.kappa_psi_correlator(h, exps, key.vertex_kappa[v])
             if value == 0:
                 break
         total += value
@@ -385,10 +389,7 @@ def correlator_of_theory(spec, g, n, vectors, psi_exps, backend=None):
     is built.  integrate_taut(r_action(...), backend, psi_exps) gives the
     same number through the class.
     """
-    if len(psi_exps) != n:
-        raise CohftError("need one psi exponent per marked point")
-    if any(a < 0 for a in psi_exps):
-        raise CohftError("negative psi exponent")
+    psi = _require_psi(psi_exps, n)
     if spec.degree < 3 * g - 3 + n:
         # an integral of a class truncated below the space dimension would
         # silently miss terms; graded comparisons may truncate, numbers not
@@ -398,7 +399,6 @@ def correlator_of_theory(spec, g, n, vectors, psi_exps, backend=None):
         )
     require_input(g, n, vectors)
     backend = backend or _DEFAULT
-    psi = tuple(psi_exps)
     if sum(psi) > 3 * g - 3 + n:
         return Q0
     tables = VertexTables(spec, vectors)
@@ -421,23 +421,10 @@ def _graph_integral(spec, graph, psi, backend, tables, values):
     end psi powers), which fix that degree.
     """
     nv = graph.num_vertices
-    genera = graph.genera
-    # one pass over legs and edges: labels, edge ends and 3h - 3 + valence
-    # less the psi at the legs, for every vertex
-    limits = [3 * h - 3 for h in genera]
-    labels = [[] for _ in range(nv)]
-    for label, v in enumerate(graph.legs, start=1):
-        labels[v].append(label)
-        limits[v] += 1 - psi[label - 1]
-    ends = [[] for _ in range(nv)]
-    for i, (u, w) in enumerate(graph.edges):
-        ends[u].append((i, 0))
-        ends[w].append((i, 1))
-        limits[u] += 1
-        limits[w] += 1
+    genera, labels, ends = graph.genera, graph.labels, graph.ends
+    limits = [graph.vertex_dim(v) - sum(psi[label - 1] for label in labels[v]) for v in range(nv)]
     if min(limits) < 0:
         return Q0
-    labels = [tuple(at) for at in labels]
     walk = DecorationWalk(spec, graph, limits)
     assign, load, edge_psi = walk.assign, walk.load, walk.edge_psi
     total = Q0

@@ -125,20 +125,20 @@ def mat_inv(a):
 
 
 def solve(a, b):
-    """Solve a x = b; returns None when the system has no solution."""
-    n = len(a)
+    """One solution of a x = b for a matrix a of len(b) rows and any number
+    of columns, free unknowns set to 0; None when the system has none.
+
+    After elimination the rows past the pivots are zero on the left, so the
+    system is consistent exactly when they are zero on the right too.
+    """
+    m = len(a[0]) if a else 0
     rows = [list(row) + [b[i]] for i, row in enumerate(a)]
-    pivots = _eliminate(rows, n)
-    x = [Q0] * n
+    pivots = _eliminate(rows, m)
+    if any(row[m] != 0 for row in rows[len(pivots):]):
+        return None
+    x = [Q0] * m
     for r, c in enumerate(pivots):
-        x[c] = rows[r][n]
-    for i in range(len(pivots), n):
-        if rows[i][n] != 0:
-            return None
-    # rows without pivots may still encode inconsistencies when a is not square
-    for i in range(n):
-        if sum(a[i][j] * x[j] for j in range(n)) != b[i]:
-            return None
+        x[c] = rows[r][m]
     return tuple(x)
 
 
@@ -149,25 +149,12 @@ def linear_dependence(vectors):
     last vector through the previous ones, or None when they are independent.
     Used for minimal polynomials: feed 1, x, x^2, ... until dependence.
     """
-    k = len(vectors)
-    if k == 0:
+    if not vectors:
         return None
-    n = len(vectors[0])
-    # solve sum_{i<k-1} c_i v_i = -v_{k-1}
-    a = [[vectors[i][j] for i in range(k - 1)] for j in range(n)]
-    rows = [list(row) + [-vectors[k - 1][j]] for j, row in enumerate(a)]
-    pivots = _eliminate(rows, k - 1)
-    c = [Q0] * (k - 1)
-    for r, col in enumerate(pivots):
-        c[col] = rows[r][k - 1]
-    for i in range(len(pivots), n):
-        if rows[i][k - 1] != 0:
-            return None
-    # verify (guards the non-square case)
-    for j in range(n):
-        if sum(c[i] * vectors[i][j] for i in range(k - 1)) != -vectors[k - 1][j]:
-            return None
-    return tuple(c) + (Q1,)
+    *head, last = vectors
+    # solve sum_{i<k-1} c_i v_i = -v_{k-1}, one equation per coordinate
+    c = solve([[v[j] for v in head] for j in range(len(last))], [-x for x in last])
+    return None if c is None else c + (Q1,)
 
 
 def frac_str(x):

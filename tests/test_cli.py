@@ -432,6 +432,17 @@ def test_cli_oracles(tmp_path):
     assert out.endswith("mismatches: 0\n")
 
 
+@pytest.mark.parametrize("value", ["-1", "-7", "x"])
+def test_cli_max_dim_must_be_non_negative(tmp_path, capsys, value):
+    # a negative dimension compares nothing, so it must not pass as a check
+    cfg = tmp_path / "spec.cfg"
+    cfg.write_text(SCALAR_CFG)
+    for argv in (["--config", str(cfg), "verify", "free"], ["oracle", "graphs"], ["oracle", "hodge"]):
+        code, out = run_cli(argv + ["--max-dim", value])
+        assert (code, out) == (1, ""), argv
+        assert "expected a non-negative integer, got %r" % value in capsys.readouterr().err
+
+
 def test_cli_repeated_runs_byte_identical(tmp_path):
     scalar = tmp_path / "scalar.cfg"
     scalar.write_text(SCALAR_CFG)

@@ -15,7 +15,7 @@ from cohft.frobenius import (
     rational_roots,
     rational_sqrt,
 )
-from cohft.linalg import det, identity, mat_mul, mat_inv, mat_vec, transpose
+from cohft.linalg import det, identity, linear_dependence, mat, mat_mul, mat_inv, mat_vec, solve, transpose, vec
 from cohft.sampling import random_nilpotent_algebra, random_semisimple_algebra
 
 
@@ -438,3 +438,73 @@ def test_rational_roots_of_products_of_linear_factors(roots, quadratic, scale):
     grid = {F(p, q) for q in range(1, 5) for p in range(-6 * q, 6 * q + 1)}
     brute = sorted(x for x in grid if poly_eval_frac(poly, x) == 0)
     assert rational_roots(poly) == brute == sorted(set(roots))
+
+
+def test_solve_square_non_square_and_inconsistent_systems():
+    # square and invertible: the one solution
+    a = mat([[2, 1], [1, 3]])
+    assert solve(a, vec([3, 5])) == (F(4, 5), F(7, 5))
+    # square and singular: a solution with the free unknown 0, or none
+    singular = mat([[1, 2], [2, 4]])
+    assert solve(singular, vec([1, 2])) == (F(1), F(0))
+    assert solve(singular, vec([1, 3])) is None
+    # three equations in two unknowns, consistent and not
+    tall = mat([[1, 0], [0, 1], [1, 1]])
+    assert solve(tall, vec([1, 2, 3])) == (F(1), F(2))
+    assert solve(tall, vec([1, 2, 4])) is None
+    # one equation in three unknowns
+    assert solve(mat([[0, 2, 1]]), vec([4])) == (F(0), F(2), F(0))
+    # no unknowns: solvable exactly when b is zero
+    assert solve(mat([[], []]), vec([0, 0])) == ()
+    assert solve(mat([[], []]), vec([0, 1])) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_solve_returns_a_solution_or_none_only_when_there_is_none(data):
+    rows = data.draw(st.integers(1, 4))
+    cols = data.draw(st.integers(1, 4))
+    entry = st.integers(-2, 2)
+    a = mat(data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)))
+    b = vec(data.draw(st.lists(entry, min_size=rows, max_size=rows)))
+    x = solve(a, b)
+    if x is not None:
+        assert len(x) == cols and mat_vec(a, x) == b
+    else:
+        # b lies outside the column space: appending it raises the rank
+        assert _rank([row + (c,) for row, c in zip(a, b)]) > _rank(a)
+
+
+def _rank(m):
+    # forward elimination written here, apart from linalg
+    rows = [list(row) for row in m]
+    rank = 0
+    for c in range(len(rows[0])):
+        i = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
+        if i is None:
+            continue
+        rows[rank], rows[i] = rows[i], rows[rank]
+        pivot = rows[rank]
+        for r in rows[rank + 1:]:
+            f = r[c] / pivot[c]
+            r[:] = [x - f * y for x, y in zip(r, pivot)]
+        rank += 1
+    return rank
+
+
+def test_linear_dependence():
+    # the one-vector case: only the zero vector is dependent
+    assert linear_dependence([vec([1, 0])]) is None
+    assert linear_dependence([vec([0, 0])]) == (F(1),)
+    assert linear_dependence([]) is None
+    # independent, then the last vector through the previous ones
+    assert linear_dependence([vec([1, 0, 0]), vec([0, 1, 0])]) is None
+    u, v = vec([1, 2, 0]), vec([0, 1, 1])
+    w = vec([3 * x - F(1, 2) * y for x, y in zip(u, v)])
+    assert linear_dependence([u, v, w]) == (F(-3), F(1, 2), F(1))
+    # more vectors than coordinates: one equation in two unknowns
+    assert linear_dependence([vec([1]), vec([2]), vec([3])]) == (F(-3), F(0), F(1))
+    # the last vector outside the span of dependent earlier ones
+    assert linear_dependence([vec([1, 1]), vec([2, 2]), vec([0, 1])]) is None
+    # the minimal polynomial of x in Q[x]/(x^2 - 1): x^2 - 1
+    assert linear_dependence([vec([1, 0]), vec([0, 1]), vec([1, 0])]) == (F(-1), F(0), F(1))

@@ -230,6 +230,35 @@ def test_special_order_smooth_max_everywhere():
                 assert (smooth, t) in greater
 
 
+@pytest.mark.parametrize("g,n", [(g, n) for g, n in SMALL_PAIRS if n >= 1])
+def test_special_order_against_contraction_ancestry(g, n):
+    # every graph's ancestors by iterated contract_edge, pairs of distinct
+    # types from ancestor to descendant, closed transitively over types
+    ancestors = {}
+
+    def above(graph):
+        if graph not in ancestors:
+            out = set()
+            for i in range(len(graph.edges)):
+                parent = contract_edge(graph, i)
+                out |= {parent} | above(parent)
+            ancestors[graph] = out
+        return ancestors[graph]
+
+    graphs = enumerate_stable_graphs(g, n)
+    types = sorted({special_type(d, n) for d in graphs})
+    greater = {
+        (special_type(a, n), special_type(d, n))
+        for d in graphs
+        for a in above(d)
+        if special_type(a, n) != special_type(d, n)
+    }
+    for mid in types:
+        greater |= {(a, d) for a, b in greater if b == mid for c, d in greater if c == mid and a != d}
+    hasse = {(a, b) for a, b in greater if not any((a, c) in greater and (c, b) in greater for c in types)}
+    assert special_order(g, n) == (types, greater, hasse)
+
+
 def test_encoding_shape():
     graph = StableGraph((0, 1), (0, 0), ((0, 1),))
     assert graph.encode() == "V:[0,1] L:[(1,0),(2,0)] E:[(0,1)]"

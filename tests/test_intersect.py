@@ -410,6 +410,25 @@ def test_correlator_argument_errors_keep_their_types():
         assert type(exc.value) is kind, args
 
 
+def test_integrate_taut_checks_psi_like_the_correlator():
+    spec = scalar_exp_spec(F(1, 2), 3)
+    expr = r_action(spec, 1, 2, [[1]] * 2)
+    for psi, message in [
+        ((1, 0, 7), "need one psi exponent per marked point"),
+        ((1,), "need one psi exponent per marked point"),
+        ((-1, 2), "negative psi exponent"),
+    ]:
+        for call in (
+            lambda: integrate_taut(expr, Correlators(), psi),
+            lambda: correlator_of_theory(spec, 1, 2, [[1]] * 2, psi, Correlators()),
+        ):
+            with pytest.raises(CohftError, match=message):
+                call()
+    assert integrate_taut(expr, Correlators(), (1, 1)) == correlator_of_theory(
+        spec, 1, 2, [[1]] * 2, (1, 1), Correlators()
+    )
+
+
 # -- the Hodge theory: Teleman's classification against the lambda_g formula --
 
 
