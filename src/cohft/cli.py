@@ -97,7 +97,8 @@ def _build_parser():
 
     p = sub.add_parser("oracle", help="diff independent brute-force paths")
     p.add_argument("kind", choices=["graphs", "dvv", "vertex-sum", "hodge"])
-    p.add_argument("--max-dim", type=_dimension, default=3)
+    # None tells an absent option from a given one: vertex-sum takes none
+    p.add_argument("--max-dim", type=_dimension)
     return parser
 
 
@@ -278,14 +279,17 @@ def _cmd_correlator(args):
 
 
 def _cmd_oracle(args):
+    if args.kind == "vertex-sum" and args.max_dim is not None:
+        raise CohftError("oracle vertex-sum has a fixed size and takes no --max-dim")
+    max_dim = 3 if args.max_dim is None else args.max_dim
     lines = []
     mismatches = 0
     if args.kind == "graphs":
         pairs = []
         g = 0
-        while 3 * g - 3 <= args.max_dim:
-            for n in range(0, args.max_dim + 4):
-                if 2 * g - 2 + n > 0 and 0 <= 3 * g - 3 + n <= args.max_dim:
+        while 3 * g - 3 <= max_dim:
+            for n in range(0, max_dim + 4):
+                if 2 * g - 2 + n > 0 and 0 <= 3 * g - 3 + n <= max_dim:
                     pairs.append((g, n))
             g += 1
         for g, n in sorted(pairs):
@@ -302,7 +306,7 @@ def _cmd_oracle(args):
                 if 2 * g - 2 + n <= 0:
                     continue
                 d = 3 * g - 3 + n
-                if d < 0 or d > args.max_dim + 2:
+                if d < 0 or d > max_dim + 2:
                     continue
                 keys.append((g, (d,) + (0,) * (n - 1)))
         for g, exps in keys:
@@ -353,8 +357,8 @@ def _cmd_oracle(args):
     elif args.kind == "hodge":
         # the Hodge theory's correlators against the lambda_g formula
         backend = default_backend()
-        spec = hodge_spec(max(args.max_dim, 1))
-        for g, n, exps in lambda_g_cases(args.max_dim):
+        spec = hodge_spec(max(max_dim, 1))
+        for g, n, exps in lambda_g_cases(max_dim):
             value = correlator_of_theory(spec, g, n, [[1]] * n, exps, backend)
             want = lambda_g_closed_form(g, exps)
             ok = value == want

@@ -248,26 +248,21 @@ def tqft_value(spec, g, n, vectors):
     return alg.frobenius_trace(acc)
 
 
-def phi_primitive(spec, cap=None):
-    """x = sum_j phi_j kappa_j as a covector polynomial."""
-    cap = spec.degree if cap is None else cap
-    comps = []
-    for i in range(spec.algebra.dim):
-        terms = {}
-        for j, p in enumerate(spec.phi, start=1):
-            if j <= cap and p[i] != 0:
-                terms[(j,)] = p[i]
-        comps.append(KappaPoly(cap, terms))
-    return CovectorKappaPoly(tuple(comps))
+def phi_primitive(spec):
+    """x = sum_j phi_j kappa_j as a covector polynomial, through the spec
+    degree."""
+    return CovectorKappaPoly(
+        KappaPoly(spec.degree, (((j,), p[i]) for j, p in enumerate(spec.phi, start=1)))
+        for i in range(spec.algebra.dim)
+    )
 
 
-def omega_plus(spec, cap=None):
+def omega_plus(spec):
     """exp of the phi primitive for the convolution product; group-like.
 
-    Cached on the spec per cap; callers only read the result.
+    Cached on the spec; callers only read the result.
     """
-    cap = spec.degree if cap is None else cap
-    return spec._get(("omega_plus", cap), lambda: exp_conv(phi_primitive(spec, cap), spec.ss))
+    return spec._get("omega_plus", lambda: exp_conv(phi_primitive(spec), spec.ss))
 
 
 def compatibility_check(spec):
@@ -308,23 +303,13 @@ def reconstruct_free(spec, g, n, vectors):
     slot_series = [rinv.apply(vec(v)).coeffs for v in vectors]
     alpha_g = alg.euler_power(g)
     op = omega_plus(spec)
-    out = {}
+    terms = []
     for exps in _bounded_tuples(n, cap):
         acc = alpha_g
         for i, e in enumerate(exps):
             acc = alg.multiply(acc, slot_series[i][e])
-        _add_psi_times_kappa(out, exps, op.value(acc), cap)
-    return KPPoly(n, cap, out)
-
-
-def _add_psi_times_kappa(out, psi, value, cap):
-    """Add the psi monomial with exponents psi times the KappaPoly value into
-    the term dict out, dropping what lies above degree cap."""
-    room = cap - sum(psi)
-    for kk, c in value.terms.items():
-        if sum(kk) <= room:
-            key = (kk, psi)
-            out[key] = out.get(key, Q0) + c
+        terms.extend(((kk, exps), c) for kk, c in op.value(acc).terms.items())
+    return KPPoly(n, cap, terms)
 
 
 def _bounded_tuples(n, cap):
@@ -519,10 +504,15 @@ def two_point(spec, v, w):
     cap = spec.degree
     series = spec.r_inverse().apply(vec(v)).coeffs
     op = omega_plus(spec)
-    out = {}
-    for k in range(cap + 1):
-        _add_psi_times_kappa(out, (k,), op.value(alg.multiply(series[k], vec(w))), cap)
-    return KPPoly(1, cap, out)
+    return KPPoly(
+        1,
+        cap,
+        (
+            ((kk, (k,)), c)
+            for k in range(cap + 1)
+            for kk, c in op.value(alg.multiply(series[k], vec(w))).terms.items()
+        ),
+    )
 
 
 # the symmetry axiom permutes the slots of every pair with at most this

@@ -23,6 +23,8 @@ psi classes need no correction because every term carries a positive power
 of the new psi class, which kills the correction divisors.  Expanding the
 product of corrections is again a sum over the sub-multisets S of the
 remaining kappa indices, with sign (-1)^|S| and the same binomial weights.
+Both splits read kappa.sub_multisets, which also lists the terms of the
+kappa coproduct.
 
 correlator_of_theory integrates a theory's class times psi powers without
 building the class.  Only the part of the graph sum of degree 3g-3+n -
@@ -50,11 +52,10 @@ integrated there.
 import os
 import re
 from fractions import Fraction
-from itertools import groupby, product
-from math import comb
 
 from .givental import DecorationWalk, VertexTables, require_input
 from .graphs import enumerate_stable_graphs, require_stable
+from .kappa import sub_multisets
 from .linalg import Q0, Q1, CohftError, frac_str
 
 
@@ -77,25 +78,6 @@ def _right_degree(g, psi_exps, kappa_key):
     if any(a < 0 for a in psi_exps + kappa_key):
         raise CohftError("negative psi exponent or kappa index")
     return sum(psi_exps) + sum(kappa_key) == 3 * g - 3 + len(psi_exps)
-
-
-def _sub_multisets(values):
-    """Each sub-multiset of a sorted tuple once, as (weight, picked, left).
-
-    weight = prod_a C(m_a, k_a) counts the index subsets of values that pick
-    the multiset; picked and left keep the order of values.
-    """
-    groups = [(a, len(tuple(run))) for a, run in groupby(values)]
-    out = []
-    for ks in product(*(range(m + 1) for _, m in groups)):
-        weight = 1
-        picked = left = ()
-        for (a, m), k in zip(groups, ks):
-            weight *= comb(m, k)
-            picked += (a,) * k
-            left += (a,) * (m - k)
-        out.append((weight, picked, left))
-    return out
 
 
 class Correlators:
@@ -157,7 +139,7 @@ class Correlators:
             )
             total += coeff * self._psi_value(g, (a1 + aj - 1,) + others)
         # sum(S) - |S| decides the left genus for every b
-        splits = [(w, s, t, sum(s) - len(s)) for w, s, t in _sub_multisets(rest)]
+        splits = [(w, s, t, sum(s) - len(s)) for w, s, t in sub_multisets(rest)]
         # the terms of one b share the weight (2b+1)!! (2c+1)!! / 2
         for b in range(a1 - 1):
             c = a1 - 2 - b
@@ -195,7 +177,7 @@ class Correlators:
         if key not in self._kp:
             b, rest = kappa_key[-1], kappa_key[:-1]
             total = Q0
-            for weight, picked, left in _sub_multisets(rest):
+            for weight, picked, left in sub_multisets(rest):
                 total += (-1) ** len(picked) * weight * self._kp_value(
                     g, _descending(psi_exps + (b + 1 + sum(picked),)), left
                 )

@@ -4,6 +4,16 @@ A monomial kappa_{j1} ... kappa_{jm} is keyed by the sorted tuple
 (j1, ..., jm); its degree is the sum, matching deg kappa_j = j.  Everything
 is truncated at a fixed degree cap and computed exactly below it.
 
+The term storage of every sparse polynomial in the package lives here, in
+a few functions on term dicts (monomial -> nonzero Fraction): collect sums
+(monomial, coefficient) pairs into a dict truncated at a cap, products
+lists the pairwise products of two dicts and render_terms prints one.
+KappaPoly and taut.KPPoly own only what differs, the degree of a key, the
+product of two keys and the name of a monomial; each defines its methods on
+its own class.  sub_multisets lists the terms of the coproduct of a kappa
+monomial; the same split drives the forgetful pullback of taut and the
+kappa reduction and DVV recursion of intersect.
+
 Covector-valued polynomials X in A* (x) Q[kappa_j] are stored through their
 values on the ambient basis.  The convolution product diagonalizes over a
 semisimple basis:  (X * Y)(v) = sum_mu theta_mu^{-1} v^mu X(e_mu) Y(e_mu),
@@ -13,7 +23,7 @@ series.truncated_exp and series.truncated_log.
 """
 
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import chain, groupby, product
 from math import comb, factorial
 
 from .linalg import Q0, frac_str, identity, vec
@@ -28,6 +38,94 @@ class WrongConstantTerm(ValueError):
     pass
 
 
+def pairs_of(terms):
+    """The (monomial, coefficient) pairs of a dict or an iterable of pairs;
+    None has none."""
+    return terms.items() if isinstance(terms, dict) else terms or ()
+
+
+def collect(terms, cap, degree):
+    """The term dict of terms, a dict or an iterable of (monomial,
+    coefficient) pairs: equal monomials are summed, zero terms and those of
+    degree(monomial) above cap dropped, and coefficients made Fractions."""
+    out = {}
+    for key, c in pairs_of(terms):
+        if c != 0 and degree(key) <= cap:
+            out[key] = out.get(key, Q0) + (c if type(c) is Fraction else Fraction(c))
+    return {key: c for key, c in out.items() if c != 0}
+
+
+def scaled(terms, c):
+    """The pairs of the term dict terms, each coefficient times c."""
+    c = Fraction(c)
+    return ((key, v * c) for key, v in terms.items())
+
+
+def combination(coeffs, tables):
+    """The pairs of sum_i coeffs[i] tables[i], over term dicts tables."""
+    return ((key, v * x) for x, table in zip(coeffs, tables) if x != 0 for key, v in table.items())
+
+
+def products(left, right, cap, degree, times):
+    """(times(k1, k2), c1 c2) for each term k1 of the term dict left and k2
+    of right whose degrees sum to at most cap."""
+    right = [(k2, c2, degree(k2)) for k2, c2 in right.items()]
+    for k1, c1 in left.items():
+        room = cap - degree(k1)
+        for k2, c2, d2 in right:
+            if d2 <= room:
+                yield times(k1, k2), c1 * c2
+
+
+def render_terms(terms, degree, word):
+    """A term dict as text, by degree then monomial: the coefficient times
+    word(monomial), where a coefficient of 1 or -1 is left out, and the
+    constant monomial, whose word is "1", is printed as its coefficient."""
+    if not terms:
+        return "0"
+    bits = []
+    for key in sorted(terms, key=lambda k: (degree(k), k)):
+        c = terms[key]
+        mono = word(key)
+        if mono == "1":
+            bits.append(frac_str(c))
+        elif c == 1:
+            bits.append(mono)
+        elif c == -1:
+            bits.append("-" + mono)
+        else:
+            bits.append(frac_str(c) + "*" + mono)
+    out = bits[0]
+    for b in bits[1:]:
+        out += " - " + b[1:] if b.startswith("-") else " + " + b
+    return out
+
+
+def pair_degree(key):
+    """Degree of a key made of two monomials: a tensor key of
+    Q[kappa] (x) Q[kappa], or a (kappa monomial, psi exponents) key."""
+    return sum(key[0]) + sum(key[1])
+
+
+def sub_multisets(values):
+    """Each sub-multiset of a sorted tuple once, as (weight, picked, left).
+
+    weight = prod_a C(m_a, k_a) counts the index subsets of values that pick
+    the multiset; picked and left keep the order of values.
+    """
+    groups = [(a, len(tuple(run))) for a, run in groupby(values)]
+    out = []
+    for ks in product(*(range(m + 1) for _, m in groups)):
+        weight = 1
+        picked = left = ()
+        for (a, m), k in zip(groups, ks):
+            weight *= comb(m, k)
+            picked += (a,) * k
+            left += (a,) * (m - k)
+        out.append((weight, picked, left))
+    return out
+
+
 def _merge_keys(k1, k2):
     return tuple(sorted(k1 + k2))
 
@@ -37,12 +135,7 @@ class KappaPoly:
 
     def __init__(self, cap, terms=None):
         self.cap = cap
-        self.terms = {}
-        if terms:
-            for key, c in terms.items():
-                if c != 0 and sum(key) <= cap:
-                    self.terms[key] = self.terms.get(key, Q0) + Fraction(c)
-            self.terms = {k: c for k, c in self.terms.items() if c != 0}
+        self.terms = collect(terms, cap, sum)
 
     @classmethod
     def constant(cls, cap, c):
@@ -67,33 +160,18 @@ class KappaPoly:
         return self.terms.get((), Q0)
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Q0) + c
-        return KappaPoly(self.cap, out)
+        return KappaPoly(self.cap, chain(self.terms.items(), other.terms.items()))
 
     def __sub__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Q0) - c
-        return KappaPoly(self.cap, out)
+        return KappaPoly(self.cap, chain(self.terms.items(), scaled(other.terms, -1)))
 
     def scale(self, c):
-        c = Fraction(c)
-        return KappaPoly(self.cap, {k: v * c for k, v in self.terms.items()})
+        return KappaPoly(self.cap, scaled(self.terms, c))
 
     def __mul__(self, other):
-        if isinstance(other, KappaPoly):
-            out = {}
-            for k1, c1 in self.terms.items():
-                d1 = sum(k1)
-                for k2, c2 in other.terms.items():
-                    if d1 + sum(k2) > self.cap:
-                        continue
-                    key = _merge_keys(k1, k2)
-                    out[key] = out.get(key, Q0) + c1 * c2
-            return KappaPoly(self.cap, out)
-        return self.scale(other)
+        if not isinstance(other, KappaPoly):
+            return self.scale(other)
+        return KappaPoly(self.cap, products(self.terms, other.terms, self.cap, sum, _merge_keys))
 
     __rmul__ = __mul__
 
@@ -108,24 +186,7 @@ class KappaPoly:
         return truncated_log(self, KappaPoly.constant(self.cap, 1), self.cap)
 
     def render(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for key in sorted(self.terms, key=lambda k: (sum(k), k)):
-            c = self.terms[key]
-            mono = monomial_str(key)
-            if mono == "1":
-                bits.append(frac_str(c))
-            elif c == 1:
-                bits.append(mono)
-            elif c == -1:
-                bits.append("-" + mono)
-            else:
-                bits.append(frac_str(c) + "*" + mono)
-        out = bits[0]
-        for b in bits[1:]:
-            out += " - " + b[1:] if b.startswith("-") else " + " + b
-        return out
+        return render_terms(self.terms, sum, monomial_str)
 
     def __repr__(self):
         return "KappaPoly(%s)" % self.render()
@@ -147,27 +208,16 @@ def coproduct(p):
     Returns a dict (key1, key2) -> coefficient; on a monomial this is the
     sum over sub-multisets with binomial multiplicities.
     """
-    out = {}
-    for key, c in p.terms.items():
-        gens = sorted(set(key))
-        mults = [key.count(j) for j in gens]
-        for pick in iproduct(*[range(m + 1) for m in mults]):
-            mult = 1
-            left = []
-            right = []
-            for j, m, k in zip(gens, mults, pick):
-                mult *= comb(m, k)
-                left.extend([j] * k)
-                right.extend([j] * (m - k))
-            pair = (tuple(left), tuple(right))
-            out[pair] = out.get(pair, Q0) + c * mult
-    return {k: v for k, v in out.items() if v != 0}
+    pairs = (
+        ((picked, left), c * weight)
+        for key, c in p.terms.items()
+        for weight, picked, left in sub_multisets(key)
+    )
+    return tensor_truncate(pairs, p.cap)
 
 
 def tensor_truncate(table, cap):
-    return {
-        (k1, k2): c for (k1, k2), c in table.items() if sum(k1) + sum(k2) <= cap and c != 0
-    }
+    return collect(table, cap, pair_degree)
 
 
 class CovectorKappaPoly:
@@ -191,12 +241,7 @@ class CovectorKappaPoly:
 
     def value(self, v):
         """Value on an ambient-coordinate vector, by linearity."""
-        out = {}
-        for x, comp in zip(vec(v), self.components):
-            if x != 0:
-                for k, c in comp.terms.items():
-                    out[k] = out.get(k, Q0) + c * x
-        return KappaPoly(self.cap, out)
+        return KappaPoly(self.cap, combination(vec(v), [comp.terms for comp in self.components]))
 
     @classmethod
     def zero(cls, dim, cap):
@@ -205,17 +250,11 @@ class CovectorKappaPoly:
     @classmethod
     def from_projector_values(cls, values, ss):
         """Build X from its values X(e_mu) on the semisimple basis."""
-        cap = values[0].cap
-        comps = []
-        for i in range(ss.dim):
-            coords = ss.to_semisimple(identity(ss.dim)[i])
-            acc = {}
-            for mu, c in enumerate(coords):
-                if c != 0:
-                    for k, v in values[mu].terms.items():
-                        acc[k] = acc.get(k, Q0) + v * c
-            comps.append(KappaPoly(cap, acc))
-        return cls(tuple(comps))
+        tables = [value.terms for value in values]
+        return cls(
+            KappaPoly(values[0].cap, combination(ss.to_semisimple(e), tables))
+            for e in identity(ss.dim)
+        )
 
     def projector_value(self, ss, mu):
         return self.value(ss.basis_change[mu])
@@ -254,24 +293,11 @@ def convolution_tensor(x, y, ss):
         xv = x.projector_value(ss, mu)
         yv = y.projector_value(ss, mu)
         w = 1 / ss.weights[mu]
-        table = {}
-        for k1, c1 in xv.terms.items():
-            for k2, c2 in yv.terms.items():
-                if sum(k1) + sum(k2) > cap:
-                    continue
-                table[(k1, k2)] = table.get((k1, k2), Q0) + w * c1 * c2
-        proj_tables.append(table)
-    out = []
-    for i in range(ss.dim):
-        coords = ss.to_semisimple(identity(ss.dim)[i])
-        acc = {}
-        for mu, c in enumerate(coords):
-            if c == 0:
-                continue
-            for pair, v in proj_tables[mu].items():
-                acc[pair] = acc.get(pair, Q0) + c * v
-        out.append(tensor_truncate(acc, cap))
-    return tuple(out)
+        pairs = products(xv.terms, yv.terms, cap, sum, lambda k1, k2: (k1, k2))
+        proj_tables.append({pair: w * c for pair, c in pairs})
+    return tuple(
+        tensor_truncate(combination(ss.to_semisimple(e), proj_tables), cap) for e in identity(ss.dim)
+    )
 
 
 def exp_conv(x, ss):
@@ -279,7 +305,6 @@ def exp_conv(x, ss):
     for comp in x.components:
         if comp.constant_term() != 0:
             raise NonzeroConstantTerm("exp_conv needs zero degree-0 part")
-    cap = x.cap
     vals = []
     for mu in range(ss.dim):
         xv = x.projector_value(ss, mu)
@@ -329,7 +354,7 @@ def is_grouplike(x, ss):
             return False
     tensors = convolution_tensor(x, x, ss)
     for comp, tensor in zip(x.components, tensors):
-        if tensor_truncate(coproduct(comp), comp.cap) != tensor:
+        if coproduct(comp) != tensor:
             return False
     return True
 
@@ -342,13 +367,12 @@ def is_primitive(x):
     the test for the latter, as is_grouplike is for the former.
     """
     for comp in x.components:
+        if () in comp.terms:
+            return False  # stored terms are nonzero, so constant part != 0
         want = {}
         for key, c in comp.terms.items():
-            if key == ():
-                return False  # stored terms are nonzero, so constant part != 0
             want[(key, ())] = c
             want[((), key)] = c
-        got = coproduct(comp)
-        if tensor_truncate(got, comp.cap) != tensor_truncate(want, comp.cap):
+        if coproduct(comp) != want:
             return False
     return True

@@ -4,7 +4,11 @@ Two layers of bookkeeping live here.  KPPoly is a polynomial in kappa
 classes and the psi classes at n marked points, the form every smooth-model
 class takes.  TautExpr is a rational combination of stable graphs carrying a
 kappa monomial at each vertex and a psi power at each half edge, the form
-classes on the compactified space take.
+classes on the compactified space take.  KPPoly keeps its terms through the
+term-dict functions of kappa and defines only its key format (degree,
+product, printed name) and its own operations.  TautExpr keeps its own dict:
+its key, a DecoratedGraph, carries its degree, and the graph sum builds it
+on its hot path.
 
 The kappa side is driven by one combinatorial identity: pushing forward a
 product of psi powers at m forgotten points yields the multi-index class
@@ -16,10 +20,20 @@ points.
 """
 
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import chain
 from math import factorial
 
-from .kappa import KappaPoly, monomial_str
+from .kappa import (
+    KappaPoly,
+    collect,
+    monomial_str,
+    pair_degree,
+    pairs_of,
+    products,
+    render_terms,
+    scaled,
+    sub_multisets,
+)
 from .linalg import Q0, Q1, CohftError, frac_str
 from .series import EndSeries, truncated_exp
 
@@ -48,15 +62,12 @@ def kappa_multi_index(ks, cap):
     ks = list(ks)
     if any(k < 1 for k in ks):
         raise CohftError("multi-index entries must be >= 1")
-    terms = {}
+    terms = []
     for part in _set_partitions(ks):
         weight = 1
-        key = []
         for block in part:
             weight *= factorial(len(block) - 1)
-            key.append(sum(block))
-        key = tuple(sorted(key))
-        terms[key] = terms.get(key, Q0) + weight
+        terms.append((tuple(sorted(map(sum, part))), weight))
     return KappaPoly(cap, terms)
 
 
@@ -95,27 +106,45 @@ def forgotten_point_msum(series, cap):
             prefix.pop()
 
     extend([], 2, 0)
-    total = {(): Q1}
+    terms = [((), Q1)]
     for tup in tuples:
-        m = len(tup)
-        arrangements = factorial(m)
+        # its orderings over m!: one over the factorials of the multiplicities
+        weight = Fraction(1)
         for a in set(tup):
-            arrangements //= factorial(tup.count(a))
-        weight = Fraction(arrangements, factorial(m))
+            weight /= factorial(tup.count(a))
         for a in tup:
             weight *= series[a]
-        if weight == 0:
-            continue
-        for key, c in forgetful_pushforward_monomial(tup, cap).terms.items():
-            total[key] = total.get(key, Q0) + c * weight
-    return KappaPoly(cap, total)
+        if weight != 0:
+            terms.extend(scaled(forgetful_pushforward_monomial(tup, cap).terms, weight))
+    return KappaPoly(cap, terms)
+
+
+def _kp_times(a, b):
+    return (tuple(sorted(a[0] + b[0])), tuple(x + y for x, y in zip(a[1], b[1])))
+
+
+def _kp_word(key):
+    kk, pp = key
+    # psi_i^e is the multiset holding label i e times
+    psi = tuple(i for i, e in enumerate(pp, start=1) for _ in range(e))
+    return "*".join(w for w in (monomial_str(kk), monomial_str(psi, "p")) if w != "1") or "1"
+
+
+def _kp_pairs(n, terms):
+    """The pairs of terms with tuple keys; ValueError at a nonzero term whose
+    psi tuple does not have length n, whatever its degree."""
+    for (kk, pp), c in pairs_of(terms):
+        if c != 0 and len(pp) != n:
+            raise ValueError("psi tuple has wrong length")
+        yield (tuple(kk), tuple(pp)), c
 
 
 class KPPoly:
     """Polynomial in kappa_j and psi_1..psi_n, truncated at total degree cap.
 
     Keys are (kappa_key, psi_exponents) with kappa_key a sorted tuple of
-    generator indices and psi_exponents a length-n tuple.
+    generator indices and psi_exponents a length-n tuple.  The terms are
+    kept by the term-dict functions of kappa, as KappaPoly's are.
     """
 
     __slots__ = ("n", "cap", "terms")
@@ -123,17 +152,7 @@ class KPPoly:
     def __init__(self, n, cap, terms=None):
         self.n = n
         self.cap = cap
-        self.terms = {}
-        if terms:
-            for (kk, pp), c in terms.items():
-                if c == 0:
-                    continue
-                if len(pp) != n:
-                    raise ValueError("psi tuple has wrong length")
-                if sum(kk) + sum(pp) <= cap:
-                    key = (tuple(kk), tuple(pp))
-                    self.terms[key] = self.terms.get(key, Q0) + Fraction(c)
-        self.terms = {k: c for k, c in self.terms.items() if c != 0}
+        self.terms = collect(_kp_pairs(n, terms), cap, pair_degree)
 
     @classmethod
     def constant(cls, n, cap, c):
@@ -141,7 +160,7 @@ class KPPoly:
 
     @classmethod
     def from_kappa(cls, n, poly):
-        return cls(n, poly.cap, {(k, (0,) * n): c for k, c in poly.terms.items()})
+        return cls(n, poly.cap, (((k, (0,) * n), c) for k, c in poly.terms.items()))
 
     @classmethod
     def psi(cls, n, cap, i, exponent=1):
@@ -156,33 +175,18 @@ class KPPoly:
         return isinstance(other, KPPoly) and self.n == other.n and self.terms == other.terms
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Q0) + c
-        return KPPoly(self.n, self.cap, out)
+        return KPPoly(self.n, self.cap, chain(self.terms.items(), other.terms.items()))
 
     def __sub__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Q0) - c
-        return KPPoly(self.n, self.cap, out)
+        return KPPoly(self.n, self.cap, chain(self.terms.items(), scaled(other.terms, -1)))
 
     def scale(self, c):
-        c = Fraction(c)
-        return KPPoly(self.n, self.cap, {k: v * c for k, v in self.terms.items()})
+        return KPPoly(self.n, self.cap, scaled(self.terms, c))
 
     def __mul__(self, other):
         if not isinstance(other, KPPoly):
             return self.scale(other)
-        out = {}
-        for (k1, p1), c1 in self.terms.items():
-            d1 = sum(k1) + sum(p1)
-            for (k2, p2), c2 in other.terms.items():
-                if d1 + sum(k2) + sum(p2) > self.cap:
-                    continue
-                key = (tuple(sorted(k1 + k2)), tuple(a + b for a, b in zip(p1, p2)))
-                out[key] = out.get(key, Q0) + c1 * c2
-        return KPPoly(self.n, self.cap, out)
+        return KPPoly(self.n, self.cap, products(self.terms, other.terms, self.cap, pair_degree, _kp_times))
 
     __rmul__ = __mul__
 
@@ -204,46 +208,23 @@ class KPPoly:
 
         kappa_j becomes kappa_j - psi_{n+1}^j, old psi classes are kept: this
         is the smooth-model rule (the correction divisors restrict to zero).
+        Expanding prod_j (kappa_j - psi_{n+1}^j), each factor keeps its kappa
+        or moves its degree onto the new point with a sign; equal factors
+        give equal terms, so the moved ones run over the sub-multisets of the
+        kappa key.  Both choices have degree j, so nothing crosses the cap.
         """
-        out = {}
-        for (kk, pp), c in self.terms.items():
-            # expand prod_j (kappa_j - psi_{n+1}^j): each factor keeps its
-            # kappa or moves its degree onto the new point with a sign;
-            # both have degree j, so nothing crosses the cap
-            for moves in iproduct((False, True), repeat=len(kk)):
-                kept = tuple(j for j, move in zip(kk, moves) if not move)
-                key = (kept, pp + (sum(kk) - sum(kept),))
-                out[key] = out.get(key, Q0) + (-c if sum(moves) % 2 else c)
-        return KPPoly(self.n + 1, self.cap, out)
+        return KPPoly(
+            self.n + 1,
+            self.cap,
+            (
+                ((kept, pp + (sum(moved),)), (-1) ** len(moved) * weight * c)
+                for (kk, pp), c in self.terms.items()
+                for weight, moved, kept in sub_multisets(kk)
+            ),
+        )
 
     def render(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for kk, pp in sorted(self.terms, key=lambda k: (sum(k[0]) + sum(k[1]), k)):
-            c = self.terms[(kk, pp)]
-            parts = []
-            km = monomial_str(kk)
-            if km != "1":
-                parts.append(km)
-            for i, e in enumerate(pp, start=1):
-                if e == 1:
-                    parts.append("p%d" % i)
-                elif e > 1:
-                    parts.append("p%d^%d" % (i, e))
-            mono = "*".join(parts) if parts else "1"
-            if mono == "1":
-                bits.append(frac_str(c))
-            elif c == 1:
-                bits.append(mono)
-            elif c == -1:
-                bits.append("-" + mono)
-            else:
-                bits.append(frac_str(c) + "*" + mono)
-        out = bits[0]
-        for b in bits[1:]:
-            out += " - " + b[1:] if b.startswith("-") else " + " + b
-        return out
+        return render_terms(self.terms, pair_degree, _kp_word)
 
     def __repr__(self):
         return "KPPoly(%s)" % self.render()
@@ -380,12 +361,10 @@ class TautExpr:
 
     def restrict_to_smooth(self):
         """Keep the edgeless term only, as a smooth-model polynomial."""
-        out = {}
-        for key, c in self.terms.items():
-            if key.graph.edges:
-                continue
-            out[(key.vertex_kappa[0], key.leg_psi)] = c
-        return KPPoly(self.n, self.cap, out)
+        smooth = (
+            ((key.vertex_kappa[0], key.leg_psi), c) for key, c in self.terms.items() if not key.graph.edges
+        )
+        return KPPoly(self.n, self.cap, smooth)
 
     def forgetful_pullback(self):
         for key in self.terms:

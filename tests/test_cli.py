@@ -432,6 +432,17 @@ def test_cli_oracles(tmp_path):
     assert out.endswith("mismatches: 0\n")
 
 
+@pytest.mark.parametrize("value", ["0", "3", "5"])
+def test_cli_vertex_sum_takes_no_max_dim(tmp_path, capsys, value):
+    # the vertex-sum oracle has one fixed size, so a --max-dim would be ignored
+    cfg = tmp_path / "spec.cfg"
+    cfg.write_text(SCALAR_CFG)
+    code, out = run_cli(["--config", str(cfg), "oracle", "vertex-sum", "--max-dim", value])
+    assert (code, out) == (1, "")
+    err = capsys.readouterr().err
+    assert err == "validation failure: oracle vertex-sum has a fixed size and takes no --max-dim\n"
+
+
 @pytest.mark.parametrize("value", ["-1", "-7", "x"])
 def test_cli_max_dim_must_be_non_negative(tmp_path, capsys, value):
     # a negative dimension compares nothing, so it must not pass as a check
@@ -578,3 +589,33 @@ def test_every_bench_tracer_target_resolves():
             assert name in vars(getattr(mod, cls_name)), attr
         else:
             assert callable(getattr(mod, attr, None)), attr
+
+
+def test_bench_tracer_installs_on_every_target():
+    # install() itself: a method is cls.__dict__[meth] (a traced method that
+    # moves to a shared class raises KeyError here), anything else the module
+    # attribute; every target is replaced, and uninstall puts each back
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer_install", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+
+    def current():
+        out = {}
+        for _, module, attr, _, _ in tracer.TARGETS:
+            mod = importlib.import_module("cohft." + module)
+            if "." in attr:
+                cls_name, name = attr.split(".")
+                out[attr] = vars(getattr(mod, cls_name))[name]
+            else:
+                out[attr] = getattr(mod, attr)
+        return out
+
+    before = current()
+    uninstall = tracer.install(tracer.Tracer())
+    try:
+        during = current()
+    finally:
+        uninstall()
+    assert [a for a in before if during[a] is before[a]] == []
+    assert current() == before

@@ -10,6 +10,7 @@ from cohft.kappa import (
     WrongConstantTerm,
     convolution,
     convolution_tensor,
+    collect,
     coproduct,
     exp_conv,
     exp_conv_series,
@@ -182,3 +183,18 @@ def test_convolution_tensor_matches_coproduct_for_grouplike():
 def test_rendering_sorted():
     p = KappaPoly(6, {(2,): F(1), (1, 1): F(-1, 3), (): F(2)})
     assert p.render() == "2 - 1/3*k1^2 + k2"
+
+
+def test_collect_sums_and_drops_terms():
+    terms = [((1,), F(1, 2)), ((2,), 3), ((1,), F(1, 2)), ((1, 1), F(2)), ((1, 1), F(-2)), ((), 0), ((5,), 1)]
+    got = collect(terms, 4, sum)
+    assert got == {(1,): 1, (2,): 3}
+    assert all(type(c) is F for c in got.values())
+    # dict and pair input give the same table, and the first occurrence of a
+    # monomial fixes its place
+    assert list(collect(dict(terms[:4]), 4, sum).items()) == [((1,), F(1, 2)), ((2,), 3), ((1, 1), 2)]
+    assert list(got) == [(1,), (2,)]
+    # the cap bounds degree(key), whatever the key format
+    pairs = {((1,), (2,)): F(1), ((2,), (2,)): F(1)}
+    assert collect(pairs, 3, lambda key: sum(key[0]) + sum(key[1])) == {((1,), (2,)): 1}
+    assert collect(None, 3, sum) == {} and collect(iter([]), 3, sum) == {}

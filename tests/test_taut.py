@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import product
 from math import factorial
 
 import pytest
@@ -165,3 +166,66 @@ def test_degree_bound_invariant():
     # total degree 4 > 3g-3+n = 2: dropped by the expression cap
     expr = TautExpr(1, 2, 2, {key: F(1)})
     assert expr.is_zero()
+
+
+def _random_kappa_poly(rng, cap):
+    terms = {}
+    for _ in range(rng.randrange(0, 6)):
+        key = tuple(sorted(rng.randrange(1, 4) for _ in range(rng.randrange(0, 3))))
+        terms[key] = F(rng.randrange(-3, 4), rng.randrange(1, 3))
+    return KappaPoly(cap, terms)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_from_kappa_is_a_ring_map(seed):
+    rng = random.Random(seed)
+    for _ in range(15):
+        cap = rng.randrange(0, 6)
+        n = rng.randrange(0, 3)
+        p, q = _random_kappa_poly(rng, cap), _random_kappa_poly(rng, cap)
+        c = F(rng.randrange(-3, 4), rng.randrange(1, 3))
+        lift = lambda x: KPPoly.from_kappa(n, x)
+        assert lift(p + q) == lift(p) + lift(q)
+        assert lift(p - q) == lift(p) - lift(q)
+        assert lift(p * q) == lift(p) * lift(q)
+        assert lift(p.scale(c)) == lift(p).scale(c)
+        assert KPPoly.from_kappa(0, p * q).render() == (p * q).render()
+
+
+def _pullback_by_subsets(poly):
+    # prod_j (kappa_j - psi_{n+1}^j) term by term: all 2^m choices of the
+    # factors that move to the new point, repeats included
+    out = {}
+    for (kk, pp), c in poly.terms.items():
+        for moves in product((False, True), repeat=len(kk)):
+            kept = tuple(j for j, move in zip(kk, moves) if not move)
+            key = (kept, pp + (sum(kk) - sum(kept),))
+            out[key] = out.get(key, 0) + (-c if sum(moves) % 2 else c)
+    return {key: c for key, c in out.items() if c != 0}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_forgetful_pullback_is_the_subset_expansion(seed):
+    rng = random.Random(seed)
+    for _ in range(10):
+        n = rng.randrange(0, 3)
+        terms = {}
+        for _ in range(rng.randrange(1, 5)):
+            kk = tuple(sorted(rng.choice((1, 1, 2, 3)) for _ in range(rng.randrange(0, 5))))
+            pp = tuple(rng.randrange(0, 3) for _ in range(n))
+            terms[(kk, pp)] = F(rng.randrange(-3, 4), rng.randrange(1, 3))
+        poly = KPPoly(n, 8, terms)
+        assert poly.forgetful_pullback().terms == _pullback_by_subsets(poly)
+
+
+def test_kppoly_checks_psi_length_and_accepts_list_keys():
+    for terms in ({((), (0,)): 1}, {((1,), (1, 2, 3)): 1}, {((9,), (9,)): F(1, 2)}):
+        # a nonzero term of the wrong length raises, even above the cap
+        with pytest.raises(ValueError, match="psi tuple has wrong length"):
+            KPPoly(2, 3, terms)
+        with pytest.raises(ValueError, match="psi tuple has wrong length"):
+            KPPoly(2, 3, list(terms.items()))
+    assert KPPoly(2, 3, {((1,), (0,)): 0}).is_zero()
+    listed = KPPoly(2, 3, [(([1], [0, 1]), 2), (([], [0, 0]), F(1, 3)), (([1], (0, 1)), 1)])
+    assert listed == KPPoly(2, 3, {((1,), (0, 1)): 3, ((), (0, 0)): F(1, 3)})
+    assert listed.render() == "1/3 + 3*k1*p2"
