@@ -32,7 +32,7 @@ from .givental import (
 )
 from .graphs import enumerate_stable_graphs, special_order
 from .intersect import correlator_of_theory, default_backend
-from .linalg import CohftError, frac_str
+from .linalg import CohftError, frac_str, read_integer, read_rational
 from .sampling import hodge_spec
 from .oracles import (
     brute_force_stable_graphs,
@@ -46,10 +46,18 @@ from .oracles import (
 from .taut import exp_pushforward_check, kappa_multi_index
 
 
+def _integer(text):
+    """A positional g or n: an integer of the number grammar."""
+    try:
+        return read_integer(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected an integer, got %r" % text) from None
+
+
 def _dimension(text):
     """A --max-dim value: a non-negative integer."""
     try:
-        value = int(text)
+        value = read_integer(text)
     except ValueError:
         value = -1
     if value < 0:
@@ -68,20 +76,20 @@ def _build_parser():
 
     p = sub.add_parser("graphs", help="stable graph utilities")
     p.add_argument("action", choices=["enumerate"])
-    p.add_argument("g", type=int)
-    p.add_argument("n", type=int)
+    p.add_argument("g", type=_integer)
+    p.add_argument("n", type=_integer)
 
     p = sub.add_parser("strata", help="special-type stratification")
     p.add_argument("action", choices=["special"])
-    p.add_argument("g", type=int)
-    p.add_argument("n", type=int)
+    p.add_argument("g", type=_integer)
+    p.add_argument("n", type=_integer)
 
     sub.add_parser("classify", help="emit the classification data")
 
     p = sub.add_parser("reconstruct", help="evaluate a reconstructed class")
     p.add_argument("kind", choices=["fixed", "free", "nodal"])
-    p.add_argument("g", type=int)
-    p.add_argument("n", type=int)
+    p.add_argument("g", type=_integer)
+    p.add_argument("n", type=_integer)
     p.add_argument("--vectors", help="semicolon-separated coordinate lists")
 
     p = sub.add_parser("verify", help="check the field-theory axioms")
@@ -89,8 +97,8 @@ def _build_parser():
     p.add_argument("--max-dim", type=_dimension, default=2)
 
     p = sub.add_parser("correlator", help="exact correlator of the theory")
-    p.add_argument("g", type=int)
-    p.add_argument("n", type=int)
+    p.add_argument("g", type=_integer)
+    p.add_argument("n", type=_integer)
     p.add_argument("--psi", help="comma-separated psi exponents")
     p.add_argument("--vectors", help="semicolon-separated coordinate lists")
     p.add_argument("--dump-table", action="store_true", help="also print every memoized number")
@@ -126,8 +134,8 @@ def _parse_vectors(text, dim, n, unit):
     out = []
     for chunk in chunks:
         try:
-            coords = [Fraction(tok) for tok in chunk.replace(",", " ").split()]
-        except (ValueError, ZeroDivisionError):
+            coords = [read_rational(tok) for tok in chunk.replace(",", " ").split()]
+        except ValueError:
             raise ConfigError([(None, "vector %r is not a list of rationals" % chunk)]) from None
         if len(coords) != dim:
             raise ConfigError([(None, "vector %r must have %d coordinates" % (chunk, dim))])
@@ -161,10 +169,8 @@ def _cmd_algebra(args):
 
 def _cmd_graphs(args):
     graphs = enumerate_stable_graphs(args.g, args.n)
-    lines = [g.encode() for g in graphs]
-    lines.append("total: %d" % len(graphs))
-    payload = {"graphs": [g.encode() for g in graphs], "count": len(graphs)}
-    _emit(args, lines, payload)
+    codes = [g.encode() for g in graphs]
+    _emit(args, codes + ["total: %d" % len(graphs)], {"graphs": codes, "count": len(graphs)})
     return 0
 
 
@@ -213,19 +219,13 @@ def _cmd_reconstruct(args):
     if args.kind in ("free", "nodal") and not spec.coherent:
         raise ConfigError([(None, "%s reconstruction needs a coherent spec" % args.kind)])
     vectors = _parse_vectors(args.vectors, spec.algebra.dim, args.n, spec.algebra.unit)
-    if args.kind == "fixed":
-        poly = reconstruct_fixed(spec, args.g, args.n, vectors)
-        lines = [poly.render()]
-        payload = {"class": poly.render()}
-    elif args.kind == "free":
-        poly = reconstruct_free(spec, args.g, args.n, vectors)
-        lines = [poly.render()]
-        payload = {"class": poly.render()}
+    if args.kind == "nodal":
+        terms = r_action(spec, args.g, args.n, vectors).render_lines()
+        _emit(args, terms or ["0"], {"terms": terms})
     else:
-        expr = r_action(spec, args.g, args.n, vectors)
-        lines = expr.render_lines() or ["0"]
-        payload = {"terms": expr.render_lines()}
-    _emit(args, lines, payload)
+        recon = reconstruct_fixed if args.kind == "fixed" else reconstruct_free
+        text = recon(spec, args.g, args.n, vectors).render()
+        _emit(args, [text], {"class": text})
     return 0
 
 
@@ -257,7 +257,7 @@ def _cmd_correlator(args):
     if cache_dir:
         backend.load_from(cache_dir)
     try:
-        psi = tuple(int(x) for x in args.psi.split(",")) if args.psi else (0,) * args.n
+        psi = tuple(read_integer(x.strip()) for x in args.psi.split(",")) if args.psi else (0,) * args.n
     except ValueError:
         raise ConfigError([(None, "--psi must be comma-separated integers")]) from None
     if len(psi) != args.n:

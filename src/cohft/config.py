@@ -16,18 +16,23 @@ separated by '|'.  Example:
     phi 1: 1/2 0
     R 1: 0 1 | -1 0
 
-The semisimple block (weights/basis) is optional and recomputed when
-absent; phi and R default to zero and Id.  Every invariant is validated
-eagerly and violations are reported with the offending line when there is
-one.
+Numbers follow the one grammar of linalg.INTEGER and linalg.RATIONAL, in
+ASCII digits: dim and degree are integers (an optional sign and digits),
+every other value a rational p or p/q with q > 0 written without a leading
+zero, so 0.5, 1e-1 and 1_0 are rejected.  The keyed rows and matrices
+(eta, unit, mul i j, phi j, R k) are read by one reader, which reports a
+missing required entry and a wrong shape at the entry's line.  The
+semisimple block (weights/basis) is optional and recomputed when absent;
+its faults are reported at the weights line.  phi and R default to zero
+and Id.  Every invariant is validated eagerly and violations are reported
+with the offending line when there is one.
 """
 
-import re
 from fractions import Fraction
 
 from .frobenius import FrobeniusAlgebra, InvalidAlgebra, NotInvertible, NotSplit, SemisimpleData
 from .givental import CohFTSpec, IncoherentSpec, NotSymplectic
-from .linalg import CohftError, frac_str, identity
+from .linalg import CohftError, frac_str, identity, read_integer, read_rational, zero_mat
 from .series import EndSeries
 
 
@@ -46,19 +51,15 @@ class ConfigError(CohftError):
         return "\n".join(lines)
 
 
-_RATIONAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
-
-
-def _parse_rational(tok, lineno, report):
-    # only p or p/q literals: floats have no place in an exact engine
-    if not _RATIONAL.match(tok):
-        report.append((lineno, "not an exact rational: %r" % tok))
-        return Fraction(0)
-    return Fraction(tok)
-
-
 def _parse_row(text, lineno, report):
-    return [_parse_rational(tok, lineno, report) for tok in text.split()]
+    row = []
+    for tok in text.split():
+        try:
+            row.append(read_rational(tok))
+        except ValueError as exc:
+            report.append((lineno, str(exc)))
+            row.append(Fraction(0))
+    return row
 
 
 def _parse_matrix(text, lineno, report):
@@ -85,25 +86,45 @@ def parse_config(text):
     if report:
         raise ConfigError(report)
 
-    def take(*key):
-        return entries.pop(tuple(key), None)
+    def take(key):
+        return entries.pop(tuple(key.split()), None)
+
+    def read(key, matrix=False, required=False):
+        """Entry key as a row of dim rationals or a dim x dim matrix; None,
+        with the fault reported, when it is absent or has another shape."""
+        item = take(key)
+        if item is None:
+            if required:
+                report.append((None, "missing '%s'" % key))
+            return None
+        lineno, text = item
+        if not matrix:
+            row = _parse_row(text, lineno, report)
+            if len(row) == dim:
+                return row
+            report.append((lineno, "%s must have %d entries" % (key, dim)))
+            return None
+        m = _parse_matrix(text, lineno, report)
+        if len(m) == dim and all(len(r) == dim for r in m):
+            return m
+        report.append((lineno, "%s must be a %dx%d matrix" % (key, dim, dim)))
+        return None
 
     item = take("dim")
     if item is None:
         raise ConfigError([(None, "missing 'dim'")])
-    dim_line, dim_text = item
     try:
-        dim = int(dim_text)
+        dim = read_integer(item[1])
     except ValueError:
-        raise ConfigError([(dim_line, "dim must be an integer")]) from None
+        raise ConfigError([(item[0], "dim must be an integer")]) from None
     if dim < 1:
-        raise ConfigError([(dim_line, "dim must be positive")])
+        raise ConfigError([(item[0], "dim must be positive")])
 
     item = take("degree")
     degree = 3
     if item is not None:
         try:
-            degree = int(item[1])
+            degree = read_integer(item[1])
         except ValueError:
             report.append((item[0], "degree must be an integer"))
         if degree < 1:
@@ -116,77 +137,25 @@ def parse_config(text):
             report.append((item[0], "coherent must be yes or no"))
         coherent = item[1] in ("yes", "true")
 
-    item = take("eta")
-    if item is None:
-        report.append((None, "missing 'eta'"))
+    eta_line = entries.get(("eta",), (None, ""))[0]  # read pops the entry
+    eta = read("eta", matrix=True, required=True)
+    if eta is None:
         eta = identity(dim)
-        eta_line = None
-    else:
-        eta_line, eta_text = item
-        eta = _parse_matrix(eta_text, eta_line, report)
-        if len(eta) != dim or any(len(r) != dim for r in eta):
-            report.append((eta_line, "eta must be a %dx%d matrix" % (dim, dim)))
-            eta = identity(dim)
-        elif any(eta[i][j] != eta[j][i] for i in range(dim) for j in range(dim)):
-            report.append((eta_line, "eta not symmetric"))
-
-    item = take("unit")
-    if item is None:
-        report.append((None, "missing 'unit'"))
-        unit = [1] + [0] * (dim - 1)
-    else:
-        unit_line, unit_text = item
-        unit = _parse_row(unit_text, unit_line, report)
-        if len(unit) != dim:
-            report.append((unit_line, "unit must have %d entries" % dim))
-            unit = [1] + [0] * (dim - 1)
-
+    elif any(eta[i][j] != eta[j][i] for i in range(dim) for j in range(dim)):
+        report.append((eta_line, "eta not symmetric"))
+    unit = read("unit", required=True) or [1] + [0] * (dim - 1)
     structure = [[None] * dim for _ in range(dim)]
-    for i in range(1, dim + 1):
-        for j in range(i, dim + 1):
-            item = take("mul", str(i), str(j))
-            if item is None:
-                report.append((None, "missing 'mul %d %d'" % (i, j)))
-                row = [0] * dim
-            else:
-                mul_line, mul_text = item
-                row = _parse_row(mul_text, mul_line, report)
-                if len(row) != dim:
-                    report.append((mul_line, "mul %d %d must have %d entries" % (i, j, dim)))
-                    row = [0] * dim
-            structure[i - 1][j - 1] = row
-            structure[j - 1][i - 1] = row
+    for i in range(dim):
+        for j in range(i, dim):
+            row = read("mul %d %d" % (i + 1, j + 1), required=True) or [0] * dim
+            structure[i][j] = structure[j][i] = row
 
     weights_item = take("weights")
     basis_item = take("basis")
 
-    phi = []
-    phi_given = False
-    for j in range(1, degree + 1):
-        item = take("phi", str(j))
-        if item is None:
-            phi.append([0] * dim)
-        else:
-            phi_given = True
-            phi_line, phi_text = item
-            row = _parse_row(phi_text, phi_line, report)
-            if len(row) != dim:
-                report.append((phi_line, "phi %d must have %d entries" % (j, dim)))
-                row = [0] * dim
-            phi.append(row)
-
-    higher = []
-    for k in range(1, degree + 1):
-        item = take("R", str(k))
-        if item is None:
-            higher.append([[0] * dim for _ in range(dim)])
-        else:
-            r_line, r_text = item
-            m = _parse_matrix(r_text, r_line, report)
-            if len(m) != dim or any(len(r) != dim for r in m):
-                report.append((r_line, "R %d must be a %dx%d matrix" % (k, dim, dim)))
-                m = [[0] * dim for _ in range(dim)]
-            higher.append(m)
+    phi_given = any(key[:1] == ("phi",) for key in entries)
+    phi = [read("phi %d" % j) or [0] * dim for j in range(1, degree + 1)]
+    higher = [read("R %d" % k, matrix=True) or zero_mat(dim) for k in range(1, degree + 1)]
 
     for key, (lineno, _) in entries.items():
         report.append((lineno, "unknown entry %r" % " ".join(key)))

@@ -281,35 +281,43 @@ def coherent_phi(algebra, ss, r, cap):
     return _phi_from_log(algebra, ss, _vertex_log_coeffs(algebra.unit, ss, r.invert(), cap))
 
 
+def _class_cap(spec, g, n):
+    """Degree cap of a class on Mbar_{g,n}: the spec degree, at most 3g-3+n."""
+    return max(min(spec.degree, 3 * g - 3 + n), 0)
+
+
+def _slot_sum(spec, g, slots, cap):
+    """Teleman's smooth part: the sum over psi exponents e of total degree
+    <= cap of Omega^+(alpha^g prod_i slots[i][e_i]) psi^e, where slots[i][e]
+    is the vector at slot i under psi_i^e (exponents past a slot's end are
+    skipped)."""
+    alg = spec.algebra
+    alpha_g = alg.euler_power(g)
+    op = omega_plus(spec)
+    terms = []
+    for exps in _bounded_tuples(len(slots), cap):
+        if any(e >= len(slot) for slot, e in zip(slots, exps)):
+            continue
+        acc = alpha_g
+        for slot, e in zip(slots, exps):
+            acc = alg.multiply(acc, slot[e])
+        terms.extend(((kk, exps), c) for kk, c in op.value(acc).terms.items())
+    return KPPoly(len(slots), cap, terms)
+
+
 def reconstruct_fixed(spec, g, n, vectors):
     """Kappa-polynomial valued form: the classification formula for framed
     points, Omega^+ evaluated at alpha^g v_1 ... v_n."""
     require_input(g, n, vectors)
-    alg = spec.algebra
-    cap = max(min(spec.degree, 3 * g - 3 + n), 0)
-    acc = alg.euler_power(g)
-    for v in vectors:
-        acc = alg.multiply(acc, vec(v))
-    value = omega_plus(spec).value(acc)
-    return KPPoly.from_kappa(n, value).truncate(cap)
+    return _slot_sum(spec, g, [(vec(v),) for v in vectors], _class_cap(spec, g, n))
 
 
 def reconstruct_free(spec, g, n, vectors):
     """Free-point form: R^{-1}(psi_i) in every slot, then the fixed formula."""
     require_input(g, n, vectors)
-    alg = spec.algebra
-    cap = max(min(spec.degree, 3 * g - 3 + n), 0)
     rinv = spec.r_inverse()
-    slot_series = [rinv.apply(vec(v)).coeffs for v in vectors]
-    alpha_g = alg.euler_power(g)
-    op = omega_plus(spec)
-    terms = []
-    for exps in _bounded_tuples(n, cap):
-        acc = alpha_g
-        for i, e in enumerate(exps):
-            acc = alg.multiply(acc, slot_series[i][e])
-        terms.extend(((kk, exps), c) for kk, c in op.value(acc).terms.items())
-    return KPPoly(n, cap, terms)
+    slots = [rinv.apply(vec(v)).coeffs for v in vectors]
+    return _slot_sum(spec, g, slots, _class_cap(spec, g, n))
 
 
 def _bounded_tuples(n, cap):
@@ -440,7 +448,7 @@ def graph_contribution(spec, graph, vectors, tables=None):
     n = graph.num_legs
     if len(vectors) != n:
         raise ValueError("need %d vectors" % n)
-    cap = max(min(spec.degree, 3 * g - 3 + n), 0)
+    cap = _class_cap(spec, g, n)
     ne = len(graph.edges)
     if ne > cap:
         return TautExpr(g, n, cap)
@@ -483,7 +491,7 @@ def graph_contribution(spec, graph, vectors, tables=None):
 def r_action(spec, g, n, vectors):
     """Sum of contributions over all boundary strata, weighted by 1/|Aut|."""
     require_input(g, n, vectors)
-    cap = max(min(spec.degree, 3 * g - 3 + n), 0)
+    cap = _class_cap(spec, g, n)
     total = {}
     tables = VertexTables(spec, vectors)
     for graph in enumerate_stable_graphs(g, n):
@@ -500,19 +508,9 @@ def restrict_to_smooth(expr):
 
 def two_point(spec, v, w):
     """Omega^+(v (x) w) as a polynomial in kappa and one psi variable."""
-    alg = spec.algebra
-    cap = spec.degree
-    series = spec.r_inverse().apply(vec(v)).coeffs
-    op = omega_plus(spec)
-    return KPPoly(
-        1,
-        cap,
-        (
-            ((kk, (k,)), c)
-            for k in range(cap + 1)
-            for kk, c in op.value(alg.multiply(series[k], vec(w))).terms.items()
-        ),
-    )
+    w = vec(w)
+    slot = [spec.algebra.multiply(s, w) for s in spec.r_inverse().apply(vec(v)).coeffs]
+    return _slot_sum(spec, 0, [slot], spec.degree)
 
 
 # the symmetry axiom permutes the slots of every pair with at most this

@@ -56,7 +56,7 @@ from fractions import Fraction
 from .givental import DecorationWalk, VertexTables, require_input
 from .graphs import enumerate_stable_graphs, require_stable
 from .kappa import sub_multisets
-from .linalg import Q0, Q1, CohftError, frac_str
+from .linalg import Q0, Q1, RATIONAL, CohftError, frac_str
 
 
 def double_factorial_odd(k):
@@ -285,7 +285,7 @@ class Correlators:
 
 _NUMS = r"(\d+(?:,\d+)*)"
 _ENTRY = re.compile(
-    r"(?:psi (\d+) %s|kp (\d+) %s? %s) = (-?\d+(?:/[1-9]\d*)?)" % (_NUMS, _NUMS, _NUMS),
+    r"(?:psi (\d+) %s|kp (\d+) %s? %s) = (%s)" % (_NUMS, _NUMS, _NUMS, RATIONAL),
     re.ASCII,
 )
 

@@ -6,6 +6,7 @@ with algebras of dimension <= 4 or so), so plain Gaussian elimination with
 exact pivoting is all we need.
 """
 
+import re
 from fractions import Fraction
 
 Q0 = Fraction(0)
@@ -157,6 +158,29 @@ def linear_dependence(vectors):
     return None if c is None else c + (Q1,)
 
 
+# The one grammar of numbers in text, in ASCII digits: frac_str writes it,
+# and the config, the CLI arguments and the correlator cache read it.
+INTEGER = r"[+-]?\d+"
+RATIONAL = INTEGER + r"(?:/[1-9]\d*)?"
+_INTEGER = re.compile(INTEGER, re.ASCII)
+_RATIONAL = re.compile(RATIONAL, re.ASCII)
+
+
 def frac_str(x):
     x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else "%d/%d" % (x.numerator, x.denominator)
+
+
+def read_integer(text):
+    """The int an INTEGER literal writes; ValueError for any other text."""
+    if _INTEGER.fullmatch(text) is None:
+        raise ValueError("not an integer: %r" % text)
+    return int(text)
+
+
+def read_rational(text):
+    """The Fraction a RATIONAL literal writes; ValueError for any other text
+    (floats have no place in an exact engine)."""
+    if _RATIONAL.fullmatch(text) is None:
+        raise ValueError("not an exact rational: %r" % text)
+    return Fraction(text)

@@ -102,21 +102,23 @@ def incoherent_spec(rng, dim, degree):
     return CohFTSpec(algebra, ss, phi, r, degree, coherent=False)
 
 
+def _scalar_spec(log_r, degree):
+    """dim 1, eta(1,1) = 1, R = exp(sum_k log_r[k] z^k) (log_r[0] = 0) and
+    the matching coherent phi."""
+    algebra = FrobeniusAlgebra(1, [[1]], [[[1]]], [1])
+    b = EndSeries(1, degree, [[[c]] for c in log_r])
+    r = truncated_exp(b, EndSeries.identity(1, degree), degree)
+    return CohFTSpec(algebra, algebra.semisimplify(), None, r, degree, coherent=True)
+
+
 def trivial_spec(degree=3):
     """dim 1, eta(1,1) = 1, R = Id, phi = 0: the Witten correlator theory."""
-    algebra = FrobeniusAlgebra(1, [[1]], [[[1]]], [1])
-    ss = algebra.semisimplify()
-    r = EndSeries.identity(1, degree)
-    return CohFTSpec(algebra, ss, [], r, degree, coherent=True)
+    return _scalar_spec([0] * (degree + 1), degree)
 
 
 def scalar_exp_spec(a, degree):
     """dim 1 with R = exp(a z) and the matching coherent phi."""
-    algebra = FrobeniusAlgebra(1, [[1]], [[[1]]], [1])
-    ss = algebra.semisimplify()
-    b = EndSeries(1, degree, [[[0]], [[a]]] + [[[0]]] * (degree - 1))
-    r = truncated_exp(b, EndSeries.identity(1, degree), degree)
-    return CohFTSpec(algebra, ss, None, r, degree, coherent=True)
+    return _scalar_spec([0, a] + [0] * (degree - 1), degree)
 
 
 def bernoulli_numbers(count):
@@ -140,10 +142,7 @@ def hodge_spec(degree, sign=1):
     log_r = [Q0] * (degree + 1)
     for k in range(1, (degree + 1) // 2 + 1):
         log_r[2 * k - 1] = sign * bern[2 * k] / (2 * k * (2 * k - 1))
-    algebra = FrobeniusAlgebra(1, [[1]], [[[1]]], [1])
-    b = EndSeries(1, degree, [[[c]] for c in log_r])
-    r = truncated_exp(b, EndSeries.identity(1, degree), degree)
-    return CohFTSpec(algebra, algebra.semisimplify(), None, r, degree, coherent=True)
+    return _scalar_spec(log_r, degree)
 
 
 def random_vector(rng, dim, num=3):

@@ -174,10 +174,16 @@ class KPPoly:
     def __eq__(self, other):
         return isinstance(other, KPPoly) and self.n == other.n and self.terms == other.terms
 
+    def _same_n(self, other):
+        if other.n != self.n:
+            raise ValueError("KPPoly operands have different n: %d and %d" % (self.n, other.n))
+
     def __add__(self, other):
+        self._same_n(other)
         return KPPoly(self.n, self.cap, chain(self.terms.items(), other.terms.items()))
 
     def __sub__(self, other):
+        self._same_n(other)
         return KPPoly(self.n, self.cap, chain(self.terms.items(), scaled(other.terms, -1)))
 
     def scale(self, c):
@@ -186,6 +192,7 @@ class KPPoly:
     def __mul__(self, other):
         if not isinstance(other, KPPoly):
             return self.scale(other)
+        self._same_n(other)
         return KPPoly(self.n, self.cap, products(self.terms, other.terms, self.cap, pair_degree, _kp_times))
 
     __rmul__ = __mul__

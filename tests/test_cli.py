@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohft import cli, intersect
+from cohft import cli, graphs, intersect, taut
 from cohft.cli import main
 from cohft.config import ConfigError, parse_config, serialize_config
 from cohft.givental import CohFTSpec
@@ -126,6 +126,44 @@ def test_parse_rejects_float_literals():
         parse_config(SCALAR_CFG.replace("R 1: 1/2", "R 1: 0.5"))
 
 
+@pytest.mark.parametrize(
+    "text,report",
+    [
+        (DIM2_CFG + "degree: 1_0\n", [(7, "degree must be an integer")]),
+        ("dim: 1_0\n", [(1, "dim must be an integer")]),
+        ("dim: \u0661\n", [(1, "dim must be an integer")]),
+        (DIM2_CFG.replace("unit: 1 1", "unit: 1 \u0661"), [(3, "not an exact rational: '\u0661'")]),
+        (DIM2_CFG + "R 1: 1e-1 0 | 0 0\n", [(7, "not an exact rational: '1e-1'")]),
+        (DIM2_CFG.replace("eta: 1 0 | 0 1", "eta: 1_0 0 | 0 1"), [(2, "not an exact rational: '1_0'")]),
+    ],
+)
+def test_parse_reads_numbers_by_one_grammar(text, report):
+    # Python's int() and Fraction() read 1_0 as 10 and any Unicode digit;
+    # the config reads ASCII p or p/q only
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert exc.value.report == report
+
+
+def test_parse_reports_every_keyed_entry_in_reading_order():
+    # one reader serves eta, unit, mul i j, phi j and R k: a wrong shape is
+    # reported at the entry's own line, a missing required entry without one
+    text = (
+        "dim: 2\ndegree: 2\neta: 1 0 | 0 1 | 0 0\nunit: 1\nmul 1 1: 1 0\n"
+        "mul 2 2: 0 1 1\nphi 2: 0\nR 2: 0 0\nR 1: 0 0 | 0 0\n"
+    )
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert exc.value.report == [
+        (3, "eta must be a 2x2 matrix"),
+        (4, "unit must have 2 entries"),
+        (None, "missing 'mul 1 2'"),
+        (6, "mul 2 2 must have 2 entries"),
+        (7, "phi 2 must have 2 entries"),
+        (8, "R 2 must be a 2x2 matrix"),
+    ]
+
+
 def test_parse_rejects_non_symplectic_r(tmp_path):
     # R = 1 + z/2 has R(z)R(-z)* = 1 - z^2/4; with and without a derived phi
     bad = SCALAR_CFG.replace("R 2: 1/8\n", "").replace("R 3: 1/48\n", "")
@@ -217,6 +255,84 @@ def test_cli_vector_argument_errors(tmp_path, capsys):
     code, out = run_cli(["--config", str(cfg), "correlator", "1", "1", "--psi", "1", "--vectors", "2"])
     assert code == 0
     assert out.strip() == "1/12"  # multilinearity: twice 1/24
+
+
+@pytest.mark.parametrize("token", ["0.5", "1e-1", "1_0", "\u0661", "1/02"])
+def test_cli_vectors_follow_the_number_grammar(tmp_path, capsys, token):
+    # the config's grammar: Fraction() would read these as 1/2, 1/10, 10, 1, 1/2
+    cfg = tmp_path / "spec.cfg"
+    cfg.write_text(SCALAR_CFG)
+    for command in (["reconstruct", "free", "1", "1"], ["correlator", "1", "1"]):
+        capsys.readouterr()
+        code, out = run_cli(["--config", str(cfg)] + command + ["--vectors", token])
+        assert (code, out) == (1, ""), command
+        assert repr(token) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token", ["1_0", "\u0661", "1.0", "+1/1"])
+def test_cli_integers_follow_the_number_grammar(tmp_path, capsys, token):
+    cfg = tmp_path / "spec.cfg"
+    cfg.write_text(SCALAR_CFG)
+    code, out = run_cli(["--config", str(cfg), "correlator", "1", "1", "--psi", token])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == "--psi must be comma-separated integers\n"
+    for argv in (
+        ["--config", str(cfg), "verify", "free", "--max-dim", token],
+        ["oracle", "graphs", "--max-dim", token],
+        ["graphs", "enumerate", token, "1"],
+        ["strata", "special", "1", token],
+        ["--config", str(cfg), "reconstruct", "fixed", token, "1"],
+    ):
+        code, out = run_cli(argv)
+        assert (code, out) == (1, ""), argv
+        err = capsys.readouterr().err
+        assert err.startswith("usage: cohft") and repr(token) in err, argv
+
+
+def test_cli_number_grammar_keeps_what_frac_str_writes(tmp_path):
+    # signs, p/q and the bench's comma-separated psi and vectors still read
+    cfg = tmp_path / "spec.cfg"
+    cfg.write_text(SCALAR_CFG)
+    code, out = run_cli(["--config", str(cfg), "correlator", "+1", "1", "--psi", "+1", "--vectors", "+2/1"])
+    assert (code, out) == (0, "1/12\n")
+    code, out = run_cli(["--config", str(cfg), "correlator", "0", "4", "--psi", "1,0,0,0", "--vectors", "1;-1/2;1;2"])
+    assert (code, out) == (0, "-1\n")
+
+
+def test_cli_renders_each_result_once(tmp_path, monkeypatch):
+    # the text lines and the --json payload share one render
+    cfg = tmp_path / "spec.cfg"
+    cfg.write_text(SCALAR_CFG)
+    calls = []
+    for cls, name in ((taut.KPPoly, "render"), (taut.TautExpr, "render_lines"), (graphs.StableGraph, "encode")):
+        original = getattr(cls, name)
+
+        def counted(self, _original=original, _name=name):
+            calls.append(_name)
+            return _original(self)
+
+        monkeypatch.setattr(cls, name, counted)
+    graphs.enumerate_stable_graphs(1, 2)
+    for command, name, count in (
+        (["--config", str(cfg), "reconstruct", "fixed", "1", "2"], "render", 1),
+        (["--config", str(cfg), "reconstruct", "free", "1", "2"], "render", 1),
+        (["--config", str(cfg), "reconstruct", "nodal", "1", "2"], "render_lines", 1),
+        (["graphs", "enumerate", "1", "2"], "encode", 5),
+    ):
+        outputs = []
+        for js in ([], ["--json"]):
+            calls.clear()
+            code, out = run_cli(js + command)
+            # a render of a nodal class encodes its graphs: count only name
+            assert code == 0 and calls.count(name) == count, command
+            outputs.append(out)
+        text, payload = outputs[0].splitlines(), json.loads(outputs[1])
+        if "graphs" in command:
+            assert (payload["graphs"], payload["count"]) == (text[:-1], count)
+        elif "nodal" in command:
+            assert payload["terms"] == text
+        else:
+            assert [payload["class"]] == text
 
 
 def test_cli_unstable_pair_is_validation_failure(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 from itertools import permutations, product
 
@@ -15,7 +16,21 @@ from cohft.frobenius import (
     rational_roots,
     rational_sqrt,
 )
-from cohft.linalg import det, identity, linear_dependence, mat, mat_mul, mat_inv, mat_vec, solve, transpose, vec
+from cohft.linalg import (
+    det,
+    frac_str,
+    identity,
+    linear_dependence,
+    mat,
+    mat_mul,
+    mat_inv,
+    mat_vec,
+    read_integer,
+    read_rational,
+    solve,
+    transpose,
+    vec,
+)
 from cohft.sampling import random_nilpotent_algebra, random_semisimple_algebra
 
 
@@ -508,3 +523,26 @@ def test_linear_dependence():
     assert linear_dependence([vec([1, 1]), vec([2, 2]), vec([0, 1])]) is None
     # the minimal polynomial of x in Q[x]/(x^2 - 1): x^2 - 1
     assert linear_dependence([vec([1, 0]), vec([0, 1]), vec([1, 0])]) == (F(-1), F(0), F(1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(num=st.integers(-10**30, 10**30), den=st.integers(1, 10**12))
+def test_number_grammar_reads_what_frac_str_writes(num, den):
+    x = F(num, den)
+    assert read_rational(frac_str(x)) == x
+    assert read_integer(str(num)) == num
+    assert read_rational("+" + frac_str(abs(x))) == abs(x)
+
+
+@pytest.mark.parametrize(
+    "text", ["", " 1", "1 ", "0.5", "1e-1", "1_0", "\u0661", "\uff11", "1/0", "1/02", "1/-2", "--1", "1/2/3", "inf", "1\n"]
+)
+def test_number_grammar_rejects_other_text(text):
+    # int() and Fraction() accept several of these; the grammar is ASCII p or p/q
+    with pytest.raises(ValueError, match="not an exact rational: %s" % re.escape(repr(text))):
+        read_rational(text)
+    with pytest.raises(ValueError, match="not an integer"):
+        read_integer(text)
+    assert read_integer("-07") == -7
+    with pytest.raises(ValueError):
+        read_integer("1/2")

@@ -2,6 +2,7 @@ import hashlib
 import random
 from fractions import Fraction as F
 from itertools import permutations
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -157,6 +158,20 @@ def test_reconstruct_free_scalar_closed_form():
     got = reconstruct_free(spec, 1, 1, [[1]])
     want = KPPoly(1, 1, {((), (0,)): 1, ((1,), (0,)): a, ((), (1,)): -a})
     assert got == want
+
+
+@pytest.mark.parametrize("degree", [1, 2, 5])
+def test_scalar_specs_closed_forms(degree):
+    # the dim-1 theories share one builder: R = exp(log R) with coherent phi
+    triv = trivial_spec(degree)
+    assert triv.r == EndSeries.identity(1, degree)
+    assert triv.phi == ((F(0),),) * degree
+    a = F(-2, 3)
+    spec = scalar_exp_spec(a, degree)
+    assert [c[0][0] for c in spec.r.coeffs] == [a**k / factorial(k) for k in range(degree + 1)]
+    assert spec.phi == ((a,),) + ((F(0),),) * (degree - 1)
+    for s in (triv, spec):
+        assert (s.coherent, s.degree, s.ss.weights) == (True, degree, (1,))
 
 
 # sha256 of the genus-0 fixed and free reconstructions rendered, one per line,

@@ -16,7 +16,7 @@ from cohft.intersect import (
     psi_correlator,
     correlator_of_theory,
 )
-from cohft.linalg import CohftError
+from cohft.linalg import CohftError, frac_str, read_rational
 from cohft.oracles import hodge_b, lambda_g_cases, lambda_g_closed_form
 from cohft.sampling import (
     bernoulli_numbers,
@@ -331,6 +331,26 @@ def test_load_is_all_or_nothing():
     with pytest.raises(ValueError, match="line 3"):
         backend.load("psi 1 1 = 1/24\n\n psi 2 4 = 1/1152\n")
     assert backend.dump() == ""
+
+
+@pytest.mark.parametrize(
+    "token",
+    ["7", "-7", "+7", "007", "1/24", "-3/8", "1/0", "1/024", "0.5", "1e-1", "1_0", "\u0661", "1/-2", "1 /2"],
+)
+def test_cache_values_follow_the_number_grammar(token):
+    # a cache value is read exactly when a config value would be
+    try:
+        want = read_rational(token)
+    except ValueError:
+        want = None
+    backend = Correlators()
+    if want is None:
+        with pytest.raises(CohftError, match="line 1"):
+            backend.load("psi 1 1 = %s\n" % token)
+        assert backend.dump() == ""
+    else:
+        backend.load("psi 1 1 = %s\n" % token)
+        assert backend.dump() == "psi 1 1 = %s\n" % frac_str(want)
 
 
 # -- the factorised correlator sum against the class ------------------------

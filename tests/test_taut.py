@@ -229,3 +229,14 @@ def test_kppoly_checks_psi_length_and_accepts_list_keys():
     listed = KPPoly(2, 3, [(([1], [0, 1]), 2), (([], [0, 0]), F(1, 3)), (([1], (0, 1)), 1)])
     assert listed == KPPoly(2, 3, {((1,), (0, 1)): 3, ((), (0, 0)): F(1, 3)})
     assert listed.render() == "1/3 + 3*k1*p2"
+
+
+def test_kppoly_rejects_operands_of_different_n():
+    # a product zipped the psi tuples: one order dropped psi_2, the other
+    # raised about the psi length instead of naming both n
+    one, two = KPPoly.psi(1, 3, 1), KPPoly.psi(2, 3, 2)
+    for left, right in ((one, two), (two, one)):
+        for op in (lambda a, b: a * b, lambda a, b: a + b, lambda a, b: a - b):
+            with pytest.raises(ValueError, match="different n: %d and %d" % (left.n, right.n)):
+                op(left, right)
+    assert (two * KPPoly.constant(2, 3, 3)) == KPPoly.psi(2, 3, 2).scale(3)
