@@ -24,8 +24,10 @@ zero, so 0.5, 1e-1 and 1_0 are rejected.  The keyed rows and matrices
 missing required entry and a wrong shape at the entry's line.  The
 semisimple block (weights/basis) is optional and recomputed when absent;
 its faults are reported at the weights line.  phi and R default to zero
-and Id.  Every invariant is validated eagerly and violations are reported
-with the offending line when there is one.
+and Id.  A dim whose file holds fewer entries than its dim(dim+1)/2 mul
+rows is rejected at the dim line before any entry is read.  Every
+invariant is validated eagerly and violations are reported with the
+offending line when there is one.
 """
 
 from fractions import Fraction
@@ -119,6 +121,11 @@ def parse_config(text):
         raise ConfigError([(item[0], "dim must be an integer")]) from None
     if dim < 1:
         raise ConfigError([(item[0], "dim must be positive")])
+    # each missing entry is reported, so a dim the file cannot fill would
+    # cost dim^2 reports before any check could fail
+    needed = dim * (dim + 1) // 2
+    if len(entries) < needed:
+        raise ConfigError([(item[0], "dim %d needs %d 'mul' entries" % (dim, needed))])
 
     item = take("degree")
     degree = 3
@@ -145,9 +152,10 @@ def parse_config(text):
         report.append((eta_line, "eta not symmetric"))
     unit = read("unit", required=True) or [1] + [0] * (dim - 1)
     structure = [[None] * dim for _ in range(dim)]
+    zero = [0] * dim  # a default is read only when nothing was reported
     for i in range(dim):
         for j in range(i, dim):
-            row = read("mul %d %d" % (i + 1, j + 1), required=True) or [0] * dim
+            row = read("mul %d %d" % (i + 1, j + 1), required=True) or zero
             structure[i][j] = structure[j][i] = row
 
     weights_item = take("weights")

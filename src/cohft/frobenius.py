@@ -5,7 +5,11 @@ an ambient basis, and the coordinates of the unit.  The engine only ever
 works over exact rationals: an algebra is "split semisimple" when it admits
 an eta-orthonormal basis of rescaled projectors with rational coordinates,
 and semisimplify() finds that basis, by splitting the unit along the
-rational eigenvalues of each basis vector in turn, or reports NotSplit.
+rational eigenvalues of each basis vector in turn, or reports NotSplit at
+the first minimal polynomial that does not split into distinct rational
+linear factors.  rational_roots() decides that by one exact integer Newton
+walk, so its cost grows with the digits of the coefficients, not with
+their divisors.
 
 Construction validates every axiom (_validate): eta symmetric and
 nondegenerate, the product commutative with a neutral unit, then
@@ -67,58 +71,63 @@ def rational_sqrt(x):
     return None
 
 
-def _divisors(n):
-    n = abs(n)
-    if n == 0:
-        return [1]
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
 def rational_roots(poly):
-    """Distinct rational roots of a polynomial with Fraction coefficients.
+    """Sorted roots of a polynomial that splits into distinct rational
+    linear factors; None for any other polynomial.
 
-    poly is a low-to-high coefficient list.  Roots come from the classical
-    p/q criterion after clearing denominators: each candidate p/q in lowest
-    terms is tested by evaluating sum c_i p^i q^(d-i) exactly in integers,
-    so the list is complete and exact.
+    poly is a low-to-high list of Fraction coefficients.  Divided by its
+    leading coefficient and scaled by the lcm d of the denominators, the
+    polynomial becomes the monic integer q(s) = d^k p(s/d), whose rational
+    roots are integers.  A walk down from a bound above every root takes
+    floored Newton steps.  When every root is real, q is increasing and
+    convex above the largest one, so no step passes an integer root; a root
+    found is divided out and the walk goes on below it and below the bound
+    of what is left.  The walk stops at the first point where q is negative
+    or not increasing, and every recorded root is an exact zero, so a
+    returned list is always right.
     """
     while poly and poly[-1] == 0:
         poly = poly[:-1]
     if len(poly) <= 1:
         return []
-    lcm = 1
-    for c in poly:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in poly]
+    k = len(poly) - 1
+    monic = [c / poly[-1] for c in poly]
+    d = math.lcm(*(c.denominator for c in monic))
+    q = [int(c * d ** (k - i)) for i, c in enumerate(monic)]
+    x = _root_bound(q)
     roots = []
-    if ints[0] == 0:
-        roots.append(Q0)
-        while ints and ints[0] == 0:
-            ints = ints[1:]
-        if len(ints) <= 1:
-            return roots
-    lead = ints[-1]
-    for q in _divisors(lead):
-        for p in _divisors(ints[0]):
-            if math.gcd(p, q) != 1:
-                continue
-            for cand in (p, -p):
-                # Horner's rule on the homogenised polynomial
-                val, qpow = lead, 1
-                for c in reversed(ints[:-1]):
-                    qpow *= q
-                    val = val * cand + c * qpow
-                if val == 0:
-                    roots.append(Fraction(cand, q))
-    return sorted(roots)
+    while len(q) > 1:
+        val, slope = q[-1], 0
+        for c in reversed(q[:-1]):
+            val, slope = val * x + c, slope * x + val
+        if val == 0:
+            roots.append(Fraction(x, d))
+            q = _poly_deflate(q, x)
+            x = min(x - 1, _root_bound(q))
+        elif val < 0 or slope <= 0:
+            return None
+        else:
+            x -= max(1, val // slope)
+    return roots[::-1]
+
+
+def _root_bound(q):
+    """A power of two above the modulus of every root of the monic integer
+    polynomial q: Fujiwara's bound 2 max_i |q_(k-i)|^(1/i), rounded up by bit
+    lengths, which is within a factor 8k of the largest root."""
+    k = len(q) - 1
+    return 2 << max((-(-abs(q[k - i]).bit_length() // i) for i in range(1, k + 1)), default=0)
+
+
+def _poly_deflate(poly, root):
+    """poly / (t - root) by synthetic division (exact root assumed)."""
+    n = len(poly) - 1
+    out = [Q0] * n
+    acc = poly[n]
+    for i in range(n - 1, -1, -1):
+        out[i] = acc
+        acc = poly[i] + acc * root
+    return out
 
 
 def poly_eval_frac(poly, x):
@@ -276,7 +285,6 @@ class FrobeniusAlgebra:
 
     def euler_class(self):
         out = list(zero_vec(self.dim))
-        basis = identity(self.dim)
         for i in range(self.dim):
             for j in range(self.dim):
                 if self.eta_inv[i][j] == 0:
@@ -325,46 +333,28 @@ class FrobeniusAlgebra:
                 return [c for c in dep]
 
     def _split_block(self, u, sep):
-        """Split idempotent u along the rational eigenvalues of sep * u.
+        """Split idempotent u along the eigenvalues of y = sep * u, or NotSplit.
 
-        Returns a list of orthogonal idempotents refining u (possibly [u]).
-        The minimal polynomial m of y = sep*u over uA is squarefree on a
-        semisimple block; for each rational root s the element
-        f(y)/f(s) with f = m/(t-s) is the projector onto the s-eigenspace.
+        Returns the orthogonal idempotents refining u, [u] when y is a
+        multiple of u.  For each root s of the minimal polynomial m of y over
+        uA, f(y)/f(s) with f = m/(t-s) is the projector onto the
+        s-eigenspace; in a split algebra every element has rational
+        eigenvalues, so an m that does not split into distinct rational
+        factors already decides NotSplit.
         """
         y = self._raw_multiply(sep, u)
         m = self._minimal_poly(y, u)
         if len(m) <= 2:
             return [u]
         roots = rational_roots(m)
-        if not roots:
-            return [u]
+        if roots is None:
+            raise NotSplit("no rational splitting: irrational eigenvalues")
         parts = []
-        rest = u
         for s in roots:
-            f = self._poly_deflate(m, s)
+            f = _poly_deflate(m, s)
             fs = poly_eval_frac(f, s)
-            if fs == 0:
-                # repeated root: the block is not semisimple
-                raise NotSplit("element acts non-semisimply on a block")
-            e = self._poly_apply(f, y, u)
-            e = tuple(x / fs for x in e)
-            parts.append(e)
-            rest = tuple(a - b for a, b in zip(rest, e))
-        if any(x != 0 for x in rest):
-            parts.append(rest)
+            parts.append(tuple(x / fs for x in self._poly_apply(f, y, u)))
         return parts
-
-    @staticmethod
-    def _poly_deflate(poly, root):
-        """poly / (t - root) by synthetic division (exact root assumed)."""
-        n = len(poly) - 1
-        out = [Q0] * n
-        acc = poly[n]
-        for i in range(n - 1, -1, -1):
-            out[i] = acc
-            acc = poly[i] + acc * root
-        return out
 
     def _poly_apply(self, poly, y, unit):
         out = zero_vec(self.dim)
@@ -378,19 +368,16 @@ class FrobeniusAlgebra:
         """eta-orthonormal projector basis, or NotSplit.
 
         The unit is split along the rational eigenvalues of each ambient
-        basis vector in turn.  The basis spans the algebra, so every final
-        block is a joint eigenspace of the whole algebra, and it is a single
-        projector exactly when the algebra splits over the rationals: what a
-        block still holds past that has no rational eigenvalues, and a
-        second pass could not split it.
+        basis vector in turn, and the split stops with NotSplit at the first
+        minimal polynomial that does not split into distinct rational
+        factors.  A final block u has b_i u = lambda_i u for every basis
+        vector, so uA = Q u: the blocks are the dim primitive idempotents.
         """
         if not self.is_semisimple():
             raise NotInvertible("euler class is not invertible: algebra is not semisimple")
         blocks = [self.unit]
         for b in identity(self.dim):
             blocks = [p for u in blocks for p in self._split_block(u, b)]
-        if len(blocks) < self.dim:
-            raise NotSplit("no rational splitting: irrational eigenvalues")
         # orthonormalize: eta(pi, pi) must be a square of a rational
         raw = []
         for u in blocks:

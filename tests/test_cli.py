@@ -6,6 +6,7 @@ import json
 import random
 import re
 import threading
+import time
 from contextlib import redirect_stdout
 from fractions import Fraction as F
 from pathlib import Path
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from cohft import cli, graphs, intersect, taut
 from cohft.cli import main
 from cohft.config import ConfigError, parse_config, serialize_config
+from cohft.frobenius import FrobeniusAlgebra
 from cohft.givental import CohFTSpec
 from cohft.sampling import coherent_spec, incoherent_spec
 
@@ -110,6 +112,11 @@ DIM2_CFG = "dim: 2\neta: 1 0 | 0 1\nunit: 1 1\nmul 1 1: 1 0\nmul 1 2: 0 0\nmul 2
             "dim: 2\neta: 1 0 | 0 2\nunit: 1 0\nmul 1 1: 1 0\nmul 1 2: 0 1\nmul 2 2: 2 0\n",
             [(None, "semisimple basis: no rational splitting: irrational eigenvalues")],
         ),
+        # each missing 'mul i j' is reported, so without a bound the one line
+        # 'dim: 500' built 125,250 reports and a zero row for each of them
+        ("dim: 500\n", [(1, "dim 500 needs 125250 'mul' entries")]),
+        ("dim: 1000000000\n", [(1, "dim 1000000000 needs 500000000500000000 'mul' entries")]),
+        ("dim: 3\neta: 1 0 0 | 0 1 0 | 0 0 1\nunit: 1 0 0\n", [(1, "dim 3 needs 6 'mul' entries")]),
     ],
 )
 def test_parse_error_report_lines(tmp_path, capsys, text, report):
@@ -184,6 +191,42 @@ def test_parse_reports_bad_semisimple_data_at_its_line():
             parse_config(text)
         assert all(line == 11 for line, _ in exc.value.report)
         assert any("semisimple" in msg for _, msg in exc.value.report)
+
+
+def _big_weights_config(digits):
+    """from_semisimple([1/(a+1), 1/(a+3)], [[1, 1], [0, 1]]) with a = 10^digits,
+    serialised, and its weights/basis lines apart."""
+    a = 10**digits
+    text = (
+        "dim: 2\ndegree: 1\ncoherent: yes\neta: 2 -1 | -1 1\n"
+        "unit: 1/%d %d/%d\n" % (a + 1, 2 * a + 4, (a + 1) * (a + 3))
+        + "mul 1 1: %d %d\nmul 1 2: 0 -%d\nmul 2 2: 0 %d\n" % (a + 1, 2 * a + 4, a + 3, a + 3)
+    )
+    return text, "weights: 1/%d 1/%d\nbasis: 0 1 | 1 1\n" % (a + 3, a + 1)
+
+
+@pytest.mark.parametrize("digits", [8, 60])
+def test_cli_classify_derives_big_weights_at_once(tmp_path, digits):
+    # the split finds the weights and basis the file can also state, in time
+    # that grows with their digits, not with the divisors of their numbers
+    text, semisimple = _big_weights_config(digits)
+    a = 10**digits
+    alg = FrobeniusAlgebra.from_semisimple([F(1, a + 1), F(1, a + 3)], [[1, 1], [0, 1]])
+    spec = parse_config(text + semisimple)  # checks weights and basis against the algebra
+    assert (spec.algebra.eta, spec.algebra.structure, spec.algebra.unit) == (
+        alg.eta,
+        alg.structure,
+        alg.unit,
+    )
+    cfg = tmp_path / "spec.cfg"
+    cfg.write_text(text + semisimple)
+    given = run_cli(["--config", str(cfg), "classify"])
+    cfg.write_text(text)
+    start = time.perf_counter()
+    derived = run_cli(["--config", str(cfg), "classify"])
+    assert time.perf_counter() - start < 1
+    assert derived == given and given[0] == 0
+    assert serialize_config(parse_config(text)) == text + semisimple
 
 
 def test_cli_graphs_enumerate():

@@ -1,5 +1,6 @@
 import random
 import re
+import time
 from fractions import Fraction as F
 from itertools import permutations, product
 
@@ -207,15 +208,18 @@ def test_semisimplify_recovers_the_construction_data():
     # the eta-orthonormal projector basis is unique up to the sign of each
     # vector, so it must be the data the algebra was built from; with the
     # unit as the first basis vector, that vector splits nothing
-    rng = random.Random(17)
+    rng, big_rng = random.Random(17), random.Random(18)
     for dim in (1, 2, 3, 4):
-        for _ in range(6):
-            for alg, weights, rows in (
-                random_semisimple_algebra(rng, dim),
-                _unit_first_algebra(rng, dim),
-            ):
-                ss = alg.semisimplify()
-                assert (ss.weights, ss.basis_change) == _canonical(weights, rows)
+        algebras = [
+            make(rng, dim)
+            for _ in range(6)
+            for make in (random_semisimple_algebra, _unit_first_algebra)
+        ]
+        # entries of 20-60 digits, whose divisors no p/q search could list
+        algebras += [_big_number_algebra(big_rng, dim) for _ in range(2)]
+        for alg, weights, rows in algebras:
+            ss = alg.semisimplify()
+            assert (ss.weights, ss.basis_change) == _canonical(weights, rows)
 
 
 def trace_form_quotient(p):
@@ -353,6 +357,24 @@ def _unit_first_algebra(rng, dim):
     return alg, weights, rows
 
 
+def _big_number_algebra(rng, dim):
+    """A random split algebra whose weights and basis entries have 20-60
+    digits in numerator and denominator."""
+
+    def digits():
+        n = rng.randrange(20, 61)
+        return rng.randrange(10 ** (n - 1), 10**n)
+
+    def big():
+        return F(rng.choice((-1, 1)) * digits(), digits())
+
+    weights = [big() for _ in range(dim)]
+    while True:
+        rows = [[big() for _ in range(dim)] for _ in range(dim)]
+        if det(rows) != 0:
+            return FrobeniusAlgebra.from_semisimple(weights, rows), weights, rows
+
+
 def _problems(dim, eta, structure, unit):
     try:
         FrobeniusAlgebra(dim, eta, structure, unit)
@@ -425,8 +447,13 @@ def test_rational_helpers():
     assert rational_sqrt(F(2)) is None
     assert rational_sqrt(F(-1)) is None
     assert rational_roots([F(-2), F(1)]) == [F(2)]
-    assert rational_roots([F(-2), F(0), F(1)]) == []  # x^2 - 2
+    assert rational_roots([F(-2), F(0), F(1)]) is None  # x^2 - 2
     assert rational_roots([F(0), F(-1, 2), F(1)]) == [F(0), F(1, 2)]
+
+
+def _times_linear(poly, r):
+    """poly (low to high) times (t - r)."""
+    return [a - r * b for a, b in zip([F(0)] + poly, poly + [F(0)])]
 
 
 QUADRATICS = [  # irreducible over Q
@@ -441,18 +468,51 @@ QUADRATICS = [  # irreducible over Q
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.fractions(-6, 6, max_denominator=4), max_size=4),
-    st.sampled_from(QUADRATICS),
+    st.sampled_from([None] + QUADRATICS),
     st.fractions(-5, 5, max_denominator=7).filter(bool),
 )
 def test_rational_roots_of_products_of_linear_factors(roots, quadratic, scale):
-    poly = list(quadratic)
+    # distinct linear factors give their sorted roots; a repeated factor or
+    # an irreducible quadratic factor gives None
+    poly = [F(1)] if quadratic is None else list(quadratic)
     for r in roots:
-        poly = [a - r * b for a, b in zip([F(0)] + poly, poly + [F(0)])]  # times (t - r)
+        poly = _times_linear(poly, r)
     poly = [scale * c for c in poly]
     # brute force over every p/q with |p/q| <= 6 and q <= 4
     grid = {F(p, q) for q in range(1, 5) for p in range(-6 * q, 6 * q + 1)}
     brute = sorted(x for x in grid if poly_eval_frac(poly, x) == 0)
-    assert rational_roots(poly) == brute == sorted(set(roots))
+    assert brute == sorted(set(roots))
+    splits = quadratic is None and len(brute) == len(roots)
+    assert rational_roots(poly) == (brute if splits else None)
+
+
+BIG = [F(3 * 10**39 + 7, 10**21 + 9), F(-(10**25) - 13, 7 * 10**30 + 1), F(2**100 + 1, 3**40)]
+
+
+@pytest.mark.parametrize(
+    "roots,quadratic,splits",
+    [
+        (BIG, None, True),
+        (BIG + [BIG[0] + F(1, 10**40)], None, True),  # two roots 10^-40 apart
+        (BIG + [BIG[1]], None, False),  # a repeated factor
+        (BIG, [F(-2 * 10**40), F(0), F(1)], False),  # real irrational roots
+        (BIG, [F(10**40 + 1, 10**20 + 3), F(-(10**30)), F(1)], False),  # the same, with p/q
+        (BIG[:1], [F(10**38), F(2 * 10**19), F(1)], False),  # (t + 10^19)^2
+        (BIG[:1], [F(10**38 + 1), F(2 * 10**19), F(1)], False),  # (t + 10^19)^2 + 1
+    ],
+)
+def test_rational_roots_of_big_numbers(roots, quadratic, splits):
+    # numerators and denominators of 20-40 digits: the walk's cost grows
+    # with their digits, not with their divisors
+    poly = [F(7, 10**20 + 39)] if quadratic is None else list(quadratic)
+    for r in roots:
+        poly = _times_linear(poly, r)
+    start = time.perf_counter()
+    got = rational_roots(poly)
+    assert time.perf_counter() - start < 1
+    assert got == (sorted(roots) if splits else None)
+    if got:
+        assert all(poly_eval_frac(poly, x) == 0 for x in got)
 
 
 def test_solve_square_non_square_and_inconsistent_systems():
