@@ -250,19 +250,23 @@ def tqft_value(spec, g, n, vectors):
 
 def phi_primitive(spec):
     """x = sum_j phi_j kappa_j as a covector polynomial, through the spec
-    degree."""
+    degree: x(e_mu) = sum_j phi_j(e_mu) kappa_j."""
     return CovectorKappaPoly(
-        KappaPoly(spec.degree, (((j,), p[i]) for j, p in enumerate(spec.phi, start=1)))
-        for i in range(spec.algebra.dim)
+        spec.ss,
+        (
+            KappaPoly(spec.degree, (((j,), dot(p, e)) for j, p in enumerate(spec.phi, start=1)))
+            for e in spec.ss.basis_change
+        ),
     )
 
 
 def omega_plus(spec):
     """exp of the phi primitive for the convolution product; group-like.
 
+    At each projector, Omega^+(e_mu) = theta_mu exp(x(e_mu) / theta_mu).
     Cached on the spec; callers only read the result.
     """
-    return spec._get("omega_plus", lambda: exp_conv(phi_primitive(spec), spec.ss))
+    return spec._get("omega_plus", lambda: exp_conv(phi_primitive(spec)))
 
 
 def compatibility_check(spec):
@@ -270,8 +274,9 @@ def compatibility_check(spec):
 
     The relation reads log Omega^+ = sum_j phi_j kappa_j against the
     covectors forced by R.  exp_conv and log_conv are inverse through the
-    truncation degree, so the log of Omega^+ = exp_conv(phi primitive) is
-    the phi primitive itself, and the relation is checked on the covectors.
+    truncation degree, projector by projector, so the log of Omega^+ =
+    exp_conv(phi primitive) is the phi primitive itself, and the relation is
+    checked on the covectors.
     """
     return spec.phi == tuple(spec.phi_from_r())
 
@@ -581,7 +586,7 @@ def verify_axioms(spec, mode="free", max_dim=2):
                 failures.append({"axiom": "sewing-nonseparating", "at": (g, i), "diff": (lhs - rhs).render()})
 
     # 4. separating sewing through the group-like property
-    if not is_grouplike(op, ss):
+    if not is_grouplike(op):
         failures.append({"axiom": "sewing-separating", "at": "omega_plus", "diff": "not group-like"})
 
     # 5. forgetful axiom

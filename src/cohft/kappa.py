@@ -15,18 +15,21 @@ monomial; the same split drives the forgetful pullback of taut and the
 kappa reduction and DVV recursion of intersect.
 
 Covector-valued polynomials X in A* (x) Q[kappa_j] are stored through their
-values on the ambient basis.  The convolution product diagonalizes over a
-semisimple basis:  (X * Y)(v) = sum_mu theta_mu^{-1} v^mu X(e_mu) Y(e_mu),
-with the Frobenius trace theta as neutral element; exp and log for this
-product are plain series since the argument has positive degree, summed by
-series.truncated_exp and series.truncated_log.
+values X(e_mu) on the projectors of a split semisimple algebra, where the
+convolution product acts coordinatewise:  (X * Y)(e_mu) = theta_mu^{-1}
+X(e_mu) Y(e_mu), with the Frobenius trace theta as neutral element.  So
+convolution, exp and log for it, and the group-like and primitive tests
+work projector by projector and change no basis; exp and log are plain
+series since the argument has positive degree, summed by
+series.truncated_exp and series.truncated_log.  Only value, the evaluation
+at an ambient vector, reads an ambient table, built once per element.
 """
 
 from fractions import Fraction
 from itertools import chain, groupby, product
 from math import comb, factorial
 
-from .linalg import Q0, frac_str, identity, vec
+from .linalg import Q0, frac_str, vec
 from .series import truncated_exp, truncated_log
 
 
@@ -221,158 +224,133 @@ def tensor_truncate(table, cap):
 
 
 class CovectorKappaPoly:
-    """Element of A* (x) Q[kappa_j], stored as values on the ambient basis."""
+    """Element X of A* (x) Q[kappa_j], held as its values X(e_mu) on the
+    projectors of the semisimple data ss.
 
-    __slots__ = ("cap", "components")
+    components, the values X(e_i) on the ambient basis, is built once from
+    the columns of ss.to_ss and read by value, which is called at sparse
+    ambient vectors.
+    """
 
-    def __init__(self, components):
-        components = tuple(components)
-        self.cap = components[0].cap
-        self.components = components
+    __slots__ = ("ss", "values", "cap", "_components")
+
+    def __init__(self, ss, values):
+        self.ss = ss
+        self.values = tuple(values)
+        self.cap = self.values[0].cap
+        self._components = None
 
     def __eq__(self, other):
-        return isinstance(other, CovectorKappaPoly) and self.components == other.components
+        """Equal values on the same projectors."""
+        if not isinstance(other, CovectorKappaPoly):
+            return False
+        return self.ss.basis_change == other.ss.basis_change and self.values == other.values
 
     def __add__(self, other):
-        return CovectorKappaPoly(tuple(a + b for a, b in zip(self.components, other.components)))
+        return CovectorKappaPoly(self.ss, (a + b for a, b in zip(self.values, other.values)))
 
     def scale(self, c):
-        return CovectorKappaPoly(tuple(a.scale(c) for a in self.components))
+        return CovectorKappaPoly(self.ss, (a.scale(c) for a in self.values))
+
+    @property
+    def components(self):
+        if self._components is None:
+            tables = [value.terms for value in self.values]
+            self._components = tuple(
+                KappaPoly(self.cap, combination(column, tables)) for column in zip(*self.ss.to_ss)
+            )
+        return self._components
 
     def value(self, v):
         """Value on an ambient-coordinate vector, by linearity."""
         return KappaPoly(self.cap, combination(vec(v), [comp.terms for comp in self.components]))
 
-    @classmethod
-    def zero(cls, dim, cap):
-        return cls(tuple(KappaPoly(cap) for _ in range(dim)))
 
-    @classmethod
-    def from_projector_values(cls, values, ss):
-        """Build X from its values X(e_mu) on the semisimple basis."""
-        tables = [value.terms for value in values]
-        return cls(
-            KappaPoly(values[0].cap, combination(ss.to_semisimple(e), tables))
-            for e in identity(ss.dim)
-        )
-
-    def projector_value(self, ss, mu):
-        return self.value(ss.basis_change[mu])
-
-
-def theta_covector(algebra, cap):
-    """The Frobenius trace as a constant covector polynomial.
+def theta_covector(ss, cap):
+    """The Frobenius trace as a constant covector polynomial, theta(e_mu) =
+    theta_mu.
 
     It is the neutral element theta of the convolution product, so
     exp_conv(0) = theta and a group-like element has degree-0 part theta.
     """
-    basis = identity(algebra.dim)
+    return CovectorKappaPoly(ss, (KappaPoly.constant(cap, w) for w in ss.weights))
+
+
+def convolution(x, y):
+    """Convolution product: (X * Y)(e_mu) = theta_mu^{-1} X(e_mu) Y(e_mu)."""
     return CovectorKappaPoly(
-        tuple(KappaPoly.constant(cap, algebra.frobenius_trace(basis[i])) for i in range(algebra.dim))
+        x.ss, ((a * b).scale(1 / w) for a, b, w in zip(x.values, y.values, x.ss.weights))
     )
 
 
-def convolution(x, y, ss):
-    """Convolution product, multiplied down to a single kappa polynomial."""
-    vals = []
-    for mu in range(ss.dim):
-        xv = x.projector_value(ss, mu)
-        yv = y.projector_value(ss, mu)
-        vals.append((xv * yv).scale(1 / ss.weights[mu]))
-    return CovectorKappaPoly.from_projector_values(vals, ss)
+def _at_projectors(x, f):
+    """theta_mu f(X(e_mu) / theta_mu) at each projector."""
+    return CovectorKappaPoly(x.ss, (f(v.scale(1 / w)).scale(w) for v, w in zip(x.values, x.ss.weights)))
 
 
-def convolution_tensor(x, y, ss):
-    """Convolution product kept in Q[kappa] (x) Q[kappa], per ambient component.
+def exp_conv(x):
+    """exp for the convolution product, with x^0 = theta.
 
-    Returns a tuple of tensor tables truncated at total degree cap.
+    x^{*n}(e_mu) = theta_mu^{1-n} x(e_mu)^n, so the sum collapses to
+    theta_mu exp(x(e_mu) / theta_mu); NonzeroConstantTerm unless x has zero
+    degree-0 part.
     """
-    cap = x.cap
-    proj_tables = []
-    for mu in range(ss.dim):
-        xv = x.projector_value(ss, mu)
-        yv = y.projector_value(ss, mu)
-        w = 1 / ss.weights[mu]
-        pairs = products(xv.terms, yv.terms, cap, sum, lambda k1, k2: (k1, k2))
-        proj_tables.append({pair: w * c for pair, c in pairs})
-    return tuple(
-        tensor_truncate(combination(ss.to_semisimple(e), proj_tables), cap) for e in identity(ss.dim)
-    )
+    return _at_projectors(x, KappaPoly.exp)
 
 
-def exp_conv(x, ss):
-    """exp for the convolution product, with x^0 = theta."""
-    for comp in x.components:
-        if comp.constant_term() != 0:
-            raise NonzeroConstantTerm("exp_conv needs zero degree-0 part")
-    vals = []
-    for mu in range(ss.dim):
-        xv = x.projector_value(ss, mu)
-        w = ss.weights[mu]
-        # x^{.n}(e_mu) = theta_mu^{1-n} x(e_mu)^n, so the sum collapses to
-        # theta_mu exp(x(e_mu)/theta_mu)
-        vals.append(xv.scale(1 / w).exp().scale(w))
-    return CovectorKappaPoly.from_projector_values(vals, ss)
+def log_conv(x):
+    """Inverse of exp_conv through the truncation degree; WrongConstantTerm
+    unless the degree-0 part of x is theta."""
+    return _at_projectors(x, KappaPoly.log)
 
 
-def log_conv(x, ss):
-    """Inverse of exp_conv through the truncation degree."""
-    for mu in range(ss.dim):
-        if x.projector_value(ss, mu).constant_term() != ss.weights[mu]:
-            raise WrongConstantTerm("log_conv needs degree-0 part theta")
-    vals = []
-    for mu in range(ss.dim):
-        xv = x.projector_value(ss, mu)
-        w = ss.weights[mu]
-        vals.append(xv.scale(1 / w).log().scale(w))
-    return CovectorKappaPoly.from_projector_values(vals, ss)
-
-
-def exp_conv_series(x, ss):
+def exp_conv_series(x):
     """exp_conv by literally summing convolution powers.
 
     The brute-force reference for exp_conv, which collapses the same sum
     projector by projector; tests compare the two.
     """
-    for comp in x.components:
-        if comp.constant_term() != 0:
-            raise NonzeroConstantTerm("exp_conv needs zero degree-0 part")
-    # theta(e_mu) = theta_mu gives the neutral element in ambient components
-    vals = [KappaPoly.constant(x.cap, ss.weights[mu]) for mu in range(ss.dim)]
-    theta = CovectorKappaPoly.from_projector_values(vals, ss)
-    out = theta
-    power = theta
+    if any(v.constant_term() != 0 for v in x.values):
+        raise NonzeroConstantTerm("exp_conv needs zero degree-0 part")
+    out = power = theta_covector(x.ss, x.cap)
     for n in range(1, x.cap + 1):
-        power = convolution(power, x, ss)
+        power = convolution(power, x)
         out = out + power.scale(Fraction(1, factorial(n)))
     return out
 
 
-def is_grouplike(x, ss):
-    for mu in range(ss.dim):
-        if x.projector_value(ss, mu).constant_term() != ss.weights[mu]:
+def is_grouplike(x):
+    """Whether the coproduct of X is (X * X) kept in Q[kappa] (x) Q[kappa],
+    and the degree-0 part of X is theta.
+
+    At each projector: X(e_mu) has constant term theta_mu and coproduct
+    theta_mu^{-1} X(e_mu) (x) X(e_mu).  Both sides are linear in the value
+    and the basis change is invertible, so this is the test on the ambient
+    components.
+    """
+    for v, w in zip(x.values, x.ss.weights):
+        if v.constant_term() != w:
             return False
-    tensors = convolution_tensor(x, x, ss)
-    for comp, tensor in zip(x.components, tensors):
-        if coproduct(comp) != tensor:
+        square = products(v.terms, v.terms, x.cap, sum, lambda k1, k2: (k1, k2))
+        if coproduct(v) != tensor_truncate(((pair, c / w) for pair, c in square), x.cap):
             return False
     return True
 
 
 def is_primitive(x):
-    """Whether every component has coproduct k (x) 1 + 1 (x) k.
+    """Whether every value has coproduct k (x) 1 + 1 (x) k.
 
     In Teleman's argument the classification homomorphism is a group-like
     Omega^+ and its log is the phi-primitive sum_j phi_j kappa_j; this is
     the test for the latter, as is_grouplike is for the former.
     """
-    for comp in x.components:
-        if () in comp.terms:
+    for v in x.values:
+        if () in v.terms:
             return False  # stored terms are nonzero, so constant part != 0
         want = {}
-        for key, c in comp.terms.items():
+        for key, c in v.terms.items():
             want[(key, ())] = c
             want[((), key)] = c
-        if coproduct(comp) != want:
+        if coproduct(v) != want:
             return False
     return True

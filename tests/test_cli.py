@@ -117,6 +117,10 @@ DIM2_CFG = "dim: 2\neta: 1 0 | 0 1\nunit: 1 1\nmul 1 1: 1 0\nmul 1 2: 0 0\nmul 2
         ("dim: 500\n", [(1, "dim 500 needs 125250 'mul' entries")]),
         ("dim: 1000000000\n", [(1, "dim 1000000000 needs 500000000500000000 'mul' entries")]),
         ("dim: 3\neta: 1 0 0 | 0 1 0 | 0 0 1\nunit: 1 0 0\n", [(1, "dim 3 needs 6 'mul' entries")]),
+        # phi and R are read per degree, so without a bound 'degree: 1000'
+        # took 17 s and 354 MB, and 'degree: 1000000000' never finished
+        (DIM2_CFG + "degree: 61\n", [(7, "degree must be <= 60")]),
+        (DIM2_CFG + "degree: 1000000000\n", [(7, "degree must be <= 60")]),
     ],
 )
 def test_parse_error_report_lines(tmp_path, capsys, text, report):
@@ -126,6 +130,14 @@ def test_parse_error_report_lines(tmp_path, capsys, text, report):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
     assert run_cli(["--config", str(cfg), "classify"]) == (1, "")
+
+
+@pytest.mark.parametrize("degree", [61, 1000000000])
+def test_degree_bound_is_checked_before_reading(degree):
+    start = time.perf_counter()
+    with pytest.raises(ConfigError):
+        parse_config(DIM2_CFG + "degree: %d\n" % degree)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_parse_rejects_float_literals():

@@ -32,6 +32,7 @@ from cohft.kappa import KappaPoly, is_grouplike, log_conv
 from cohft.linalg import CohftError, frac_str, identity, mat_inv, mat_mul, transpose
 from cohft.sampling import (
     coherent_spec,
+    hodge_spec,
     incoherent_spec,
     random_r_series,
     random_semisimple_algebra,
@@ -85,14 +86,14 @@ def test_omega_plus_trivial_is_theta():
     op = omega_plus(spec)
     from cohft.kappa import theta_covector
 
-    assert op == theta_covector(spec.algebra, 4)
+    assert op == theta_covector(spec.ss, 4)
 
 
 def test_omega_plus_grouplike():
     rng = random.Random(3)
     for dim in (1, 2):
         spec = coherent_spec(rng, dim, 4)
-        assert is_grouplike(omega_plus(spec), spec.ss)
+        assert is_grouplike(omega_plus(spec))
 
 
 def test_omega_plus_scalar_exponential():
@@ -103,6 +104,26 @@ def test_omega_plus_scalar_exponential():
     value = omega_plus(spec).components[0]
     want = KappaPoly(3, {(1,): c}).exp()
     assert value == want
+
+
+def _omega_plus_is_vertex_exp(spec):
+    op = omega_plus(spec)
+    return [
+        op.values[mu] == spec.vertex_exp(mu, spec.degree).scale(spec.ss.weights[mu])
+        for mu in range(spec.ss.dim)
+    ]
+
+
+def test_omega_plus_and_vertex_factor_are_one_exponential():
+    # Omega^+(e_mu) = theta_mu exp(sum_j phi_j(e_mu) kappa_j / theta_mu), and
+    # coherence makes phi_j(e_mu) / theta_mu the vertex log coefficient a_j^mu
+    rng = random.Random(15)
+    for dim in (1, 2, 3):
+        for degree in (3, 4, 5):
+            assert all(_omega_plus_is_vertex_exp(coherent_spec(rng, dim, degree)))
+    assert all(_omega_plus_is_vertex_exp(hodge_spec(6)))
+    for dim in (1, 2, 3):
+        assert not all(_omega_plus_is_vertex_exp(incoherent_spec(rng, dim, 4)))
 
 
 def test_reconstruct_fixed_point_case():
@@ -232,7 +253,7 @@ def test_compatibility_check_matches_the_log_form(data):
     # the relation as stated: the log of Omega^+ against the phi primitive of
     # the covectors forced by R, which the coherent spec derived
     coherent, spec = data
-    log_form = log_conv(omega_plus(spec), spec.ss) == phi_primitive(coherent)
+    log_form = log_conv(omega_plus(spec)) == phi_primitive(coherent)
     assert log_form == (spec is coherent)
     assert compatibility_check(spec) == log_form
 
