@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .config import ConfigError, parse_config, serialize_config
-from .frobenius import NotInvertible, NotSplit
+from .frobenius import NotInvertible, NotSplit, orthonormal_form
 from .givental import (
     r_action,
     reconstruct_fixed,
@@ -153,16 +153,13 @@ def _emit(args, text_lines, payload):
 
 def _cmd_algebra(args):
     spec = _load_spec(args)
-    lines = [
-        "algebra ok: dim %d" % spec.algebra.dim,
-        "semisimple: yes",
-        "weights: " + " ".join(frac_str(w) for w in spec.ss.weights),
-    ]
-    payload = {
-        "dim": spec.algebra.dim,
-        "semisimple": True,
-        "weights": [frac_str(w) for w in spec.ss.weights],
-    }
+    lines = ["algebra ok: dim %d" % spec.algebra.dim, "semisimple: yes"]
+    payload = {"dim": spec.algebra.dim, "semisimple": True}
+    # the weights theta_mu of the eta-orthonormal frame, when it exists
+    form = orthonormal_form(spec.ss)
+    if form is not None:
+        lines.append("weights: " + " ".join(frac_str(w) for w in form[0]))
+        payload["weights"] = [frac_str(w) for w in form[0]]
     _emit(args, lines, payload)
     return 0
 
@@ -395,10 +392,22 @@ def _cmd_oracle(args):
     return 0 if mismatches == 0 else 2
 
 
+def _join_vectors(argv):
+    """argv with each `--vectors X` written `--vectors=X`: argparse reads an
+    X that starts with '-', such as "-1;2;1", as an option, not a value."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--vectors":
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_vectors(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse exits 0 after --help and 2 after printing a usage error;
         # 2 is reserved for identity-check failures

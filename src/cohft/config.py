@@ -21,9 +21,14 @@ ASCII digits: dim and degree are integers (an optional sign and digits),
 every other value a rational p or p/q with q > 0 written without a leading
 zero, so 0.5, 1e-1 and 1_0 are rejected.  The keyed rows and matrices
 (eta, unit, mul i j, phi j, R k) are read by one reader, which reports a
-missing required entry and a wrong shape at the entry's line.  The
-semisimple block (weights/basis) is optional and recomputed when absent;
-its faults are reported at the weights line.  phi and R default to zero
+missing required entry and a wrong shape at the entry's line.
+
+The semisimple data is recomputed when absent.  A file may state it in
+the eta-orthonormal form, the weights theta_mu and basis rows e_mu, which
+is read as the projectors pi_mu = theta_mu e_mu of norms theta_mu^2; its
+faults are reported at the weights line.  serialize_config writes that
+form, canonically signed and sorted, only when it exists (every norm a
+rational square; frobenius.orthonormal_form).  phi and R default to zero
 and Id.  A dim whose file holds fewer entries than its dim(dim+1)/2 mul
 rows is rejected at the dim line before any entry is read, and a degree
 outside 1..MAX_DEGREE (60) at the degree line.  Every
@@ -33,7 +38,7 @@ offending line when there is one.
 
 from fractions import Fraction
 
-from .frobenius import FrobeniusAlgebra, InvalidAlgebra, NotInvertible, NotSplit, SemisimpleData
+from .frobenius import FrobeniusAlgebra, InvalidAlgebra, NotInvertible, NotSplit, SemisimpleData, orthonormal_form
 from .givental import CohFTSpec, IncoherentSpec, NotSymplectic
 from .linalg import CohftError, frac_str, identity, read_integer, read_rational, zero_mat
 from .series import EndSeries
@@ -192,8 +197,11 @@ def parse_config(text):
         basis = _parse_matrix(b_text, b_line, report)
         if report:
             raise ConfigError(report)
+        # pi_mu = theta_mu e_mu of norm theta_mu^2; rows past the weights
+        # are kept, so a basis of the wrong shape is reported as one
+        projectors = [[t * x for x in row] for t, row in zip(weights, basis)] + basis[len(weights) :]
         try:
-            ss = SemisimpleData(weights, basis)
+            ss = SemisimpleData([t * t for t in weights], projectors)
             algebra.check_semisimple_data(ss)
         except InvalidAlgebra as exc:
             raise ConfigError([(w_line, p) for p in exc.problems]) from None
@@ -234,8 +242,10 @@ def serialize_config(spec):
     for i in range(dim):
         for j in range(i, dim):
             lines.append("mul %d %d: %s" % (i + 1, j + 1, _render_row(spec.algebra.structure[i][j])))
-    lines.append("weights: " + _render_row(spec.ss.weights))
-    lines.append("basis: " + _render_matrix(spec.ss.basis_change))
+    form = orthonormal_form(spec.ss)
+    if form is not None:
+        lines.append("weights: " + _render_row(form[0]))
+        lines.append("basis: " + _render_matrix(form[1]))
     for j, p in enumerate(spec.phi, start=1):
         if any(x != 0 for x in p):
             lines.append("phi %d: %s" % (j, _render_row(p)))

@@ -2,14 +2,19 @@
 
 An algebra is given by a metric eta, structure constants for the product in
 an ambient basis, and the coordinates of the unit.  The engine only ever
-works over exact rationals: an algebra is "split semisimple" when it admits
-an eta-orthonormal basis of rescaled projectors with rational coordinates,
-and semisimplify() finds that basis, by splitting the unit along the
-rational eigenvalues of each basis vector in turn, or reports NotSplit at
-the first minimal polynomial that does not split into distinct rational
-linear factors.  rational_roots() decides that by one exact integer Newton
-walk, so its cost grows with the digits of the coefficients, not with
-their divisors.
+works over exact rationals: an algebra is "split semisimple" when its
+primitive idempotents pi_mu have rational coordinates, and semisimplify()
+finds them, by splitting the unit along the rational eigenvalues of each
+basis vector in turn, or reports NotSplit at the first minimal polynomial
+that does not split into distinct rational linear factors.
+rational_roots() decides that by one exact integer Newton walk, so its cost
+grows with the digits of the coefficients, not with their divisors.
+
+The engine works in the frame of the projectors pi_mu and their norms
+w_mu = eta(pi_mu, 1) = eta(pi_mu, pi_mu), which may be any nonzero
+rationals, so no square root is taken.  orthonormal_form() gives the
+eta-orthonormal frame e_mu = pi_mu / theta_mu, theta_mu^2 = w_mu, that a
+config may state, when every norm is a rational square.
 
 Construction validates every axiom (_validate): eta symmetric and
 nondegenerate, the product commutative with a neutral unit, then
@@ -25,12 +30,10 @@ from fractions import Fraction
 
 from .linalg import (
     Q0,
-    Q1,
     CohftError,
     bilinear,
     det,
     dot,
-    frac_str,
     identity,
     linear_dependence,
     mat,
@@ -56,7 +59,7 @@ class NotInvertible(ArithmeticError):
 
 
 class NotSplit(ArithmeticError):
-    """The algebra has no rational eta-orthonormal projector basis."""
+    """The algebra has an element with irrational eigenvalues."""
 
 
 def rational_sqrt(x):
@@ -138,28 +141,49 @@ def poly_eval_frac(poly, x):
 
 
 class SemisimpleData:
-    """eta-orthonormal projector basis: e_mu * e_nu = delta * theta_mu^{-1} e_mu.
+    """The primitive idempotents: pi_mu * pi_nu = delta pi_mu.
 
-    weights[mu] is theta_mu = eta(e_mu, unit); basis_change rows are the
-    coordinates of the e_mu in the ambient basis.
+    projectors rows are the coordinates of the pi_mu in the ambient basis;
+    norms[mu] is w_mu = eta(pi_mu, unit) = eta(pi_mu, pi_mu).
     """
 
-    def __init__(self, weights, basis_change):
-        self.weights = vec(weights)
-        self.basis_change = mat(basis_change)
-        self.dim = len(self.weights)
-        if len(self.basis_change) != self.dim or any(len(r) != self.dim for r in self.basis_change):
+    def __init__(self, norms, projectors):
+        self.norms = vec(norms)
+        self.projectors = mat(projectors)
+        self.dim = len(self.norms)
+        if len(self.projectors) != self.dim or any(len(r) != self.dim for r in self.projectors):
             raise InvalidAlgebra(["semisimple basis change is not a %dx%d matrix" % (self.dim, self.dim)])
-        if any(w == 0 for w in self.weights):
+        if any(w == 0 for w in self.norms):
             raise InvalidAlgebra(["semisimple weight is zero"])
-        # coordinates: ambient vector x ->  (B^t)^{-1} x  gives x in the e_mu basis
+        # coordinates: ambient vector x ->  (P^t)^{-1} x  gives x in the pi_mu basis
         try:
-            self.to_ss = mat_inv(transpose(self.basis_change))
+            self.to_ss = mat_inv(transpose(self.projectors))
         except ZeroDivisionError:
             raise InvalidAlgebra(["semisimple basis change is singular"]) from None
 
     def to_semisimple(self, v):
         return mat_vec(self.to_ss, v)
+
+
+def orthonormal_form(ss):
+    """The eta-orthonormal frame (theta, e) of ss, or None unless every norm
+    is a rational square.
+
+    e_mu = pi_mu / theta_mu with theta_mu^2 = w_mu, signed so that its
+    first nonzero coordinate is positive, so theta_mu = eta(e_mu, unit)
+    carries the sign; the e_mu are sorted.  It is the form the optional
+    weights/basis lines of a config state.
+    """
+    pairs = []
+    for w, p in zip(ss.norms, ss.projectors):
+        s = rational_sqrt(w)
+        if s is None:
+            return None
+        if next(x for x in p if x != 0) < 0:
+            s = -s
+        pairs.append((tuple(x / s for x in p), s))
+    pairs.sort()
+    return tuple(s for _, s in pairs), tuple(e for e, _ in pairs)
 
 
 class FrobeniusAlgebra:
@@ -222,32 +246,29 @@ class FrobeniusAlgebra:
         return problems
 
     @classmethod
-    def from_semisimple(cls, weights, basis_change):
-        """Build the algebra whose semisimple basis has the given weights.
+    def from_semisimple(cls, norms, projectors):
+        """Build the algebra whose primitive idempotents have the given norms.
 
-        basis_change rows express the semisimple vectors e_mu in the ambient
-        basis; they must be linearly independent.  eta, the structure tensor
-        and the unit are all determined: eta(e_mu, e_nu) = delta,
-        e_mu e_nu = delta theta^{-1} e_mu, unit = sum theta_mu e_mu.
+        projectors rows express the pi_mu in the ambient basis; they must be
+        linearly independent.  eta, the structure tensor and the unit are
+        all determined: eta(pi_mu, pi_nu) = delta w_mu,
+        pi_mu pi_nu = delta pi_mu, unit = sum pi_mu.
         """
-        weights = vec(weights)
-        b = mat(basis_change)
-        n = len(weights)
-        # ambient b_i has e-coordinates c[i][mu] with b_i = sum_mu c[i][mu] e_mu,
-        # i.e. c B = Id row-wise, so c is the inverse of the basis change
-        c = mat_inv(b)
+        norms = vec(norms)
+        p = mat(projectors)
+        n = len(norms)
+        # ambient b_i has pi-coordinates c[i][mu] with b_i = sum_mu c[i][mu] pi_mu,
+        # i.e. c P = Id row-wise, so c is the inverse of the projector rows
+        c = mat_inv(p)
+        columns = transpose(p)
         eta = tuple(
-            tuple(sum(c[i][m] * c[j][m] for m in range(n)) for j in range(n)) for i in range(n)
+            tuple(sum(c[i][m] * c[j][m] * norms[m] for m in range(n)) for j in range(n)) for i in range(n)
         )
-        structure = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                ss = tuple(c[i][m] * c[j][m] / weights[m] for m in range(n))
-                row.append(tuple(dot(ss, tuple(b[m][k] for m in range(n))) for k in range(n)))
-            structure.append(tuple(row))
-        unit_ss = weights
-        unit = tuple(dot(unit_ss, tuple(b[m][k] for m in range(n))) for k in range(n))
+        structure = tuple(
+            tuple(tuple(dot([a * b for a, b in zip(c[i], c[j])], col) for col in columns) for j in range(n))
+            for i in range(n)
+        )
+        unit = tuple(sum(col) for col in columns)
         return cls(n, eta, structure, unit)
 
     def _raw_multiply(self, a, b):
@@ -365,7 +386,7 @@ class FrobeniusAlgebra:
         return out
 
     def semisimplify(self):
-        """eta-orthonormal projector basis, or NotSplit.
+        """The primitive idempotents, sorted, with their norms, or NotSplit.
 
         The unit is split along the rational eigenvalues of each ambient
         basis vector in turn, and the split stops with NotSplit at the first
@@ -378,26 +399,16 @@ class FrobeniusAlgebra:
         blocks = [self.unit]
         for b in identity(self.dim):
             blocks = [p for u in blocks for p in self._split_block(u, b)]
-        # orthonormalize: eta(pi, pi) must be a square of a rational
-        raw = []
-        for u in blocks:
-            t = bilinear(self.eta, u, u)
-            s = rational_sqrt(t)
-            if s is None or s == 0:
-                raise NotSplit("projector norm %s is not a rational square" % frac_str(t))
-            e = tuple(x / s for x in u)
-            first = next((x for x in e if x != 0), Q1)
-            if first < 0:
-                e = tuple(-x for x in e)
-            raw.append(e)
-        raw.sort()
-        weights = tuple(bilinear(self.eta, e, self.unit) for e in raw)
-        ss = SemisimpleData(weights, raw)
+        blocks.sort()
+        ss = SemisimpleData([self.frobenius_trace(u) for u in blocks], blocks)
         self.check_semisimple_data(ss)
         return ss
 
     def check_semisimple_data(self, ss):
-        """All SemisimpleData invariants against this algebra, exactly.
+        """All SemisimpleData invariants against this algebra, exactly:
+        pi_mu pi_nu = delta pi_mu, sum_mu pi_mu = unit and
+        w_mu = eta(pi_mu, unit).  By invariance, eta(pi_mu, pi_nu) =
+        eta(pi_mu pi_nu, unit) = delta w_mu follows.
 
         Both are immutable, so data that passed once is not checked again.
         """
@@ -406,23 +417,19 @@ class FrobeniusAlgebra:
         n = self.dim
         if ss.dim != n:
             raise InvalidAlgebra(["semisimple data has wrong dimension"])
+        p = ss.projectors
         problems = []
         for i in range(n):
-            for j in range(n):
-                val = bilinear(self.eta, ss.basis_change[i], ss.basis_change[j])
-                if val != (Q1 if i == j else Q0):
-                    problems.append("semisimple basis not orthonormal at (%d,%d)" % (i, j))
-                prod = self._raw_multiply(ss.basis_change[i], ss.basis_change[j])
-                want = (
-                    tuple(x / ss.weights[i] for x in ss.basis_change[i]) if i == j else zero_vec(n)
-                )
-                if prod != want:
+            for j in range(i, n):
+                if self._raw_multiply(p[i], p[j]) != (p[i] if i == j else zero_vec(n)):
                     problems.append("semisimple product law fails at (%d,%d)" % (i, j))
-        recon = zero_vec(n)
-        for mu in range(n):
-            recon = tuple(a + ss.weights[mu] * b for a, b in zip(recon, ss.basis_change[mu]))
-        if recon != self.unit:
+        if tuple(map(sum, zip(*p))) != self.unit:
             problems.append("unit is not sum of weighted projectors")
+        for mu in range(n):
+            # the message of a config's orthonormal block: with the product
+            # law, w_mu = eta(pi_mu, unit) is eta(e_mu, e_mu) = 1
+            if self.frobenius_trace(p[mu]) != ss.norms[mu]:
+                problems.append("semisimple basis not orthonormal at (%d,%d)" % (mu, mu))
         if problems:
             raise InvalidAlgebra(problems)
         self._checked_ss = ss

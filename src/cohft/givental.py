@@ -5,27 +5,28 @@ phi_j defining the stable-range homomorphism exp(sum phi_j kappa_j), and a
 symplectic R-matrix.  The degree-zero part of everything is the TQFT
 omega_{g,n}(v_1...v_n) = theta(alpha^g v_1 ... v_n).
 
-The graph action is evaluated per projector.  At a vertex of genus h and
-valence k, the insertion sum over forgotten points collapses in closed
-form: writing R^{-1}(z) 1 = sum_mu s_mu(z) e_mu and
-u_mu = s_mu / theta_mu, the vertex contributes
-theta_mu^{2-2h-k} exp(sum_j a_j^mu kappa_j) with the a_j^mu read off from
--log u_mu.  Legs carry R^{-1}(psi), edges carry the symplectic kernel with
-one projector index at each end; eta is the identity in the semisimple
-basis, so no extra metric bookkeeping appears at the edges.
+The graph action is evaluated per projector, in the frame of the
+primitive idempotents pi_mu and their norms w_mu = eta(pi_mu, 1), where
+omega_{h,k}(pi_mu, ..., pi_mu) = w_mu^{1-h} and no square root appears.
+At a vertex of genus h, the insertion sum over forgotten points collapses
+in closed form: writing R^{-1}(z) 1 = sum_mu u_mu(z) pi_mu, the vertex
+contributes w_mu^{1-h} exp(sum_j a_j^mu kappa_j) with the a_j^mu read off
+from -log u_mu.  Legs carry the pi-coordinates of R^{-1}(psi) v, edges the
+symplectic kernel with one projector index at each end.
 
 The same logarithm fixes the coherent phi: the product of A is
-coordinatewise on the idempotents theta_mu e_mu, so
-log(R^{-1}(z) 1) = -sum_j z^j sum_mu theta_mu a_j^mu e_mu and
-phi_j = eta(sum_mu theta_mu a_j^mu e_mu, .).  One table of scalar logs
+coordinatewise on the pi_mu, so
+log(R^{-1}(z) 1) = -sum_j z^j sum_mu a_j^mu pi_mu and
+phi_j = eta(sum_mu a_j^mu pi_mu, .).  One table of scalar logs
 (series.truncated_log per projector) serves the vertices and phi.
 
 The edge kernel is built once, when the spec is constructed, and directly
-in the semisimple basis: eta^{-1} = B^t B there, so its numerator is
-delta Id - T(z) T(w)^t with T = B^{-t} R^{-1} B^t.  Its division by z + w
-leaves a zero remainder exactly when R is symplectic, so building it is the
-spec's symplectic check; series.check_symplectic and series.edge_kernel stay
-as independent checks of the same facts.
+in the pi-coordinates: eta^{-1} = diag(1/w) = W there, so its numerator is
+delta W - T(z) W T(w)^t with T = P^{-t} R^{-1} P^t, P the projector rows.
+Its division by z + w leaves a zero remainder exactly when R is
+symplectic, so building it is the spec's symplectic check;
+series.check_symplectic and series.edge_kernel stay as independent checks
+of the same facts.
 
 The graph sum does work in proportion to its output, and its two pieces
 serve both sums over graphs, the class and the correlator.  A
@@ -143,7 +144,7 @@ class CohFTSpec:
         return self._get(("legs", v), build)
 
     def vertex_log_coeffs(self):
-        """a_j^mu from -log(s_mu(z)/theta_mu), for j = 1..degree."""
+        """a_j^mu from -log u_mu(z), for j = 1..degree."""
         return self._get(
             "vertex_log",
             lambda: _vertex_log_coeffs(self.algebra.unit, self.ss, self.r_inverse(), self.degree),
@@ -166,23 +167,27 @@ class CohFTSpec:
 
 
 def _semisimple_kernel(ss, s):
-    """The edge kernel (Id - T(z) T(w)^t) / (z + w) in the semisimple basis,
-    in the layout of CohFTSpec.kernel_ss, for S = R^{-1}.
+    """The edge kernel (W - T(z) W T(w)^t) / (z + w) in pi-coordinates, in
+    the layout of CohFTSpec.kernel_ss, for S = R^{-1}.
 
-    The basis is eta-orthonormal, so eta^{-1} = B^t B with B the basis
-    change, and B^{-t} (eta^{-1} - S_a eta^{-1} S_b^t) B^{-1} is
-    delta_{a0} delta_{b0} Id - T_a T_b^t with T_a = B^{-t} S_a B^t.  The
-    division leaves a zero remainder exactly when R is symplectic, so
-    building the kernel is the symplectic check: NotDivisible otherwise.
+    The pi_mu are eta-orthogonal of norms w_mu, so with P the projector
+    rows, P^{-t} (eta^{-1} - S_a eta^{-1} S_b^t) P^{-1} is
+    delta_{a0} delta_{b0} W - T_a W T_b^t with W = diag(1/w) and
+    T_a = P^{-t} S_a P^t.  The division leaves a zero remainder exactly
+    when R is symplectic, so building the kernel is the symplectic check:
+    NotDivisible otherwise.
     """
     order = s.order
-    bt = transpose(ss.basis_change)
-    t = [mat_mul(ss.to_ss, mat_mul(c, bt)) for c in s.coeffs]
+    pt = transpose(ss.projectors)
+    t = [mat_mul(ss.to_ss, mat_mul(c, pt)) for c in s.coeffs]
+    inv = [1 / w for w in ss.norms]
+    # the rows of T_b W, so that (T_a W T_b^t)_ij = T_a[i] . (T_b W)[j]
+    tw = [tuple(tuple(x * y for x, y in zip(row, inv)) for row in tb) for tb in t]
     numerator = {}
     for a in range(order + 1):
         for b in range(a, order + 1 - a):
             m = tuple(
-                tuple((Q1 if a == b == 0 and i == j else Q0) - dot(ti, tj) for j, tj in enumerate(t[b]))
+                tuple((inv[i] if a == b == 0 and i == j else Q0) - dot(ti, rj) for j, rj in enumerate(tw[b]))
                 for i, ti in enumerate(t[a])
             )
             # N[b][a] is the transpose of N[a][b]
@@ -201,14 +206,15 @@ def _semisimple_kernel(ss, s):
 def _vertex_log_coeffs(unit, ss, rinv, cap):
     """a_j^mu = -[z^j] log u_mu(z) for j = 1..cap, one tuple per projector.
 
-    R^{-1}(z) unit = sum_mu s_mu(z) e_mu, and u_mu = s_mu / theta_mu has
-    constant term 1; each log is a scalar series, a dim-1 EndSeries.
+    R^{-1}(z) unit = sum_mu u_mu(z) pi_mu, and u_mu has constant term 1
+    since unit = sum_mu pi_mu; each log is a scalar series, a dim-1
+    EndSeries.
     """
     coords = [ss.to_semisimple(c) for c in rinv.apply(unit).coeffs[: cap + 1]]
     one = EndSeries.identity(1, cap)
     out = []
-    for mu, theta in enumerate(ss.weights):
-        u = EndSeries(1, cap, [[[c[mu] / theta]] for c in coords])
+    for mu in range(ss.dim):
+        u = EndSeries(1, cap, [[[c[mu]]] for c in coords])
         log = truncated_log(u, one, cap)
         out.append(tuple(-c[0][0] for c in log.coeffs[1:]))
     return tuple(out)
@@ -217,16 +223,13 @@ def _vertex_log_coeffs(unit, ss, rinv, cap):
 def _phi_from_log(algebra, ss, log_coeffs):
     """phi_j = -eta(log(R^{-1}(z) unit)_j, .) from the per-projector logs.
 
-    The product is coordinatewise on the idempotents theta_mu e_mu and
-    R^{-1}(z) unit = sum_mu u_mu(z) theta_mu e_mu, so
-    log(R^{-1}(z) unit) = -sum_j z^j sum_mu theta_mu a_j^mu e_mu.
+    The product is coordinatewise on the idempotents pi_mu and
+    R^{-1}(z) unit = sum_mu u_mu(z) pi_mu, so
+    log(R^{-1}(z) unit) = -sum_j z^j sum_mu a_j^mu pi_mu.
     """
     phi = []
     for j in range(len(log_coeffs[0])):
-        x = [
-            sum(w * a[j] * e[i] for w, a, e in zip(ss.weights, log_coeffs, ss.basis_change))
-            for i in range(algebra.dim)
-        ]
+        x = [sum(a[j] * p[i] for a, p in zip(log_coeffs, ss.projectors)) for i in range(algebra.dim)]
         phi.append(mat_vec(algebra.eta, x))
     return phi
 
@@ -250,12 +253,12 @@ def tqft_value(spec, g, n, vectors):
 
 def phi_primitive(spec):
     """x = sum_j phi_j kappa_j as a covector polynomial, through the spec
-    degree: x(e_mu) = sum_j phi_j(e_mu) kappa_j."""
+    degree: x(pi_mu) = sum_j phi_j(pi_mu) kappa_j."""
     return CovectorKappaPoly(
         spec.ss,
         (
-            KappaPoly(spec.degree, (((j,), dot(p, e)) for j, p in enumerate(spec.phi, start=1)))
-            for e in spec.ss.basis_change
+            KappaPoly(spec.degree, (((j,), dot(p, pi)) for j, p in enumerate(spec.phi, start=1)))
+            for pi in spec.ss.projectors
         ),
     )
 
@@ -263,7 +266,7 @@ def phi_primitive(spec):
 def omega_plus(spec):
     """exp of the phi primitive for the convolution product; group-like.
 
-    At each projector, Omega^+(e_mu) = theta_mu exp(x(e_mu) / theta_mu).
+    At each projector, Omega^+(pi_mu) = w_mu exp(x(pi_mu) / w_mu).
     Cached on the spec; callers only read the result.
     """
     return spec._get("omega_plus", lambda: exp_conv(phi_primitive(spec)))
@@ -376,7 +379,7 @@ class DecorationWalk:
 
     run(left, leaf) sets assign to each projector assignment in turn, then
     picks a kernel entry (a, b, c) for each edge, one edge at a time, and
-    carries prod_v theta_mu^{2-2h-k} times the chosen c down.  A branch is
+    carries prod_v w_mu^{1-h} times the chosen c down.  A branch is
     cut as soon as an edge's a + b passes the degree left (the entries are
     sorted by a + b, so the loop stops there) or a vertex's load, the psi
     degree its edge ends carry, passes its limit.  Each decoration that
@@ -401,13 +404,10 @@ class DecorationWalk:
         edges = graph.edges
         ne = len(edges)
         kernel = self.spec.kernel_ss()
-        weights = self.spec.ss.weights
+        norms = self.spec.ss.norms
         limits, assign, load, edge_psi = self.limits, self.assign, self.load, self.edge_psi
-        # theta_mu^{2-2h-k} by vertex and projector
-        factors = [
-            [w ** (2 - 2 * h - graph.valence(v)) for w in weights]
-            for v, h in enumerate(graph.genera)
-        ]
+        # w_mu^{1-h} by vertex and projector
+        factors = [[w ** (1 - h) for w in norms] for h in graph.genera]
 
         def walk(i, left, coeff):
             if i == ne:
@@ -571,17 +571,15 @@ def verify_axioms(spec, mode="free", max_dim=2):
                     failures.append({"axiom": "symmetry", "at": (g, n, idx, perm), "diff": d})
                     break
 
-    # 3. non-separating sewing, reduced form
+    # 3. non-separating sewing, reduced form: eta^{-1} = sum_mu pi_mu (x)
+    # pi_mu / w_mu, so the node inserts sum_mu pi_mu / w_mu
     op = omega_plus(spec)
+    node = tuple(sum(p[k] / w for w, p in zip(ss.norms, ss.projectors)) for k in range(alg.dim))
     for g in (1, 2):
         for i in range(alg.dim):
             x = basis[i]
             lhs = op.value(alg.multiply(alg.euler_power(g), x))
-            rhs = KappaPoly(spec.degree)
-            for mu in range(alg.dim):
-                e = ss.basis_change[mu]
-                term = alg.multiply(alg.multiply(alg.euler_power(g - 1), x), alg.multiply(e, e))
-                rhs = rhs + op.value(term)
+            rhs = op.value(alg.multiply(alg.multiply(alg.euler_power(g - 1), x), node))
             if lhs != rhs:
                 failures.append({"axiom": "sewing-nonseparating", "at": (g, i), "diff": (lhs - rhs).render()})
 

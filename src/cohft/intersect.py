@@ -31,7 +31,7 @@ building the class.  Only the part of the graph sum of degree 3g-3+n -
 sum(psi) integrates to a number, and it factorises (the vertex/edge
 factorisation of Dunin-Barkowski, Orantin, Shadrin and Spitz, CMP 2014):
 
-  sum_Gamma 1/|Aut Gamma| sum_mu prod_v theta_mu(v)^{2-2h-k}
+  sum_Gamma 1/|Aut Gamma| sum_mu prod_v w_mu(v)^{1-h(v)}
       sum_{edge decorations} prod_e K_e prod_v F_v,
 
 where F_v sums, over the rows of the vertex's table of exactly the degree

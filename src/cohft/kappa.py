@@ -15,9 +15,10 @@ monomial; the same split drives the forgetful pullback of taut and the
 kappa reduction and DVV recursion of intersect.
 
 Covector-valued polynomials X in A* (x) Q[kappa_j] are stored through their
-values X(e_mu) on the projectors of a split semisimple algebra, where the
-convolution product acts coordinatewise:  (X * Y)(e_mu) = theta_mu^{-1}
-X(e_mu) Y(e_mu), with the Frobenius trace theta as neutral element.  So
+values X(pi_mu) on the primitive idempotents of a split semisimple algebra,
+of norms w_mu = eta(pi_mu, 1), where the convolution product acts
+coordinatewise:  (X * Y)(pi_mu) = w_mu^{-1} X(pi_mu) Y(pi_mu), with the
+Frobenius trace theta, theta(pi_mu) = w_mu, as neutral element.  So
 convolution, exp and log for it, and the group-like and primitive tests
 work projector by projector and change no basis; exp and log are plain
 series since the argument has positive degree, summed by
@@ -224,7 +225,7 @@ def tensor_truncate(table, cap):
 
 
 class CovectorKappaPoly:
-    """Element X of A* (x) Q[kappa_j], held as its values X(e_mu) on the
+    """Element X of A* (x) Q[kappa_j], held as its values X(pi_mu) on the
     projectors of the semisimple data ss.
 
     components, the values X(e_i) on the ambient basis, is built once from
@@ -244,7 +245,7 @@ class CovectorKappaPoly:
         """Equal values on the same projectors."""
         if not isinstance(other, CovectorKappaPoly):
             return False
-        return self.ss.basis_change == other.ss.basis_change and self.values == other.values
+        return self.ss.projectors == other.ss.projectors and self.values == other.values
 
     def __add__(self, other):
         return CovectorKappaPoly(self.ss, (a + b for a, b in zip(self.values, other.values)))
@@ -267,32 +268,32 @@ class CovectorKappaPoly:
 
 
 def theta_covector(ss, cap):
-    """The Frobenius trace as a constant covector polynomial, theta(e_mu) =
-    theta_mu.
+    """The Frobenius trace as a constant covector polynomial, theta(pi_mu) =
+    w_mu.
 
     It is the neutral element theta of the convolution product, so
     exp_conv(0) = theta and a group-like element has degree-0 part theta.
     """
-    return CovectorKappaPoly(ss, (KappaPoly.constant(cap, w) for w in ss.weights))
+    return CovectorKappaPoly(ss, (KappaPoly.constant(cap, w) for w in ss.norms))
 
 
 def convolution(x, y):
-    """Convolution product: (X * Y)(e_mu) = theta_mu^{-1} X(e_mu) Y(e_mu)."""
+    """Convolution product: (X * Y)(pi_mu) = w_mu^{-1} X(pi_mu) Y(pi_mu)."""
     return CovectorKappaPoly(
-        x.ss, ((a * b).scale(1 / w) for a, b, w in zip(x.values, y.values, x.ss.weights))
+        x.ss, ((a * b).scale(1 / w) for a, b, w in zip(x.values, y.values, x.ss.norms))
     )
 
 
 def _at_projectors(x, f):
-    """theta_mu f(X(e_mu) / theta_mu) at each projector."""
-    return CovectorKappaPoly(x.ss, (f(v.scale(1 / w)).scale(w) for v, w in zip(x.values, x.ss.weights)))
+    """w_mu f(X(pi_mu) / w_mu) at each projector."""
+    return CovectorKappaPoly(x.ss, (f(v.scale(1 / w)).scale(w) for v, w in zip(x.values, x.ss.norms)))
 
 
 def exp_conv(x):
     """exp for the convolution product, with x^0 = theta.
 
-    x^{*n}(e_mu) = theta_mu^{1-n} x(e_mu)^n, so the sum collapses to
-    theta_mu exp(x(e_mu) / theta_mu); NonzeroConstantTerm unless x has zero
+    x^{*n}(pi_mu) = w_mu^{1-n} x(pi_mu)^n, so the sum collapses to
+    w_mu exp(x(pi_mu) / w_mu); NonzeroConstantTerm unless x has zero
     degree-0 part.
     """
     return _at_projectors(x, KappaPoly.exp)
@@ -323,12 +324,12 @@ def is_grouplike(x):
     """Whether the coproduct of X is (X * X) kept in Q[kappa] (x) Q[kappa],
     and the degree-0 part of X is theta.
 
-    At each projector: X(e_mu) has constant term theta_mu and coproduct
-    theta_mu^{-1} X(e_mu) (x) X(e_mu).  Both sides are linear in the value
-    and the basis change is invertible, so this is the test on the ambient
+    At each projector: X(pi_mu) has constant term w_mu and coproduct
+    w_mu^{-1} X(pi_mu) (x) X(pi_mu).  Both sides are linear in the value
+    and the projectors are a basis, so this is the test on the ambient
     components.
     """
-    for v, w in zip(x.values, x.ss.weights):
+    for v, w in zip(x.values, x.ss.norms):
         if v.constant_term() != w:
             return False
         square = products(v.terms, v.terms, x.cap, sum, lambda k1, k2: (k1, k2))

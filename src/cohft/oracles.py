@@ -4,8 +4,9 @@ These deliberately avoid the main code paths: graphs are generated by
 unrestricted search with isomorphism rejection instead of degeneration
 walks, multi-index kappa classes by summing over all permutations instead
 of set partitions, and vertex insertion sums by the raw m-sum over
-forgotten points (taut.forgotten_point_msum, read off R^{-1} unit) instead
-of the closed-form exponential of the vertex log.  Closed forms check whole
+forgotten points (taut.forgotten_point_msum, read off the pi_mu-coordinate
+of R^{-1} unit, with no division by a norm) instead of the closed-form
+exponential of the vertex log.  Closed forms check whole
 correlators: the Hodge theory's against the lambda_g formula, whose b_g
 come from the series (t/2)/sin(t/2), not from the Bernoulli numbers that
 build the theory's R.
@@ -180,11 +181,10 @@ def vertex_factor_diff(spec, mu, cap):
 
     The m-sum needs the translation series through z^{cap+1} (an exponent-a
     factor contributes kappa degree a-1), one order beyond the stored
-    truncation, so the rescaled series is rebuilt from R^{-1} unit directly:
-    that[k] = -u[k-1] for k >= 2 with u = s_mu / theta_mu.
+    truncation, so the series is rebuilt from R^{-1} unit directly:
+    that[k] = -u[k-1] for k >= 2 with u the pi_mu-coordinate of R^{-1} unit.
     """
     s = spec.r_inverse().apply(spec.algebra.unit)
-    coords = [spec.ss.to_semisimple(c) for c in s.coeffs]
-    u = [coords[k][mu] / spec.ss.weights[mu] for k in range(len(s.coeffs))]
+    u = [spec.ss.to_semisimple(c)[mu] for c in s.coeffs]
     t_hat = [Q0, Q0] + [-u[k - 1] for k in range(2, min(cap + 1, len(u)) + 1)]
     return spec.vertex_exp(mu, cap) - forgotten_point_msum(t_hat, cap)

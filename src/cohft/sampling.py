@@ -28,13 +28,19 @@ def _rand_nonzero(rng, num=4):
 
 
 def random_semisimple_algebra(rng, dim):
-    """Split semisimple algebra with a random integral basis change."""
+    """Split semisimple algebra with a random eta-orthonormal integral basis.
+
+    The draws are weights theta_mu and rows e_mu; the projectors are
+    pi_mu = theta_mu e_mu, of norms theta_mu^2.  Returns the algebra and
+    the draws.
+    """
     weights = [_rand_nonzero(rng) for _ in range(dim)]
     while True:
         rows = [[Fraction(rng.randrange(-3, 4)) for _ in range(dim)] for _ in range(dim)]
         if det(mat(rows)) != 0:
             break
-    return FrobeniusAlgebra.from_semisimple(weights, rows), weights, rows
+    projectors = [[t * x for x in row] for t, row in zip(weights, rows)]
+    return FrobeniusAlgebra.from_semisimple([t * t for t in weights], projectors), weights, rows
 
 
 def random_nilpotent_algebra():

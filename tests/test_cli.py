@@ -20,7 +20,7 @@ from cohft.cli import main
 from cohft.config import ConfigError, parse_config, serialize_config
 from cohft.frobenius import FrobeniusAlgebra
 from cohft.givental import CohFTSpec
-from cohft.sampling import coherent_spec, incoherent_spec
+from cohft.sampling import coherent_spec, incoherent_spec, random_symplectic_r
 
 SCALAR_CFG = """
 dim: 1
@@ -206,8 +206,9 @@ def test_parse_reports_bad_semisimple_data_at_its_line():
 
 
 def _big_weights_config(digits):
-    """from_semisimple([1/(a+1), 1/(a+3)], [[1, 1], [0, 1]]) with a = 10^digits,
-    serialised, and its weights/basis lines apart."""
+    """The algebra with eta-orthonormal basis rows (1, 1) and (0, 1) of
+    weights 1/(a+1) and 1/(a+3), a = 10^digits, serialised, and its
+    weights/basis lines apart."""
     a = 10**digits
     text = (
         "dim: 2\ndegree: 1\ncoherent: yes\neta: 2 -1 | -1 1\n"
@@ -223,7 +224,10 @@ def test_cli_classify_derives_big_weights_at_once(tmp_path, digits):
     # that grows with their digits, not with the divisors of their numbers
     text, semisimple = _big_weights_config(digits)
     a = 10**digits
-    alg = FrobeniusAlgebra.from_semisimple([F(1, a + 1), F(1, a + 3)], [[1, 1], [0, 1]])
+    # projectors pi = theta e of norms theta^2
+    alg = FrobeniusAlgebra.from_semisimple(
+        [F(1, a + 1) ** 2, F(1, a + 3) ** 2], [[F(1, a + 1), F(1, a + 1)], [0, F(1, a + 3)]]
+    )
     spec = parse_config(text + semisimple)  # checks weights and basis against the algebra
     assert (spec.algebra.eta, spec.algebra.structure, spec.algebra.unit) == (
         alg.eta,
@@ -490,6 +494,86 @@ def test_cli_missing_structure_line():
     with pytest.raises(ConfigError) as exc:
         parse_config("dim: 2\neta: 1 0 | 0 1\nunit: 1 1\nmul 1 1: 1 0\nmul 2 2: 0 1\n")
     assert any("mul 1 2" in msg for _, msg in exc.value.report)
+
+
+@pytest.mark.parametrize("dim,vectors", [(1, "-1;2;1"), (2, "-1,0;1,1;1,1")])
+def test_cli_vectors_may_start_with_a_minus(tmp_path, capsys, dim, vectors):
+    # argparse takes a value that starts with '-' for an option; written
+    # apart or joined by '=', --vectors gives the same output
+    cfg = tmp_path / "spec.cfg"
+    cfg.write_text(serialize_config(coherent_spec(random.Random(dim), dim, 3)))
+    for command in (["correlator", "0", "3"], ["reconstruct", "nodal", "0", "3"], ["reconstruct", "fixed", "0", "3"]):
+        argv = ["--config", str(cfg)] + command
+        joined = run_cli(argv + ["--vectors=" + vectors])
+        assert run_cli(argv + ["--vectors", vectors]) == joined and joined[0] == 0, command
+    # with no value after it, --vectors is still a usage error
+    capsys.readouterr()
+    assert run_cli(["--config", str(cfg), "correlator", "0", "3", "--vectors"]) == (1, "")
+    assert "expected one argument" in capsys.readouterr().err
+
+
+def _qh_p1_config(q):
+    """QH(P^1) at H.H = q with R = Id: eta(1, H) = 1, projectors
+    (1 -+ H / sqrt(q)) / 2 of norms -+1 / (2 sqrt(q))."""
+    return (
+        "dim: 2\neta: 0 1 | 1 0\nunit: 1 0\nmul 1 1: 1 0\nmul 1 2: 0 1\nmul 2 2: %d 0\n"
+        "degree: 3\ncoherent: yes\n" % q
+    )
+
+
+@pytest.mark.parametrize("q", [1, 4])
+def test_cli_quantum_cohomology_of_p1(tmp_path, q):
+    # the norms are not all rational squares, so no weights line is printed;
+    # the theory classifies, verifies and gives its correlators
+    cfg = tmp_path / "p1.cfg"
+    cfg.write_text(_qh_p1_config(q))
+    base = ["--config", str(cfg)]
+    assert run_cli(base + ["algebra", "check"]) == (0, "algebra ok: dim 2\nsemisimple: yes\n")
+    code, out = run_cli(base + ["--json", "algebra", "check"])
+    assert (code, json.loads(out)) == (0, {"dim": 2, "semisimple": True})
+    code, out = run_cli(base + ["--json", "classify"])
+    assert code == 0
+    text = json.loads(out)["config"]
+    assert "weights" not in text and "basis" not in text
+    def data(s):
+        alg = s.algebra
+        return (alg.eta, alg.structure, alg.unit, s.ss.norms, s.ss.projectors, s.phi, s.r, s.degree, s.coherent)
+
+    back = parse_config(text)
+    assert data(back) == data(parse_config(_qh_p1_config(q)))
+    assert serialize_config(back) == text
+    code, out = run_cli(base + ["verify", "free"])
+    assert code == 0 and "fail" not in out
+    code, out = run_cli(base + ["oracle", "vertex-sum"])
+    assert code == 0 and out.endswith("mismatches: 0\n")
+    assert run_cli(base + ["correlator", "1", "1", "--psi", "1"]) == (0, "1/12\n")
+    assert run_cli(base + ["correlator", "0", "3", "--vectors", "0,1;0,1;0,1"]) == (0, "%d\n" % q)
+
+
+def test_cli_prints_a_stated_orthonormal_block_canonically(tmp_path):
+    # weights -2 -1 with basis rows (2, 1) and (0, -2) state the projectors
+    # (-4, -2) and (0, 2) of norms 4 and 1.  The block is printed back with
+    # each row signed by its first nonzero entry and the rows sorted, and
+    # every result equals that of the canonical file
+    alg = FrobeniusAlgebra.from_semisimple([4, 1], [[-4, -2], [0, 2]])
+    r = random_symplectic_r(random.Random(5), alg, 3)
+    canonical = serialize_config(CohFTSpec(alg, alg.semisimplify(), None, r, 3, coherent=True))
+    block = "weights: 1 -2\nbasis: 0 2 | 2 1\n"
+    assert block in canonical
+    hand = canonical.replace(block, "weights: -2 -1\nbasis: 2 1 | -0 -2\n")
+    results = []
+    for name, text in (("canonical", canonical), ("hand", hand)):
+        cfg = tmp_path / (name + ".cfg")
+        cfg.write_text(text)
+        base = ["--config", str(cfg)]
+        code, out = run_cli(base + ["--json", "classify"])
+        assert (code, json.loads(out)["config"]) == (0, canonical)
+        commands = (["algebra", "check"], ["correlator", "1", "1", "--psi", "1"], ["verify", "free"], ["verify", "fixed"])
+        results.append([run_cli(base + command) for command in commands])
+    assert results[0] == results[1]
+    assert results[0][0] == (0, "algebra ok: dim 2\nsemisimple: yes\nweights: 1 -2\n")
+    assert results[0][1][0] == 0 and results[0][1][1] != "0\n"
+    assert [code for code, _ in results[0][2:]] == [0, 0]
 
 
 def test_cli_correlator(tmp_path):

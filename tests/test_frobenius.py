@@ -13,6 +13,7 @@ from cohft.frobenius import (
     InvalidAlgebra,
     NotInvertible,
     NotSplit,
+    orthonormal_form,
     poly_eval_frac,
     rational_roots,
     rational_sqrt,
@@ -70,13 +71,13 @@ def test_semisimple_basis_product_law():
         alg, _, _ = random_semisimple_algebra(rng, 3)
         ss = alg.semisimplify()
         for mu in range(3):
-            e = ss.basis_change[mu]
-            want = tuple(x / ss.weights[mu] for x in e)
-            assert alg.multiply(e, e) == want
-            assert alg.frobenius_trace(e) == ss.weights[mu]
+            p = ss.projectors[mu]
+            assert alg.multiply(p, p) == p
+            assert alg.frobenius_trace(p) == ss.norms[mu] == alg.pair(p, p)
             for nu in range(3):
                 if nu != mu:
-                    assert alg.multiply(e, ss.basis_change[nu]) == (F(0),) * 3
+                    assert alg.multiply(p, ss.projectors[nu]) == (F(0),) * 3
+                    assert alg.pair(p, ss.projectors[nu]) == 0
 
 
 def test_trace_of_unit():
@@ -124,9 +125,7 @@ def test_invert_unit_and_euler():
     assert a.invert(a.unit) == a.unit
     sa = a.semisimplify()
     inv = a.invert(a.euler_class())
-    want = tuple(
-        sum(sa.weights[m] ** 3 * sa.basis_change[m][k] for m in range(2)) for k in range(2)
-    )
+    want = tuple(sum(sa.norms[m] * sa.projectors[m][k] for m in range(2)) for k in range(2))
     assert inv == want
 
 
@@ -148,8 +147,8 @@ def test_is_semisimple():
 
 def test_semisimplify_split_pair():
     ss = split_pair().semisimplify()
-    assert ss.weights == (F(1), F(1))
-    assert sorted(ss.basis_change) == [(F(0), F(1)), (F(1), F(0))]
+    assert ss.norms == (F(1), F(1))
+    assert ss.projectors == ((F(0), F(1)), (F(1), F(0)))
 
 
 def test_semisimplify_roundtrip():
@@ -158,7 +157,7 @@ def test_semisimplify_roundtrip():
         for _ in range(4):
             alg, _, _ = random_semisimple_algebra(rng, dim)
             ss = alg.semisimplify()
-            rebuilt = FrobeniusAlgebra.from_semisimple(ss.weights, ss.basis_change)
+            rebuilt = FrobeniusAlgebra.from_semisimple(ss.norms, ss.projectors)
             assert rebuilt.eta == alg.eta
             assert rebuilt.structure == alg.structure
             assert rebuilt.unit == alg.unit
@@ -169,7 +168,7 @@ def test_semisimplify_deterministic():
     alg, _, _ = random_semisimple_algebra(rng, 3)
     a = alg.semisimplify()
     b = alg.semisimplify()
-    assert a.weights == b.weights and a.basis_change == b.basis_change
+    assert a.norms == b.norms and a.projectors == b.projectors
 
 
 def test_not_split_irrational():
@@ -181,18 +180,46 @@ def test_not_split_irrational():
         alg.semisimplify()
 
 
-def test_not_split_nonsquare_norm():
-    # split over Q but the projector norms are not rational squares, so no
-    # eta-orthonormal rational basis exists
+def test_split_with_nonsquare_norms():
+    # the projector norms 2 and 1 need no square root: the algebra splits,
+    # and only its eta-orthonormal form, which needs sqrt(2), does not exist
     structure = [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]
     alg = FrobeniusAlgebra(2, [[2, 0], [0, 1]], structure, [1, 1])
-    assert alg.is_semisimple()
-    with pytest.raises(NotSplit):
-        alg.semisimplify()
+    ss = alg.semisimplify()
+    assert (ss.norms, ss.projectors) == ((F(1), F(2)), ((F(0), F(1)), (F(1), F(0))))
+    assert orthonormal_form(ss) is None
+    # QH(P^1) at q = 1 and 4: norms of both signs, -1/2 and 1/2, -1/4 and 1/4
+    for q in (1, 4):
+        qh = FrobeniusAlgebra(2, [[0, 1], [1, 0]], [[[1, 0], [0, 1]], [[0, 1], [q, 0]]], [1, 0])
+        ss = qh.semisimplify()
+        h = F(1, 2) / rational_sqrt(q)
+        assert ss.projectors == ((F(1, 2), -h), (F(1, 2), h))
+        assert ss.norms == (-h, h)
+        assert orthonormal_form(ss) is None
+
+
+def test_orthonormal_form_is_signed_and_sorted():
+    # pi = theta e with theta^2 = w; e is signed by its first nonzero entry
+    # and the e are sorted, whatever the order and signs the data came in
+    alg = _from_orthonormal([-2, -1], [[2, 1], [0, -2]])
+    assert orthonormal_form(alg.semisimplify()) == ((F(1), F(-2)), ((F(0), F(2)), (F(2), F(1))))
+
+
+def _from_orthonormal(weights, rows):
+    """The algebra with eta-orthonormal basis rows e_mu of weights theta_mu:
+    projectors pi_mu = theta_mu e_mu of norms theta_mu^2."""
+    projectors = [[F(t) * x for x in row] for t, row in zip(weights, rows)]
+    return FrobeniusAlgebra.from_semisimple([F(t) ** 2 for t in weights], projectors)
+
+
+def _frame(weights, rows):
+    """The projectors pi_mu = theta_mu e_mu, sorted, with their norms."""
+    pairs = sorted((tuple(F(t) * x for x in row), F(t) ** 2) for t, row in zip(weights, rows))
+    return tuple(w for _, w in pairs), tuple(p for p, _ in pairs)
 
 
 def _canonical(weights, rows):
-    """Construction data as semisimplify reports it: each row, with its
+    """Construction data as orthonormal_form reports it: each row, with its
     weight, negated when its first nonzero entry is negative, then sorted."""
     pairs = []
     for w, row in zip(weights, rows):
@@ -205,9 +232,10 @@ def _canonical(weights, rows):
 
 
 def test_semisimplify_recovers_the_construction_data():
-    # the eta-orthonormal projector basis is unique up to the sign of each
-    # vector, so it must be the data the algebra was built from; with the
-    # unit as the first basis vector, that vector splits nothing
+    # the projectors are unique, and the eta-orthonormal basis is unique up
+    # to the sign of each vector, so both must be the data the algebra was
+    # built from; with the unit as the first basis vector, that vector
+    # splits nothing
     rng, big_rng = random.Random(17), random.Random(18)
     for dim in (1, 2, 3, 4):
         algebras = [
@@ -219,7 +247,8 @@ def test_semisimplify_recovers_the_construction_data():
         algebras += [_big_number_algebra(big_rng, dim) for _ in range(2)]
         for alg, weights, rows in algebras:
             ss = alg.semisimplify()
-            assert (ss.weights, ss.basis_change) == _canonical(weights, rows)
+            assert (ss.norms, ss.projectors) == _frame(weights, rows)
+            assert orthonormal_form(ss) == _canonical(weights, rows)
 
 
 def trace_form_quotient(p):
@@ -261,7 +290,8 @@ def test_split_quotient():
     alg = trace_form_quotient((-6, 11, -6, 1))
     lagrange = [(3, F(-5, 2), F(1, 2)), (-3, 4, -1), (1, F(-3, 2), F(1, 2))]
     ss = alg.semisimplify()
-    assert (ss.weights, ss.basis_change) == _canonical((1, 1, 1), lagrange)
+    assert (ss.norms, ss.projectors) == _frame((1, 1, 1), lagrange)
+    assert orthonormal_form(ss) == _canonical((1, 1, 1), lagrange)
 
 
 def test_semisimplify_requires_semisimple():
@@ -277,10 +307,7 @@ def test_euler_power():
         assert alg.multiply(alg.euler_power(g), alg.euler_power(-g)) == alg.unit
     ss = alg.semisimplify()
     for g in (-2, -1, 0, 1, 2, 3):
-        want = tuple(
-            sum(ss.weights[m] ** (1 - 2 * g) * ss.basis_change[m][k] for m in range(2))
-            for k in range(2)
-        )
+        want = tuple(sum(ss.norms[m] ** -g * ss.projectors[m][k] for m in range(2)) for k in range(2))
         assert alg.euler_power(g) == want
 
 
@@ -352,7 +379,7 @@ def _unit_first_algebra(rng, dim):
         if det(coords) != 0:
             break
     rows = mat_inv(coords)
-    alg = FrobeniusAlgebra.from_semisimple(weights, rows)
+    alg = _from_orthonormal(weights, rows)
     assert alg.unit == (1,) + (0,) * (dim - 1)
     return alg, weights, rows
 
@@ -372,7 +399,7 @@ def _big_number_algebra(rng, dim):
     while True:
         rows = [[big() for _ in range(dim)] for _ in range(dim)]
         if det(rows) != 0:
-            return FrobeniusAlgebra.from_semisimple(weights, rows), weights, rows
+            return _from_orthonormal(weights, rows), weights, rows
 
 
 def _problems(dim, eta, structure, unit):

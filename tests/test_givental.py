@@ -109,7 +109,7 @@ def test_omega_plus_scalar_exponential():
 def _omega_plus_is_vertex_exp(spec):
     op = omega_plus(spec)
     return [
-        op.values[mu] == spec.vertex_exp(mu, spec.degree).scale(spec.ss.weights[mu])
+        op.values[mu] == spec.vertex_exp(mu, spec.degree).scale(spec.ss.norms[mu])
         for mu in range(spec.ss.dim)
     ]
 
@@ -192,7 +192,7 @@ def test_scalar_specs_closed_forms(degree):
     assert [c[0][0] for c in spec.r.coeffs] == [a**k / factorial(k) for k in range(degree + 1)]
     assert spec.phi == ((a,),) + ((F(0),),) * (degree - 1)
     for s in (triv, spec):
-        assert (s.coherent, s.degree, s.ss.weights) == (True, degree, (1,))
+        assert (s.coherent, s.degree, s.ss.norms) == (True, degree, (1,))
 
 
 # sha256 of the genus-0 fixed and free reconstructions rendered, one per line,
@@ -292,7 +292,7 @@ def test_spec_rejects_non_symplectic_r():
     with pytest.raises(NotSymplectic, match="R does not satisfy the symplectic condition"):
         CohFTSpec(alg, ss, [], bad, 3)
     # the semisimple data is checked first: the kernel is built in its basis
-    wrong = SemisimpleData([ss.weights[0] * 4], [[ss.basis_change[0][0] / 2]])
+    wrong = SemisimpleData([ss.norms[0] * 4], [[ss.projectors[0][0] / 2]])
     with pytest.raises(InvalidAlgebra):
         CohFTSpec(alg, wrong, [], bad, 3)
 
@@ -455,8 +455,8 @@ def test_degree_zero_two_slots_is_euler_pairing():
 def test_r_action_dim2_loop_hand_assembly():
     # assemble the (1,1) class directly from the formulas: smooth part from
     # the classification formula, loop stratum from the kernel contracted at
-    # one projector index with the genus-0 three-valent vertex weight
-    # theta_mu^{-1}, all divided by |Aut| = 2
+    # one projector index with the genus-0 vertex weight w_mu, all divided
+    # by |Aut| = 2
     rng = random.Random(27)
     spec = coherent_spec(rng, 2, 4)
     alg, ss = spec.algebra, spec.ss
@@ -472,10 +472,10 @@ def test_r_action_dim2_loop_hand_assembly():
     from cohft.linalg import mat_inv, mat_mul, transpose
 
     kernel = edge_kernel(spec.r, alg.eta)
-    binv = mat_inv(ss.basis_change)
+    binv = mat_inv(ss.projectors)
     k00 = mat_mul(transpose(binv), mat_mul(kernel.coeff(0, 0), binv))
     rv0 = ss.to_semisimple(spec.r_inverse().apply(v).coeffs[0])
-    loop_coeff = sum(rv0[mu] * k00[mu][mu] / ss.weights[mu] for mu in range(2))
+    loop_coeff = sum(rv0[mu] * k00[mu][mu] * ss.norms[mu] for mu in range(2))
     key = DecoratedGraph(loop, ((),), (0,), ((0, 0),))
     terms[key] = terms.get(key, F(0)) + loop_coeff / 2
     want = TautExpr(1, 1, 1, terms)
@@ -635,7 +635,7 @@ def test_two_point_pairing_identity():
     rv = spec.r.apply(v)
     acc = KPPoly(1, cap)
     for mu in range(2):
-        tpm = two_point(spec, ss.basis_change[mu], w)
+        tpm = two_point(spec, ss.projectors[mu], w)
         coords = [ss.to_semisimple(c)[mu] for c in rv.coeffs]
         series = KPPoly(1, cap, {((), (k,)): c for k, c in enumerate(coords)})
         acc = acc + series * tpm
@@ -709,7 +709,7 @@ def test_semisimple_kernel_is_the_symplectic_check(data):
         assert not symplectic
         return
     assert symplectic
-    binv = mat_inv(ss.basis_change)
+    binv = mat_inv(ss.projectors)
     want = {}
     kernel = edge_kernel(r, alg.eta).table
     for (a, b), m in sorted(kernel.items(), key=lambda it: (sum(it[0]), it[0])):

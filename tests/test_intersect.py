@@ -6,7 +6,8 @@ from math import factorial
 import pytest
 
 from cohft import givental, intersect, taut
-from cohft.givental import CohFTSpec, r_action
+from cohft.frobenius import FrobeniusAlgebra, orthonormal_form
+from cohft.givental import CohFTSpec, r_action, verify_axioms
 from cohft.graphs import UnstablePair
 from cohft.intersect import (
     Correlators,
@@ -16,7 +17,7 @@ from cohft.intersect import (
     psi_correlator,
     correlator_of_theory,
 )
-from cohft.linalg import CohftError, frac_str, read_rational
+from cohft.linalg import CohftError, det, frac_str, read_rational
 from cohft.oracles import hodge_b, lambda_g_cases, lambda_g_closed_form
 from cohft.sampling import (
     bernoulli_numbers,
@@ -366,6 +367,25 @@ def _dense_spec(rng, dim, degree):
     return CohFTSpec(algebra, algebra.semisimplify(), None, r, degree, coherent=True)
 
 
+# norms that are not rational squares
+NONSQUARES = [F(2), F(3), F(5), F(1, 2), F(2, 3), F(5, 6)]
+
+
+def _indefinite_spec(rng, dim, degree):
+    """A coherent spec on the algebra of random integral projectors whose
+    norms are not rational squares and alternate in sign, so from dim 2 on
+    the metric is indefinite and no eta-orthonormal rational basis exists."""
+    sign = rng.choice([-1, 1])
+    norms = [sign * (-1) ** mu * rng.choice(NONSQUARES) for mu in range(dim)]
+    while True:
+        rows = [[F(rng.randrange(-3, 4)) for _ in range(dim)] for _ in range(dim)]
+        if det(rows) != 0:
+            break
+    algebra = FrobeniusAlgebra.from_semisimple(norms, rows)
+    r = random_symplectic_r(rng, algebra, degree)
+    return CohFTSpec(algebra, algebra.semisimplify(), None, r, degree, coherent=True)
+
+
 def _spread(rng, total, n):
     out = [0] * n
     for _ in range(total):
@@ -377,15 +397,24 @@ def _spread(rng, total, n):
 CLASS_CASES = [(g, n, dim) for dim in (1, 2, 3) for g, n in SMALL_PAIRS if (n, dim) not in ((7, 2), (7, 3))]
 
 
-@pytest.mark.parametrize("dense", [True, False], ids=["dense_r", "sparse_r"])
+# each family's spec builder, and the tag that seeds its cases
+FAMILIES = {
+    "dense_r": (_dense_spec, True),
+    "sparse_r": (coherent_spec, False),
+    "indefinite": (_indefinite_spec, "indefinite"),
+}
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
 @pytest.mark.parametrize("g, n, dim", CLASS_CASES)
-def test_correlator_equals_the_integrated_class(g, n, dim, dense):
+def test_correlator_equals_the_integrated_class(g, n, dim, family):
     # the factorised sum against integrate_taut(r_action(...)): the same
     # value, and a memo table holding every entry the class path memoised;
     # psi summing above the dimension gives 0
     d = 3 * g - 3 + n
-    rng = random.Random("%d:%d:%d:%s" % (g, n, dim, dense))
-    spec = (_dense_spec if dense else coherent_spec)(rng, dim, max(d, 1))
+    make, tag = FAMILIES[family]
+    rng = random.Random("%d:%d:%d:%s" % (g, n, dim, tag))
+    spec = make(rng, dim, max(d, 1))
     vs = [random_vector(rng, dim) for _ in range(n)]
     expr = r_action(spec, g, n, vs)
     totals = [rng.randrange(d + 1), d + 1 + rng.randrange(2)] if n else [0]
@@ -397,6 +426,26 @@ def test_correlator_equals_the_integrated_class(g, n, dim, dense):
         assert set(old.dump().splitlines()) <= set(new.dump().splitlines())
         if total > d:
             assert value == 0
+
+
+def test_indefinite_family_is_a_cohft():
+    # the family has norms of both signs from dim 2 on and no orthonormal
+    # form; most of the first correlators the comparison above takes are
+    # nonzero, so it compares numbers, and its specs pass every axiom check
+    nonzero = 0
+    for g, n, dim in CLASS_CASES:
+        d = 3 * g - 3 + n
+        rng = random.Random("%d:%d:%d:indefinite" % (g, n, dim))
+        spec = _indefinite_spec(rng, dim, max(d, 1))
+        assert orthonormal_form(spec.ss) is None
+        assert dim == 1 or min(spec.ss.norms) < 0 < max(spec.ss.norms)
+        vs = [random_vector(rng, dim) for _ in range(n)]
+        psi = _spread(rng, rng.randrange(d + 1) if n else 0, n)
+        nonzero += correlator_of_theory(spec, g, n, vs, psi, Correlators()) != 0
+    assert nonzero >= 24  # 25 of the 31
+    for dim in (1, 2, 3):
+        spec = _indefinite_spec(random.Random(dim), dim, 3)
+        assert verify_axioms(spec, "free") == verify_axioms(spec, "fixed") == []
 
 
 def test_correlator_builds_no_class(monkeypatch):

@@ -74,17 +74,17 @@ def test_convolution_neutral_element():
 
 
 def test_convolution_scalar_case():
-    # dim 1 with weight t: (X * Y)(e) = t^{-1} X(e) Y(e)
+    # dim 1 with norm t: (X * Y)(pi) = t^{-1} X(pi) Y(pi)
     from cohft.frobenius import FrobeniusAlgebra
 
-    alg = FrobeniusAlgebra.from_semisimple([F(4)], [[F(1, 2)]])
+    alg = FrobeniusAlgebra.from_semisimple([F(16)], [[F(2)]])
     ss = alg.semisimplify()
     cap = 4
     x = CovectorKappaPoly(ss, (KappaPoly(cap, {(1,): F(3), (): F(1)}),))
     y = CovectorKappaPoly(ss, (KappaPoly(cap, {(2,): F(5), (): F(2)}),))
     conv = convolution(x, y)
-    t = ss.weights[0]
-    e = ss.basis_change[0]
+    t = ss.norms[0]
+    e = ss.projectors[0]
     want = (x.value(e) * y.value(e)).scale(1 / t)
     assert conv.value(e) == want
 
