@@ -4,10 +4,32 @@ theories.
 psi_correlator implements the Virasoro/KdV recursion with the two standard
 seeds <tau_0^3>_0 = 1 and <tau_1>_1 = 1/24: the string equation removes a
 tau_0, the dilaton equation removes a tau_1, and the main (DVV) recursion
-applies to an index >= 2.  Its separating term splits the remaining points
-into two sides.  Points with equal exponents give equal terms, so the split
-runs over the sub-multisets S of the remaining exponents, each once per call
-and weighted by prod_a C(m_a, k_a), the number of index subsets that pick
+applies to an index >= 2.  It runs on an integer lattice: the memo holds
+
+  N(g; a_1..a_n) = 2^{4g+n-2} prod (2a_i+1)!! <tau_a_1 ... tau_a_n>_g
+
+as a plain int, and a Fraction is built only where a value leaves the memo.
+Every psi-number times prod (2a_i+1)!! is a dyadic rational, and by
+induction on the recursion below 2^{4g+n-2} clears its denominator.  The
+seeds are N(0; 0,0,0) = 2 and N(1; 1) = 1, and every coefficient is an
+integer (n counts the points on the left, and the DVV line applies when
+every exponent is at least 2, with a_1 the largest):
+
+  string   N(g; A, 0) = 2 sum_j (2a_j+1) N(g; A with a_j - 1)
+  dilaton  N(g; A, 1) = 6 (2g-3+n) N(g; A)
+  DVV      N(g; a_1, A) = sum_j 2 (2a_j+1) N(g; a_1+a_j-1, A without a_j)
+             + sum_{b+c=a_1-2} [4 N(g-1; A, b, c)
+                                + sum w N(g_1; S, b) N(g_2; T, c)]
+
+The DVV recursion halves its quadratic terms.  Against the scale
+2^{4g+n-2} of the left side, the non-separating key (genus g-1, n+1
+points) has scale 2^{4g+n-5}, and the two separating keys (genera adding
+to g, n+1 points between them) have scales multiplying to 2^{4g+n-3}.  The
+ratios 2^3 and 2^1 leave 2^2 and 2^0 after the half, so no division is left.
+The separating term splits the remaining points into the two sides.
+Points with equal exponents give equal terms, so the split runs over the
+sub-multisets S of the remaining exponents, each once per call and
+weighted by w = prod_a C(m_a, k_a), the number of index subsets that pick
 it.  The genus of the side holding S and tau_b is not looped over: its
 dimension fixes it, 3 g_1 = sum(S) + b - |S| + 2, so S is skipped when that
 is not a multiple of 3 or g_1 lies outside [0, g].
@@ -56,15 +78,16 @@ from fractions import Fraction
 from .givental import DecorationWalk, VertexTables, require_input
 from .graphs import enumerate_stable_graphs, require_stable
 from .kappa import sub_multisets
-from .linalg import Q0, Q1, RATIONAL, CohftError, frac_str
+from .linalg import Q0, RATIONAL, CohftError, frac_str
 
 
-def double_factorial_odd(k):
-    """(2k+1)!! for k >= 0."""
+def _scale(g, exps):
+    """2^{4g+n-2} prod (2a_i+1)!!, the factor from <exps>_g to N(g; exps)."""
     out = 1
-    for i in range(3, 2 * k + 2, 2):
-        out *= i
-    return out
+    for a in exps:
+        for i in range(3, 2 * a + 2, 2):
+            out *= i
+    return out << (4 * g + len(exps) - 2)
 
 
 def _descending(values):
@@ -100,50 +123,53 @@ class Correlators:
         return self._psi_value(g, exps)
 
     def _psi_value(self, g, exps):
-        """The memo lookup the recursion calls: (g, exps) stable, exps
-        sorted descending and of the dimension of the moduli space."""
+        """<exps>_g as a Fraction, for a memoised key or one _lattice takes."""
+        return Fraction(self._lattice(g, exps), _scale(g, exps))
+
+    def _lattice(self, g, exps):
+        """The memo lookup the recursion calls: N(g; exps), with (g, exps)
+        stable, exps sorted descending and of the dimension of the moduli
+        space."""
         key = (g, exps)
-        if key not in self._psi:
-            self._psi[key] = self._psi_recurse(g, exps)
-        return self._psi[key]
+        value = self._psi.get(key)
+        if value is None:
+            value = self._psi[key] = self._psi_recurse(g, exps)
+        return value
 
     def _psi_recurse(self, g, exps):
         n = len(exps)
         if (g, n) == (0, 3):
-            return Q1
+            return 2
         if (g, n) == (1, 1):
-            return Fraction(1, 24)
+            return 1
         rest = exps[:-1]
         if exps[-1] == 0:
             # string equation: equal exponents give equal terms, and lowering
             # the last of them keeps the order
-            total = Q0
+            total = 0
             for a in dict.fromkeys(rest):
                 if a >= 1:
                     m = rest.count(a)
                     j = rest.index(a) + m
-                    total += m * self._psi_value(g, rest[: j - 1] + (a - 1,) + rest[j:])
-            return total
+                    total += m * (2 * a + 1) * self._lattice(g, rest[: j - 1] + (a - 1,) + rest[j:])
+            return 2 * total
         if exps[-1] == 1:
             # dilaton equation
-            return (2 * g - 2 + (n - 1)) * self._psi_value(g, rest)
+            return 6 * (2 * g - 3 + n) * self._lattice(g, rest)
         # main recursion on the largest index, all entries >= 2 here
         a1, rest = exps[0], exps[1:]
-        total = Q0
+        total = 0
         # merging a1 with a point: equal exponents give equal terms
         for aj in dict.fromkeys(rest):
             j = rest.index(aj)
             others = rest[:j] + rest[j + 1 :]
-            coeff = rest.count(aj) * Fraction(
-                double_factorial_odd(a1 + aj - 1), double_factorial_odd(aj - 1)
-            )
-            total += coeff * self._psi_value(g, (a1 + aj - 1,) + others)
+            total += 2 * rest.count(aj) * (2 * aj + 1) * self._lattice(g, (a1 + aj - 1,) + others)
         # sum(S) - |S| decides the left genus for every b
         splits = [(w, s, t, sum(s) - len(s)) for w, s, t in sub_multisets(rest)]
-        # the terms of one b share the weight (2b+1)!! (2c+1)!! / 2
         for b in range(a1 - 1):
             c = a1 - 2 - b
-            part = self._psi_value(g - 1, _descending(rest + (b, c))) if g >= 1 else Q0
+            if g >= 1:
+                total += 4 * self._lattice(g - 1, _descending(rest + (b, c)))
             for weight, chosen, remainder, excess in splits:
                 g1, r = divmod(excess + b + 2, 3)
                 if r or not 0 <= g1 <= g:
@@ -151,13 +177,12 @@ class Correlators:
                 g2 = g - g1
                 if 2 * g1 - 1 + len(chosen) <= 0 or 2 * g2 - 1 + len(remainder) <= 0:
                     continue
-                part += (
-                    self._psi_value(g1, _descending(chosen + (b,)))
-                    * self._psi_value(g2, _descending(remainder + (c,)))
-                    * weight
+                total += (
+                    weight
+                    * self._lattice(g1, _descending(chosen + (b,)))
+                    * self._lattice(g2, _descending(remainder + (c,)))
                 )
-            total += Fraction(double_factorial_odd(b) * double_factorial_odd(c), 2) * part
-        return total / double_factorial_odd(a1)
+        return total
 
     # -- kappa reduction -------------------------------------------------------
 
@@ -197,7 +222,7 @@ class Correlators:
         failures = []
         for g, exps in sorted(self._psi):
             n = len(exps)
-            val = self._psi[(g, exps)]
+            val = self._psi_value(g, exps)
             rest = exps[:-1]
             if exps[-1] == 0 and 2 * g - 2 + (n - 1) > 0:
                 string = sum(
@@ -218,7 +243,8 @@ class Correlators:
 
     def dump(self):
         lines = []
-        for (g, exps), val in sorted(self._psi.items()):
+        for g, exps in sorted(self._psi):
+            val = self._psi_value(g, exps)
             lines.append("psi %d %s = %s" % (g, ",".join(map(str, exps)), frac_str(val)))
         for (g, pp, kk), val in sorted(self._kp.items()):
             lines.append(
@@ -232,8 +258,11 @@ class Correlators:
 
         Each non-blank line is `psi G E = V` or `kp G P K = V`: G a genus,
         E, P and K comma-separated lists of non-negative integers (P may be
-        empty) and V an integer or a fraction.  Any other line raises
-        CohftError naming `source` and the line number, and nothing is read.
+        empty) and V an integer or a fraction.  A psi entry must be of a
+        stable (G, n), of degree at most its dimension and of genus at most
+        MAX_CACHE_GENUS, and V times 2^{4G+n-2} prod (2a_i+1)!! must be an
+        integer.  Any other line raises CohftError naming `source` and the
+        line number, and nothing is read.
         """
         psi, kp = {}, {}
         for number, line in enumerate(text.splitlines(), start=1):
@@ -283,6 +312,10 @@ class Correlators:
         self.load(text, path)
 
 
+# the genus and degree bounds keep the scale of a cache entry small: that
+# of <tau_2998>_1000 has 37,312 bits and takes 3 ms, while the memo of
+# <tau_{3g-2}>_g holds 259 entries at genus 8 and 779 at genus 10
+MAX_CACHE_GENUS = 1000
 _NUMS = r"(\d+(?:,\d+)*)"
 _ENTRY = re.compile(
     r"(?:psi (\d+) %s|kp (\d+) %s? %s) = (%s)" % (_NUMS, _NUMS, _NUMS, RATIONAL),
@@ -300,11 +333,24 @@ def _parse_entry(line):
     def ints(field):
         return tuple(int(x) for x in field.split(",")) if field else ()
 
-    if psi_g is not None:
-        key = (int(psi_g), ints(psi_exps))
-    else:
-        key = (int(kp_g), ints(kp_exps), ints(kp_kappa))
-    return key, Fraction(value)
+    value = Fraction(value)
+    if psi_g is None:
+        return (int(kp_g), ints(kp_exps), ints(kp_kappa)), value
+    g, exps = int(psi_g), ints(psi_exps)
+    n = len(exps)
+    if 2 * g - 2 + n <= 0:
+        raise ValueError("psi entry of the unstable pair (g, n) = (%d, %d)" % (g, n))
+    if g > MAX_CACHE_GENUS:
+        raise ValueError("psi entry of genus %d above %d" % (g, MAX_CACHE_GENUS))
+    if sum(exps) > 3 * g - 3 + n:
+        raise ValueError("psi entry of degree %d above its dimension %d" % (sum(exps), 3 * g - 3 + n))
+    scaled = value * _scale(g, exps)
+    if scaled.denominator != 1:
+        raise ValueError(
+            "psi value %s is off the lattice: times 2^(4g+n-2) prod (2a_i+1)!! it is %s, not an integer"
+            % (frac_str(value), frac_str(scaled))
+        )
+    return (g, exps), scaled.numerator
 
 
 _DEFAULT = Correlators()

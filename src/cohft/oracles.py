@@ -9,16 +9,19 @@ of R^{-1} unit, with no division by a norm) instead of the closed-form
 exponential of the vertex log.  Closed forms check whole
 correlators: the Hodge theory's against the lambda_g formula, whose b_g
 come from the series (t/2)/sin(t/2), not from the Bernoulli numbers that
-build the theory's R.
+build the theory's R.  The topological recursion relations check a
+theory's correlators against each other: psi_1 on M-bar_{0,n} and on
+M-bar_{1,n} is a sum of boundary divisors, so the gluing axioms of the
+class turn into identities among its correlators at every dim.
 """
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import factorial
 
 from .graphs import StableGraph
 from .kappa import KappaPoly
-from .linalg import Q0
+from .linalg import Q0, identity
 from .taut import forgotten_point_msum
 
 
@@ -151,6 +154,67 @@ def lambda_g_cases(max_dim):
             if 2 * g - 2 + n > 0:
                 out.extend((g, n, exps) for exps in descending(2 * g - 3 + n, n, 2 * g - 3 + n))
     return out
+
+
+def _call(corr, g, points):
+    """corr at genus g on points, a list of (vector, psi power)."""
+    return corr(g, [v for v, _ in points], [k for _, k in points])
+
+
+def _separating(corr, eta_inv, first, others, far_genus, kept):
+    """sum over the splits I+J of others with I non-empty, and over alpha,
+    of <first X_I e_alpha>_0 <e^alpha kept X_J>_far_genus, where
+    e^alpha = sum_beta eta^{alpha beta} e_beta."""
+    total = Q0
+    index = range(len(others))
+    for size in range(1, len(others) + 1):
+        for chosen in combinations(index, size):
+            left = [others[i] for i in chosen]
+            right = [others[i] for i in index if i not in chosen]
+            for e, e_dual in zip(identity(len(eta_inv)), eta_inv):
+                near = _call(corr, 0, [first] + left + [(e, 0)])
+                if near:
+                    total += near * _call(corr, far_genus, [(e_dual, 0)] + kept + right)
+    return total
+
+
+def trr_genus0(corr, eta_inv, points):
+    """Both sides of the genus-0 topological recursion relation.
+
+    points = [(v_1, a+1), (v_2, b), (v_3, c), X...] with a+1 >= 1, and
+    corr(g, vectors, psi) the theory's correlator.  Returns (lhs, rhs) of
+
+      <tau_{a+1}(v_1) tau_b(v_2) tau_c(v_3) X>_0
+        = sum_{I+J, I non-empty} sum_alpha
+          <tau_a(v_1) X_I e_alpha>_0 <e^alpha tau_b(v_2) tau_c(v_3) X_J>_0.
+    """
+    v1, k1 = points[0]
+    return _call(corr, 0, points), _separating(corr, eta_inv, (v1, k1 - 1), points[3:], 0, points[1:3])
+
+
+def trr_genus1(corr, eta_inv, points):
+    """The genus-1 topological recursion relation, in three parts.
+
+    points = [(v_1, a+1), X...] with a+1 >= 1, and corr(g, vectors, psi) the
+    theory's correlator.  Returns (lhs, separating, non_separating); the
+    relation is lhs = separating + non_separating / 24, with
+
+      lhs            = <tau_{a+1}(v_1) X>_1
+      separating     = sum_{I+J, I non-empty} sum_alpha
+                       <tau_a(v_1) X_I e_alpha>_0 <e^alpha X_J>_1
+      non_separating = sum_alpha <tau_a(v_1) X e_alpha e^alpha>_0.
+    """
+    v1, k1 = points[0]
+    first = (v1, k1 - 1)
+    non_separating = sum(
+        (
+            _call(corr, 0, [first] + points[1:] + [(e, 0), (e_dual, 0)])
+            for e, e_dual in zip(identity(len(eta_inv)), eta_inv)
+        ),
+        Q0,
+    )
+    separating = _separating(corr, eta_inv, first, points[1:], 1, [])
+    return _call(corr, 1, points), separating, non_separating
 
 
 def multikappa_by_permutations(ks, cap):

@@ -603,7 +603,9 @@ def test_cli_correlator_cache(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize(
     "bad_line",
-    ["junk", "psi 1 1 = 1/x", "psi 1 1 = 1/0", "kp 1 0 = 1/24", "psi 1 a = 1"],
+    # a value off the lattice (<tau_1>_1 is 1/24, and 24 * 1/7 is no
+    # integer) and an unstable pair are rejected like malformed lines
+    ["junk", "psi 1 1 = 1/x", "psi 1 1 = 1/0", "kp 1 0 = 1/24", "psi 1 a = 1", "psi 1 1 = 1/7", "psi 0 1 = 1"],
 )
 def test_cli_correlator_cache_rejects_bad_line(tmp_path, monkeypatch, capsys, bad_line):
     cfg = tmp_path / "spec.cfg"

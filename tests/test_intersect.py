@@ -18,7 +18,14 @@ from cohft.intersect import (
     correlator_of_theory,
 )
 from cohft.linalg import CohftError, det, frac_str, read_rational
-from cohft.oracles import hodge_b, lambda_g_cases, lambda_g_closed_form
+from cohft.oracles import (
+    genus0_multinomial,
+    hodge_b,
+    lambda_g_cases,
+    lambda_g_closed_form,
+    trr_genus0,
+    trr_genus1,
+)
 from cohft.sampling import (
     bernoulli_numbers,
     coherent_spec,
@@ -87,8 +94,24 @@ def test_higher_genus_values():
 
 def test_top_psi_closed_form():
     # independent oracle: <tau_{3g-2}>_g = 1/(24^g g!)
-    for g in range(1, 9):
+    for g in range(1, 13):
         assert Correlators().psi_correlator(g, (3 * g - 2,)) == F(1, 24**g * factorial(g)), g
+
+
+def test_memo_holds_lattice_integers():
+    # every entry the recursion fills is an int N = 2^{4g+n-2} prod (2a+1)!!
+    # times the number.  The memo of <tau_16>_6 holds no genus-0 entry (a
+    # genus-0 side of a DVV split would need exponents below 2), so a
+    # genus-0 query fills some through the string equation, each checked
+    # against the multinomial closed form
+    backend = Correlators()
+    backend.psi_correlator(6, (16,))
+    backend.psi_correlator(0, (3, 2, 2, 1, 1) + (0,) * 7)
+    assert all(type(value) is int for value in backend._psi.values())
+    genus0 = [exps for g, exps in backend._psi if g == 0]
+    assert len(genus0) == 30
+    for exps in genus0:
+        assert backend.psi_correlator(0, exps) == genus0_multinomial(exps), exps
 
 
 @pytest.mark.parametrize(
@@ -335,6 +358,34 @@ def test_load_is_all_or_nothing():
 
 
 @pytest.mark.parametrize(
+    "line, report",
+    [
+        ("psi 1 1 = 1/7", "psi value 1/7 is off the lattice: .* it is 24/7, not an integer"),
+        ("psi 2 4 = 1/1153", "off the lattice"),
+        ("psi 0 1 = 1", r"unstable pair \(g, n\) = \(0, 1\)"),
+        ("psi 0 0,0 = 1", r"unstable pair \(g, n\) = \(0, 2\)"),
+        ("psi 1 2 = 0", "degree 2 above its dimension 1"),
+        ("psi 0 9999999,0,0 = 1", "degree 9999999 above its dimension 0"),
+        ("psi 1001 3001 = 0", "genus 1001 above 1000"),
+        ("psi 99999999999999999999 0,0,0 = 1", "genus 99999999999999999999 above"),
+    ],
+)
+def test_load_keeps_psi_entries_on_the_lattice(line, report):
+    backend = Correlators()
+    with pytest.raises(CohftError, match="line 2: .*" + report):
+        backend.load("psi 0 0,0,0 = 1\n%s\n" % line)
+    assert backend.dump() == ""
+
+
+def test_load_accepts_stable_psi_entries_of_lower_degree():
+    # no query reads them, but check_string_dilaton does
+    backend = Correlators()
+    backend.load("psi 0 0,0,0,0 = 1/4\npsi 1000 2996,0 = 0\n")
+    assert backend.psi_correlator(0, (0, 0, 0, 0)) == 0
+    assert ("string", 0, (0, 0, 0, 0)) in backend.check_string_dilaton()
+
+
+@pytest.mark.parametrize(
     "token",
     ["7", "-7", "+7", "007", "1/24", "-3/8", "1/0", "1/024", "0.5", "1e-1", "1_0", "\u0661", "1/-2", "1 /2"],
 )
@@ -446,6 +497,44 @@ def test_indefinite_family_is_a_cohft():
     for dim in (1, 2, 3):
         spec = _indefinite_spec(random.Random(dim), dim, 3)
         assert verify_axioms(spec, "free") == verify_axioms(spec, "fixed") == []
+
+
+@pytest.mark.parametrize("family", ["sparse_r", "indefinite"])
+def test_theory_correlators_satisfy_the_topological_recursion(family):
+    # psi_1 on M-bar_{0,n} and M-bar_{1,n} is a sum of boundary divisors, so
+    # the gluing axioms tie the correlators together at every dim with no
+    # closed form; 1/12 in place of 1/24 breaks the genus-1 relation, and on
+    # the indefinite family so does a vertex weight |w_mu|^{1-h}, which the
+    # comparison with the integrated class cannot see
+    make, tag = FAMILIES[family]
+    nonzero = mutant = 0
+    for dim in (1, 2, 3):
+        for seed in range(2):
+            rng = random.Random("trr:%d:%d:%s" % (dim, seed, tag))
+            spec = make(rng, dim, 3)
+            backend = Correlators()
+
+            def corr(g, vectors, psi):
+                return correlator_of_theory(spec, g, len(vectors), vectors, psi, backend)
+
+            for g, n in [(0, 4), (0, 5), (0, 6), (1, 1), (1, 2), (1, 3)]:
+                d = 3 * g - 3 + n
+                for _ in range(3):
+                    psi = list(_spread(rng, rng.randrange(d), n))
+                    psi[0] += 1
+                    points = [(random_vector(rng, dim), k) for k in psi]
+                    if g == 0:
+                        lhs, rhs = trr_genus0(corr, spec.algebra.eta_inv, points)
+                    else:
+                        lhs, separating, non_separating = trr_genus1(corr, spec.algebra.eta_inv, points)
+                        rhs = separating + non_separating / 24
+                        mutant += lhs != separating + non_separating / 12
+                    assert lhs == rhs, (dim, seed, g, psi)
+                    nonzero += lhs != 0
+    # of the 108 cases 78 (sparse_r) and 76 (indefinite) are nonzero, and
+    # 1/12 changes 44 and 39 of the 54 genus-1 ones
+    assert nonzero >= 70
+    assert mutant >= 30
 
 
 def test_correlator_builds_no_class(monkeypatch):
