@@ -162,6 +162,8 @@ class SemisimpleData:
             raise InvalidAlgebra(["semisimple basis change is singular"]) from None
 
     def to_semisimple(self, v):
+        if len(v) != self.dim:
+            raise ValueError("dimension mismatch")
         return mat_vec(self.to_ss, v)
 
 

@@ -22,15 +22,16 @@ Frobenius trace theta, theta(pi_mu) = w_mu, as neutral element.  So
 convolution, exp and log for it, and the group-like and primitive tests
 work projector by projector and change no basis; exp and log are plain
 series since the argument has positive degree, summed by
-series.truncated_exp and series.truncated_log.  Only value, the evaluation
-at an ambient vector, reads an ambient table, built once per element.
+series.truncated_exp and series.truncated_log.  No ambient table is kept:
+X at a vector with pi-coordinates x^mu is sum_mu x^mu X(pi_mu), the
+combination of the values that givental forms for Teleman's smooth part.
 """
 
 from fractions import Fraction
 from itertools import chain, groupby, product
 from math import comb, factorial
 
-from .linalg import Q0, frac_str, vec
+from .linalg import Q0, frac_str
 from .series import truncated_exp, truncated_log
 
 
@@ -226,20 +227,14 @@ def tensor_truncate(table, cap):
 
 class CovectorKappaPoly:
     """Element X of A* (x) Q[kappa_j], held as its values X(pi_mu) on the
-    projectors of the semisimple data ss.
+    projectors of the semisimple data ss."""
 
-    components, the values X(e_i) on the ambient basis, is built once from
-    the columns of ss.to_ss and read by value, which is called at sparse
-    ambient vectors.
-    """
-
-    __slots__ = ("ss", "values", "cap", "_components")
+    __slots__ = ("ss", "values", "cap")
 
     def __init__(self, ss, values):
         self.ss = ss
         self.values = tuple(values)
         self.cap = self.values[0].cap
-        self._components = None
 
     def __eq__(self, other):
         """Equal values on the same projectors."""
@@ -252,19 +247,6 @@ class CovectorKappaPoly:
 
     def scale(self, c):
         return CovectorKappaPoly(self.ss, (a.scale(c) for a in self.values))
-
-    @property
-    def components(self):
-        if self._components is None:
-            tables = [value.terms for value in self.values]
-            self._components = tuple(
-                KappaPoly(self.cap, combination(column, tables)) for column in zip(*self.ss.to_ss)
-            )
-        return self._components
-
-    def value(self, v):
-        """Value on an ambient-coordinate vector, by linearity."""
-        return KappaPoly(self.cap, combination(vec(v), [comp.terms for comp in self.components]))
 
 
 def theta_covector(ss, cap):
@@ -326,8 +308,7 @@ def is_grouplike(x):
 
     At each projector: X(pi_mu) has constant term w_mu and coproduct
     w_mu^{-1} X(pi_mu) (x) X(pi_mu).  Both sides are linear in the value
-    and the projectors are a basis, so this is the test on the ambient
-    components.
+    and the projectors are a basis, so this is the test on every vector.
     """
     for v, w in zip(x.values, x.ss.norms):
         if v.constant_term() != w:

@@ -2,6 +2,7 @@ import hashlib
 import random
 from fractions import Fraction as F
 from itertools import permutations
+from itertools import product as iproduct
 from math import factorial
 
 import pytest
@@ -29,7 +30,7 @@ from cohft.givental import (
 from cohft.graphs import StableGraph, UnstablePair, smooth_graph
 from cohft.intersect import Correlators, correlator_of_theory
 from cohft.kappa import KappaPoly, is_grouplike, log_conv
-from cohft.linalg import CohftError, frac_str, identity, mat_inv, mat_mul, transpose
+from cohft.linalg import CohftError, frac_str, identity, mat_inv, mat_mul, mat_vec, transpose
 from cohft.sampling import (
     coherent_spec,
     hodge_spec,
@@ -44,12 +45,53 @@ from cohft.sampling import (
 from cohft.series import EndSeries, check_symplectic, edge_kernel
 from cohft.taut import DecoratedGraph, KPPoly, TautExpr
 from test_graphs import SMALL_PAIRS
+from test_intersect import _indefinite_spec
 
 
 def identity_spec(rng, dim, degree, phi=None):
     alg, _, _ = random_semisimple_algebra(rng, dim)
     ss = alg.semisimplify()
     return CohFTSpec(alg, ss, phi or [], EndSeries.identity(dim, degree), degree)
+
+
+def ambient_omega_plus(spec, x):
+    """Omega^+(x) = theta(x exp(sum_j kappa_j eta^{-1} phi_j)) through the
+    spec degree, the exponential summed in A[kappa] with ambient products:
+    a reference that reads no projector and no value of omega_plus."""
+    alg, cap = spec.algebra, spec.degree
+    step = [((j,), mat_vec(alg.eta_inv, p)) for j, p in enumerate(spec.phi, start=1)]
+    power = {(): alg.unit}
+    total = dict(power)
+    for k in range(1, cap + 1):
+        # power holds X^k / k!, X = sum_j kappa_j eta^{-1} phi_j
+        new = {}
+        for k1, a in power.items():
+            for k2, b in step:
+                if sum(k1) + sum(k2) <= cap:
+                    key = tuple(sorted(k1 + k2))
+                    prod = alg.multiply(a, b)
+                    old = new.get(key, (0,) * alg.dim)
+                    new[key] = tuple(o + c / k for o, c in zip(old, prod))
+        power = new
+        for key, a in power.items():
+            total[key] = tuple(t + c for t, c in zip(total.get(key, (0,) * alg.dim), a))
+    return KappaPoly(cap, ((key, alg.frobenius_trace(alg.multiply(x, a))) for key, a in total.items()))
+
+
+def ambient_slot_sum(spec, g, slots, cap):
+    """The smooth part with ambient products: sum over psi exponents e of
+    total degree <= cap of Omega^+(alpha^g prod_i slots[i][e_i]) psi^e, with
+    alpha^g from euler_power and slots of ambient vectors."""
+    alg = spec.algebra
+    terms = []
+    for exps in iproduct(*(range(len(slot)) for slot in slots)):
+        if sum(exps) > cap:
+            continue
+        acc = alg.euler_power(g)
+        for slot, e in zip(slots, exps):
+            acc = alg.multiply(acc, slot[e])
+        terms.extend(((kk, exps), c) for kk, c in ambient_omega_plus(spec, acc).terms.items())
+    return KPPoly(len(slots), cap, terms)
 
 
 def test_tqft_small_values():
@@ -101,7 +143,8 @@ def test_omega_plus_scalar_exponential():
     alg = FrobeniusAlgebra(1, [[1]], [[[1]]], [1])
     ss = alg.semisimplify()
     spec = CohFTSpec(alg, ss, [[c]], EndSeries.identity(1, 3), 3)
-    value = omega_plus(spec).components[0]
+    assert ss.projectors == ((1,),) and ss.norms == (1,)
+    value = omega_plus(spec).values[0]
     want = KappaPoly(3, {(1,): c}).exp()
     assert value == want
 
@@ -264,6 +307,21 @@ def test_reconstructions_need_one_vector_per_point():
     for recon in (tqft_value, reconstruct_fixed, reconstruct_free):
         with pytest.raises(ValueError, match="need 1 vectors"):
             recon(spec, 1, 1, [[1], [2], [3]])
+
+
+def test_vectors_need_the_algebra_dimension():
+    # every entry point checks the length: the coordinate changes would read
+    # a long vector by its first dim entries
+    spec = coherent_spec(random.Random(24), 2, 3)
+    for bad in ((1,), (1, 2, 3)):
+        for recon in (tqft_value, reconstruct_fixed, reconstruct_free, r_action):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                recon(spec, 1, 1, [bad])
+        for v, w in ((bad, (1, 0)), ((1, 0), bad)):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                two_point(spec, v, w)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            correlator_of_theory(spec, 1, 1, [bad], (1,))
 
 
 def test_spec_rejects_phi_of_the_wrong_length():
@@ -599,6 +657,50 @@ def test_verify_axioms_catches_incoherence():
     assert all(f["axiom"] == "forgetful" for f in failures)
 
 
+def test_verify_reads_the_edge_kernel():
+    # step 3 checks the genus-1 recursion on the theory's correlators, so it
+    # sees the graph sum: doubling the kernel entries of degree 0 breaks it
+    # on every spec that has one (an R with no z term has none), and no
+    # other axiom reads the kernel
+    specs = [coherent_spec(random.Random(seed), dim, 3) for dim in (1, 2, 3) for seed in range(6)]
+    caught = 0
+    for spec in specs + [hodge_spec(3)]:
+        assert verify_axioms(spec, "free") == []
+        kernel = spec.kernel_ss()
+        doubled = 0
+        for key, entries in kernel.items():
+            kernel[key] = [(a, b, 2 * c if a + b == 0 else c) for a, b, c in entries]
+            doubled += sum(a + b == 0 for a, b, _ in entries)
+        failures = verify_axioms(spec, "free")
+        assert all(f["axiom"] == "sewing-nonseparating" for f in failures)
+        assert bool(failures) == bool(doubled)
+        caught += bool(failures)
+    assert caught == 13  # 12 of the 18 seeded specs, and hodge_spec(3)
+
+
+@pytest.mark.parametrize("make", [coherent_spec, _indefinite_spec])
+def test_smooth_part_matches_the_ambient_reference(make):
+    # _slot_sum forms Omega^+ on the pi-coordinates; the reference multiplies
+    # ambient vectors and takes Omega^+ through an A-valued exponential
+    moved = 0
+    for dim in (1, 2, 3):
+        rng = random.Random("ambient:%d:%s" % (dim, make.__name__))
+        spec = make(rng, dim, 3)
+        alg, rinv = spec.algebra, spec.r_inverse()
+        for g, n in [(0, 3), (0, 4), (1, 1), (1, 2), (2, 1)]:
+            vs = [random_vector(rng, dim) for _ in range(n)]
+            cap = min(spec.degree, 3 * g - 3 + n)
+            fixed = ambient_slot_sum(spec, g, [(v,) for v in vs], cap)
+            free = ambient_slot_sum(spec, g, [rinv.apply(v).coeffs for v in vs], cap)
+            assert reconstruct_fixed(spec, g, n, vs) == fixed
+            assert reconstruct_free(spec, g, n, vs) == free
+            moved += free != fixed
+        v, w = random_vector(rng, dim), random_vector(rng, dim)
+        slot = [alg.multiply(s, w) for s in rinv.apply(v).coeffs]
+        assert two_point(spec, v, w) == ambient_slot_sum(spec, 0, [slot], spec.degree)
+    assert moved >= 9  # of 15: R moves the free form off the fixed one
+
+
 def test_sewing_fixed_surface_shift():
     rng = random.Random(21)
     spec = coherent_spec(rng, 2, 4)
@@ -620,7 +722,7 @@ def test_two_point_degree_zero_and_identity_r():
     assert tp.terms.get(((), (0,)), 0) == alg.pair(v, w)
     ident = identity_spec(rng, 2, 4, phi=[[F(1), F(1)]])
     tp2 = two_point(ident, v, w)
-    want = KPPoly.from_kappa(1, omega_plus(ident).value(ident.algebra.multiply(v, w)))
+    want = KPPoly.from_kappa(1, ambient_omega_plus(ident, ident.algebra.multiply(v, w)))
     assert tp2 == want
 
 
@@ -639,7 +741,7 @@ def test_two_point_pairing_identity():
         coords = [ss.to_semisimple(c)[mu] for c in rv.coeffs]
         series = KPPoly(1, cap, {((), (k,)): c for k, c in enumerate(coords)})
         acc = acc + series * tpm
-    want = KPPoly.from_kappa(1, omega_plus(spec).value(alg.multiply(v, w)))
+    want = KPPoly.from_kappa(1, ambient_omega_plus(spec, alg.multiply(v, w)))
     assert acc == want
 
 
