@@ -10,6 +10,7 @@ from .givental import (
     reconstruct_fixed,
     reconstruct_free,
     restrict_to_smooth,
+    skipped_axioms,
     tqft_value,
     two_point,
     verify_axioms,
@@ -46,6 +47,7 @@ __all__ = [
     "reconstruct_fixed",
     "reconstruct_free",
     "restrict_to_smooth",
+    "skipped_axioms",
     "special_order",
     "tqft_value",
     "translation_vector",

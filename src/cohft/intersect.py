@@ -61,11 +61,17 @@ left at v (its dimension less its edge-end and leg psi powers), the row
 coefficient times the kappa-psi number of the vertex.  The walk over
 projector assignments and edge decorations, and the vertex tables, are
 givental's, shared with the class (givental.DecorationWalk and
-VertexTables); here each vertex is limited by what the psi powers at its
-legs leave of its dimension, so a branch is cut once a vertex's load
-passes that.  F_v is memoised for one call by (genus, leg labels,
-projector, sorted edge-end psi).  integrate_taut(r_action(...)) computes
-the same numbers through the class and stays as the bit-exact reference.
+VertexTables), on the same integer lattice: the walk carries the int
+vertex prefactors and kernel numerators, and F_v is formed from the
+integer row numerators of the table, its denominator already in the
+prefactor.  Here each vertex is limited by what the psi powers at its legs
+leave of its dimension, so a branch is cut once a vertex's load passes
+that.  F_v is memoised for one call by (genus, leg labels, projector,
+sorted edge-end psi); within a graph each vertex reads its values as int
+numerators over one denominator of its own, so a graph's part is an int
+sum, divided once, together with its 1/|Aut|.
+integrate_taut(r_action(...)) computes the same numbers through the class
+and stays as the bit-exact reference.
 The factorised sum may memoise a few intersection numbers that the class
 path never looks up, because terms that cancel in the class are never
 integrated there.
@@ -74,6 +80,7 @@ integrated there.
 import os
 import re
 from fractions import Fraction
+from math import gcd, prod
 
 from .givental import DecorationWalk, VertexTables, require_input
 from .graphs import enumerate_stable_graphs, require_stable
@@ -433,52 +440,68 @@ def correlator_of_theory(spec, g, n, vectors, psi_exps, backend=None):
     values = {}  # vertex values of this call, shared by every graph
     total = Q0
     for graph in enumerate_stable_graphs(g, n):
-        part = _graph_integral(spec, graph, psi, backend, tables, values)
+        part, den = _graph_integral(graph, psi, backend, tables, values)
         if part:
-            total += part / graph.automorphism_order()
+            total += Fraction(part, den * graph.automorphism_order())
     return total
 
 
-def _graph_integral(spec, graph, psi, backend, tables, values):
-    """One graph's part of the correlator, before its 1/|Aut| weight.
+def _graph_integral(graph, psi, backend, tables, values):
+    """One graph's part of the correlator, before its 1/|Aut| weight, as an
+    int numerator and its denominator.
 
     Each vertex is limited by what psi at its legs leaves of its dimension,
-    and each edge decoration that fits contributes its coefficient times
-    the value of every vertex at the degree its load leaves.  values
-    memoises a vertex value by (genus, leg labels, projector, sorted edge
-    end psi powers), which fix that degree.
+    and each edge decoration that fits contributes its int coefficient
+    times the value of every vertex at the degree its load leaves.  values
+    memoises a vertex value, the Fraction sum over the integer table rows,
+    by (genus, leg labels, projector, sorted edge end psi powers), which fix
+    that degree.  Within the graph, vertex v reads each value as an int
+    numerator over its own denominator M_v, the lcm of the denominators
+    read so far; when a value needs a larger M_v, the numerators read
+    before and the running total are scaled up to it, since every term of
+    the total holds one value of vertex v.  So the walk adds only ints and
+    the denominator is the walk's times prod_v M_v.
     """
     nv = graph.num_vertices
     genera, labels, ends = graph.genera, graph.labels, graph.ends
     limits = [graph.vertex_dim(v) - sum(psi[label - 1] for label in labels[v]) for v in range(nv)]
-    if min(limits) < 0:
-        return Q0
-    walk = DecorationWalk(spec, graph, limits)
-    assign, load, edge_psi = walk.assign, walk.load, walk.edge_psi
-    total = Q0
+    if min(limits) < 0 or (graph.edges and not tables.kernel):
+        return 0, 1
+    walk = DecorationWalk(tables, graph, limits, limits)
+    assign, load, edge_psi, rows = walk.assign, walk.load, walk.edge_psi, walk.rows
+    dens = [1] * nv
+    nums = [{} for _ in range(nv)]  # (projector, edge end psi) -> numerator over dens[v]
+    total = 0
 
     def leaf(left, coeff):
         nonlocal total
         for v in range(nv):
             at = tuple(sorted(edge_psi[i][end] for i, end in ends[v]))
-            key = (genera[v], labels[v], assign[v], at)
-            value = values.get(key)
-            if value is None:
-                rows = tables[(labels[v], limits[v], assign[v])]
-                value = values[key] = _vertex_value(
-                    backend, rows, limits[v] - load[v], genera[v], labels[v], psi, at
-                )
-            coeff *= value
+            num = nums[v].get((assign[v], at))
+            if num is None:
+                key = (genera[v], labels[v], assign[v], at)
+                value = values.get(key)
+                if value is None:
+                    value = values[key] = _vertex_value(
+                        backend, rows[v][assign[v]], limits[v] - load[v], genera[v], labels[v], psi, at
+                    )
+                scale = value.denominator // gcd(dens[v], value.denominator)
+                if scale > 1:
+                    dens[v] *= scale
+                    total *= scale
+                    nums[v] = {k: x * scale for k, x in nums[v].items()}
+                num = nums[v][(assign[v], at)] = value.numerator * (dens[v] // value.denominator)
+            coeff *= num
         total += coeff
 
     walk.run(sum(limits), leaf)
-    return total
+    return total, walk.denominator * prod(dens)
 
 
 def _vertex_value(backend, rows, degree, h, labels, psi, ends):
-    """Sum over the table rows of exactly this degree of the row coefficient
-    times the kappa-psi number of a genus-h vertex: the row's leg powers
-    shifted by psi, then the edge-end powers ends."""
+    """Sum over the integer table rows of exactly this degree of the row
+    numerator times the kappa-psi number of a genus-h vertex: the row's leg
+    powers shifted by psi, then the edge-end powers ends."""
     total = Q0
     for deg, kk, exps, c in rows:
         if deg < degree:

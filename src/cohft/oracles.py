@@ -6,7 +6,12 @@ walks, multi-index kappa classes by summing over all permutations instead
 of set partitions, and vertex insertion sums by the raw m-sum over
 forgotten points (taut.forgotten_point_msum, read off the pi_mu-coordinate
 of R^{-1} unit, with no division by a norm) instead of the closed-form
-exponential of the vertex log.  Closed forms check whole
+exponential of the vertex log.  brute_force_graph_sum builds the whole
+class the same way, in plain Fractions: every graph of the brute-force
+search, every projector assignment and every decoration, with the edge
+kernel read from series.edge_kernel in the ambient basis and moved to the
+projectors, and with none of the walk, vertex tables or integer scaling of
+givental.  Closed forms check whole
 correlators: the Hodge theory's against the lambda_g formula, whose b_g
 come from the series (t/2)/sin(t/2), not from the Bernoulli numbers that
 build the theory's R.  The topological recursion relations check a
@@ -21,8 +26,9 @@ from math import factorial
 
 from .graphs import StableGraph
 from .kappa import KappaPoly
-from .linalg import Q0, identity
-from .taut import forgotten_point_msum
+from .linalg import Q0, Q1, identity, mat_inv, mat_mul, transpose, vec
+from .series import edge_kernel
+from .taut import DecoratedGraph, TautExpr, forgotten_point_msum
 
 
 def _connected(nv, edges):
@@ -240,8 +246,8 @@ def multikappa_by_permutations(ks, cap):
     return KappaPoly(cap, terms)
 
 
-def vertex_factor_diff(spec, mu, cap):
-    """Closed-form vertex exponential minus the m-sum, at one projector.
+def _vertex_msum(spec, mu, cap):
+    """The vertex insertion sum at one projector by the raw m-sum.
 
     The m-sum needs the translation series through z^{cap+1} (an exponent-a
     factor contributes kappa degree a-1), one order beyond the stored
@@ -251,4 +257,72 @@ def vertex_factor_diff(spec, mu, cap):
     s = spec.r_inverse().apply(spec.algebra.unit)
     u = [spec.ss.to_semisimple(c)[mu] for c in s.coeffs]
     t_hat = [Q0, Q0] + [-u[k - 1] for k in range(2, min(cap + 1, len(u)) + 1)]
-    return spec.vertex_exp(mu, cap) - forgotten_point_msum(t_hat, cap)
+    return forgotten_point_msum(t_hat, cap)
+
+
+def vertex_factor_diff(spec, mu, cap):
+    """Closed-form vertex exponential minus the m-sum, at one projector."""
+    return spec.vertex_exp(mu, cap) - _vertex_msum(spec, mu, cap)
+
+
+def _truncated_products(factors, cap):
+    """(degree, choices, coefficient) for one choice from each factor, a list
+    of (degree, choice, coefficient), with the degrees adding to at most
+    cap; degrees are non-negative, so a partial product past cap is
+    dropped."""
+    out = [(0, (), Q1)]
+    for options in factors:
+        out = [(d + e, chosen + (x,), c * y) for d, chosen, c in out for e, x, y in options if d + e <= cap]
+    return out
+
+
+def brute_force_graph_sum(spec, g, n, vectors):
+    """The class of the theory on Mbar_{g,n} at the vectors, as a plain
+    Fraction sum over the graphs of brute_force_stable_graphs.
+
+    Each graph weighs 1/|Aut|; each projector assignment mu prod_v
+    w_mu(v)^{1-h(v)}.  Every decoration is a choice of a kernel term per
+    edge, a term of the vertex m-sum per vertex and a power of R^{-1}(psi)
+    v per leg; the choices are multiplied out factor by factor, truncated
+    only at the degree the class has room for, and a decorated graph is
+    kept when every vertex's degree is at most its dimension.  The kernel
+    is the ambient series.edge_kernel moved to the projector coordinates by
+    the inverse of the projector rows P: P^{-t} K P^{-1}.
+    """
+    alg, ss = spec.algebra, spec.ss
+    cap = max(min(spec.degree, 3 * g - 3 + n), 0)
+    binv = mat_inv(ss.projectors)
+    kernel = {ab: mat_mul(transpose(binv), mat_mul(m, binv)) for ab, m in edge_kernel(spec.r, alg.eta).table.items()}
+    rinv = spec.r.invert()
+    legs = [[ss.to_semisimple(c) for c in rinv.apply(vec(v)).coeffs] for v in vectors]
+    vertex = [_vertex_msum(spec, mu, cap) for mu in range(alg.dim)]
+    terms = {}
+    for graph in brute_force_stable_graphs(g, n):
+        nv, ne = len(graph.genera), len(graph.edges)
+        if ne > cap:
+            continue
+        dims = [3 * h - 3 + graph.valence(v) for v, h in enumerate(graph.genera)]
+        weight = Fraction(1, graph.automorphism_order())
+        for assign in product(range(alg.dim), repeat=nv):
+            coeff = weight
+            for mu, h in zip(assign, graph.genera):
+                coeff *= ss.norms[mu] ** (1 - h)
+            factors = [
+                [(a + b, (a, b), m[assign[u]][assign[w]]) for (a, b), m in kernel.items()] for u, w in graph.edges
+            ]
+            factors += [[(sum(kk), kk, c) for kk, c in vertex[mu].terms.items()] for mu in assign]
+            factors += [[(e, e, c[assign[v]]) for e, c in enumerate(leg)] for v, leg in zip(graph.legs, legs)]
+            for _, choices, c in _truncated_products(factors, cap - ne):
+                if c == 0:
+                    continue
+                edge_psi, kappa, leg_psi = choices[:ne], choices[ne : ne + nv], choices[ne + nv :]
+                load = [sum(kk) for kk in kappa]
+                for (u, w), (a, b) in zip(graph.edges, edge_psi):
+                    load[u] += a
+                    load[w] += b
+                for v, e in zip(graph.legs, leg_psi):
+                    load[v] += e
+                if all(x <= d for x, d in zip(load, dims)):
+                    key = DecoratedGraph(graph, kappa, leg_psi, edge_psi)
+                    terms[key] = terms.get(key, Q0) + coeff * c
+    return TautExpr(g, n, cap, terms)

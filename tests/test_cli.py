@@ -19,7 +19,7 @@ from cohft import cli, graphs, intersect, taut
 from cohft.cli import main
 from cohft.config import ConfigError, parse_config, serialize_config
 from cohft.frobenius import FrobeniusAlgebra
-from cohft.givental import CohFTSpec
+from cohft.givental import AXIOMS, CohFTSpec
 from cohft.sampling import coherent_spec, incoherent_spec, random_symplectic_r
 
 SCALAR_CFG = """
@@ -669,6 +669,29 @@ def test_cli_verify_pass_and_fail(tmp_path):
     code, out = run_cli(["--config", str(badcfg), "verify", "free", "--max-dim", "2"])
     assert code == 2
     assert "forgetful: fail" in out
+
+
+@pytest.mark.parametrize(
+    "max_dim, skipped",
+    [("0", ["symmetry", "sewing-nonseparating", "forgetful"]), ("1", ["sewing-nonseparating"])],
+)
+def test_cli_verify_names_the_axioms_it_skips(tmp_path, max_dim, skipped):
+    # below --max-dim 2 some axioms have no case to check; each reads
+    # skipped (null under --json), never pass
+    config, _ = _readme_cli_examples()
+    cfg = tmp_path / "spec.cfg"
+    cfg.write_text(config)
+    code, out = run_cli(["--config", str(cfg), "verify", "free", "--max-dim", max_dim])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines == ["%s: %s" % (a, "skipped" if a in skipped else "pass") for a in AXIOMS]
+    code, out = run_cli(["--json", "--config", str(cfg), "verify", "free", "--max-dim", max_dim])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["axioms"] == {a: None if a in skipped else True for a in AXIOMS}
+    assert payload["failures"] == []
+    code, out = run_cli(["--config", str(cfg), "verify", "free", "--max-dim", "2"])
+    assert "skipped" not in out
 
 
 def test_cli_oracles(tmp_path):

@@ -23,6 +23,7 @@ from cohft.givental import (
     reconstruct_fixed,
     reconstruct_free,
     restrict_to_smooth,
+    skipped_axioms,
     tqft_value,
     two_point,
     verify_axioms,
@@ -30,6 +31,7 @@ from cohft.givental import (
 from cohft.graphs import StableGraph, UnstablePair, smooth_graph
 from cohft.intersect import Correlators, correlator_of_theory
 from cohft.kappa import KappaPoly, is_grouplike, log_conv
+from cohft.oracles import brute_force_graph_sum
 from cohft.linalg import CohftError, frac_str, identity, mat_inv, mat_mul, mat_vec, transpose
 from cohft.sampling import (
     coherent_spec,
@@ -678,6 +680,20 @@ def test_verify_reads_the_edge_kernel():
     assert caught == 13  # 12 of the 18 seeded specs, and hodge_spec(3)
 
 
+def test_skipped_axioms_are_the_ones_with_no_case():
+    # a doubled degree-0 kernel fails only non-separating sewing, so the
+    # dims that skip it find no failure and must say so
+    spec = coherent_spec(random.Random(1), 2, 3)
+    for key, entries in spec.kernel_ss().items():
+        spec.kernel_ss()[key] = [(a, b, 2 * c if a + b == 0 else c) for a, b, c in entries]
+    assert [f["axiom"] for f in verify_axioms(spec, "free", max_dim=2)] == ["sewing-nonseparating"] * 4
+    assert skipped_axioms(spec, 2) == []
+    for max_dim, skipped in [(0, ["symmetry", "sewing-nonseparating", "forgetful"]), (1, ["sewing-nonseparating"])]:
+        assert verify_axioms(spec, "free", max_dim=max_dim) == []
+        assert skipped_axioms(spec, max_dim) == skipped
+    assert skipped_axioms(coherent_spec(random.Random(0), 2, 1), 3) == ["sewing-nonseparating"]
+
+
 @pytest.mark.parametrize("make", [coherent_spec, _indefinite_spec])
 def test_smooth_part_matches_the_ambient_reference(make):
     # _slot_sum forms Omega^+ on the pi-coordinates; the reference multiplies
@@ -827,6 +843,58 @@ def _generic_vector(rng, dim):
         v = random_vector(rng, dim)
         if all(v):
             return v
+
+
+ORACLE_PAIRS = [(0, 4), (1, 1), (1, 2), (2, 1)]
+
+
+def _oracle_case(make, dim, g, n):
+    """A spec of degree 3g-3+n with a nonzero edge kernel, and n vectors
+    with no zero pi-coordinate."""
+    rng = random.Random("oracle:%s:%d:%d:%d" % (make.__name__, dim, g, n))
+    spec = make(rng, dim, 3 * g - 3 + n)
+    while not spec.kernel_ss():
+        spec = make(rng, dim, 3 * g - 3 + n)
+    vectors = []
+    while len(vectors) < n:
+        v = random_vector(rng, dim)
+        if all(spec.ss.to_semisimple(v)):
+            vectors.append(v)
+    return spec, vectors
+
+
+@pytest.mark.parametrize("make", [coherent_spec, _indefinite_spec])
+def test_r_action_matches_the_brute_force_graph_sum(make):
+    # the oracle shares no code with the walk, the vertex tables or their
+    # integer scaling: it reads the ambient kernel and the vertex m-sum
+    terms = nodal = 0
+    for dim in (1, 2, 3):
+        for g, n in ORACLE_PAIRS:
+            spec, vs = _oracle_case(make, dim, g, n)
+            got = r_action(spec, g, n, vs)
+            assert got == brute_force_graph_sum(spec, g, n, vs), (dim, g, n)
+            assert len(got.terms) >= 4, (dim, g, n)
+            terms += len(got.terms)
+            nodal += sum(bool(key.graph.edges) for key in got.terms)
+    # 571 and 568 terms, 443 and 442 of them on graphs with edges
+    assert terms >= 560
+    assert nodal >= 430
+
+
+def test_brute_force_graph_sum_sees_a_changed_kernel_entry():
+    # the oracle reads series.edge_kernel, not the spec's table, so one
+    # kernel entry changed in place moves r_action away from it
+    for dim, (g, n) in iproduct((1, 2, 3), ORACLE_PAIRS):
+        spec, vs = _oracle_case(coherent_spec, dim, g, n)
+        kernel = spec.kernel_ss()
+        # a degree-0 entry at one projector: the only kind a loop at a
+        # single vertex of (1,1) reads
+        key = min((mu, mu) for mu in range(dim) if sum(kernel.get((mu, mu), [(1, 0)])[0][:2]) == 0)
+        a, b, c = kernel[key][0]
+        kernel[key][0] = (a, b, c + 1)
+        assert r_action(spec, g, n, vs) != brute_force_graph_sum(spec, g, n, vs), (dim, g, n)
+        kernel[key][0] = (a, b, c)
+        assert r_action(spec, g, n, vs) == brute_force_graph_sum(spec, g, n, vs), (dim, g, n)
 
 
 # sha256 of r_action rendered on every SMALL_PAIRS entry, each followed by a
