@@ -34,7 +34,7 @@ from .givental import (
 )
 from .graphs import enumerate_stable_graphs, special_order
 from .intersect import correlator_of_theory, default_backend
-from .linalg import CohftError, frac_str, read_integer, read_rational
+from .linalg import CohftError, frac_str, identity, read_integer, read_rational
 from .sampling import hodge_spec
 from .oracles import (
     brute_force_stable_graphs,
@@ -42,6 +42,9 @@ from .oracles import (
     lambda_g_cases,
     lambda_g_closed_form,
     multikappa_by_permutations,
+    trr_cases,
+    trr_genus0,
+    trr_genus1,
     vertex_factor_diff,
     witten_top_closed_form,
 )
@@ -106,7 +109,7 @@ def _build_parser():
     p.add_argument("--dump-table", action="store_true", help="also print every memoized number")
 
     p = sub.add_parser("oracle", help="diff independent brute-force paths")
-    p.add_argument("kind", choices=["graphs", "dvv", "vertex-sum", "hodge"])
+    p.add_argument("kind", choices=["graphs", "dvv", "vertex-sum", "hodge", "trr"])
     # None tells an absent option from a given one: vertex-sum takes none
     p.add_argument("--max-dim", type=_dimension)
     return parser
@@ -367,6 +370,33 @@ def _cmd_oracle(args):
             lines.append(
                 "lambda_g (%d,%d) psi %s: %s vs %s %s"
                 % (g, n, ",".join(map(str, exps)), frac_str(value), frac_str(want), "ok" if ok else "MISMATCH")
+            )
+    elif args.kind == "trr":
+        # the theory's correlators against each other, through the genus-0
+        # and genus-1 topological recursion relations
+        if max_dim < 1:
+            raise CohftError("oracle trr has no case below --max-dim 1")
+        spec = _load_spec(args)
+        backend = default_backend()
+        basis = identity(spec.algebra.dim)
+        eta_inv = spec.algebra.eta_inv
+
+        def corr(g, vectors, psi):
+            return correlator_of_theory(spec, g, len(vectors), vectors, psi, backend)
+
+        for g, psi, idx in trr_cases(spec.algebra.dim, max_dim):
+            points = [(basis[i], k) for i, k in zip(idx, psi)]
+            if g == 0:
+                lhs, rhs = trr_genus0(corr, eta_inv, points)
+            else:
+                lhs, separating, non_separating = trr_genus1(corr, eta_inv, points)
+                rhs = separating + non_separating / 24
+            ok = lhs == rhs
+            mismatches += 0 if ok else 1
+            lines.append(
+                "genus %d psi %s at %s: %s vs %s %s"
+                % (g, ",".join(map(str, psi)), " ".join("b%d" % (i + 1) for i in idx),
+                   frac_str(lhs), frac_str(rhs), "ok" if ok else "MISMATCH")
             )
     else:  # vertex-sum
         spec = _load_spec(args)

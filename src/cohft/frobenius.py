@@ -8,7 +8,14 @@ finds them, by splitting the unit along the rational eigenvalues of each
 basis vector in turn, or reports NotSplit at the first minimal polynomial
 that does not split into distinct rational linear factors.
 rational_roots() decides that by one exact integer Newton walk, so its cost
-grows with the digits of the coefficients, not with their divisors.
+grows with the digits of the coefficients, not with their divisors.  The
+split stops once it holds dim blocks, since dim orthogonal idempotents
+summing to the unit are primitive.
+
+The product runs on an integer lattice: the structure constants are held
+as int numerators over one denominator, and a b multiplies the int
+numerators of a and b and builds one Fraction per coordinate.  The axiom
+checks, the split and check_semisimple_data all run on it.
 
 The engine works in the frame of the projectors pi_mu and their norms
 w_mu = eta(pi_mu, 1) = eta(pi_mu, pi_mu), which may be any nonzero
@@ -39,6 +46,7 @@ from .linalg import (
     mat,
     mat_inv,
     mat_vec,
+    numerators,
     solve,
     transpose,
     vec,
@@ -196,6 +204,13 @@ class FrobeniusAlgebra:
         self.eta = mat(eta)
         self.structure = tuple(tuple(vec(structure[i][j]) for j in range(dim)) for i in range(dim))
         self.unit = vec(unit)
+        # the structure constants as int numerators over one denominator:
+        # _table[i][j] lists the (k, numerator) of the nonzero c_ij^k
+        den = self._den = math.lcm(*(x.denominator for row in self.structure for prod in row for x in prod))
+        self._table = tuple(
+            tuple(tuple((k, x.numerator * (den // x.denominator)) for k, x in enumerate(prod) if x) for prod in row)
+            for row in self.structure
+        )
         problems = self._validate()
         if problems:
             raise InvalidAlgebra(problems)
@@ -274,18 +289,20 @@ class FrobeniusAlgebra:
         return cls(n, eta, structure, unit)
 
     def _raw_multiply(self, a, b):
-        out = list(zero_vec(self.dim))
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                if bj == 0:
-                    continue
-                coeff = ai * bj
-                for k, ck in enumerate(self.structure[i][j]):
-                    if ck != 0:
-                        out[k] += coeff * ck
-        return tuple(out)
+        """a b on int numerators: sum_ij a_i b_j c_ij^k over the product of
+        the three denominators, one Fraction per coordinate."""
+        da, a = numerators(a)
+        db, b = numerators(b)
+        out = [0] * self.dim
+        for ai, row in zip(a, self._table):
+            if ai:
+                for bj, prod in zip(b, row):
+                    if bj:
+                        coeff = ai * bj
+                        for k, ck in prod:
+                            out[k] += coeff * ck
+        d = da * db * self._den
+        return tuple(Fraction(x, d) if x else Q0 for x in out)
 
     def multiply(self, a, b):
         if len(a) != self.dim or len(b) != self.dim:
@@ -395,11 +412,15 @@ class FrobeniusAlgebra:
         minimal polynomial that does not split into distinct rational
         factors.  A final block u has b_i u = lambda_i u for every basis
         vector, so uA = Q u: the blocks are the dim primitive idempotents.
+        The split also stops as soon as it holds dim blocks: dim orthogonal
+        nonzero idempotents summing to the unit are already primitive.
         """
         if not self.is_semisimple():
             raise NotInvertible("euler class is not invertible: algebra is not semisimple")
         blocks = [self.unit]
         for b in identity(self.dim):
+            if len(blocks) == self.dim:
+                break
             blocks = [p for u in blocks for p in self._split_block(u, b)]
         blocks.sort()
         ss = SemisimpleData([self.frobenius_trace(u) for u in blocks], blocks)

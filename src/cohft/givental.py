@@ -30,13 +30,21 @@ verify_axioms checks non-separating sewing by the genus-1 topological
 recursion on the theory's correlators, so the edge kernel and the graph sum
 are under its check too.
 
-The edge kernel is built once, when the spec is constructed, and directly
-in the pi-coordinates: eta^{-1} = diag(1/w) = W there, so its numerator is
-delta W - T(z) W T(w)^t with T = P^{-t} R^{-1} P^t, P the projector rows.
-Its division by z + w leaves a zero remainder exactly when R is
-symplectic, so building it is the spec's symplectic check;
-series.check_symplectic and series.edge_kernel stay as independent checks
-of the same facts.
+A spec inverts no series.  It reads R in the projector frame,
+U_k = P^{-t} R_k P^t with P the projector rows, and takes R^{-1} as the
+symplectic adjoint R^*(-z) there (Givental, math/0108100):
+T_k = (-1)^k W U_k^t E with E = diag(w) the metric on the pi_mu and
+W = E^{-1}.  The edge kernel is built once, when the spec is constructed,
+in the pi-coordinates, with numerator delta W - T(z) W T(w)^t =
+W (delta E - U(-z)^t E U(w)) W, on int numerators.  Its division by z + w
+leaves a zero remainder exactly when U(-z)^t E U(z) = E, that is when R is
+symplectic, which is when T = R^{-1}: the division is the spec's
+symplectic check and proves T too.  The leg series R^{-1}(z) v is T(z)
+applied to the pi-coordinates of v, and the u_mu of the vertex log are the
+row sums of T, since the unit has pi-coordinates (1, ..., 1).
+EndSeries.invert stays the independent reference: r_inverse, coherent_phi,
+series.check_symplectic, series.edge_kernel and the oracles read it, and
+the tests compare the spec's kernel, legs, logs and phi with it.
 
 The graph sum does work in proportion to its output, and its two pieces
 serve both sums over graphs, the class and the correlator.  A
@@ -56,8 +64,11 @@ spec.
 
 The walk runs on an integer lattice.  When a sum starts, VertexTables reads
 the edge kernel from spec.kernel_ss() as int numerators over one
-denominator D_K, and stores each vertex table as int row numerators over
-that table's own denominator; per vertex (genus h, legs, room) the factor
+denominator D_K, and each leg series as int numerators over one
+denominator; each vertex exponential it reads once, the same way.  A
+vertex table's rows are products of those ints, over the table's
+denominator den(exp) prod den(leg), so no Fraction is built per row; per
+vertex (genus h, legs, room) the factor
 w_mu^{1-h} / den(table at mu) is brought to int prefactors over the lcm L_v
 over mu.  Every leaf of a graph's walk then multiplies one prefactor per
 vertex, one kernel numerator per edge and one row numerator per vertex,
@@ -73,10 +84,11 @@ from fractions import Fraction
 from itertools import permutations
 from itertools import product as iproduct
 from math import lcm
+from operator import mul
 
 from .kappa import CovectorKappaPoly, KappaPoly, combination, exp_conv, is_grouplike
 from .graphs import enumerate_stable_graphs, require_stable
-from .linalg import Q0, CohftError, dot, frac_str, identity, mat_mul, mat_vec, transpose, vec
+from .linalg import CohftError, dot, frac_str, identity, int_mat_mul, int_rows, mat_vec, numerators, transpose, vec
 from .oracles import trr_genus1
 from .series import EndSeries, NotDivisible, divide_by_z_plus_w, truncated_log
 from .taut import DecoratedGraph, KPPoly, TautExpr
@@ -95,10 +107,12 @@ class CohFTSpec:
 
     Construction checks the semisimple data against the algebra first, then
     builds the edge kernel in that basis, which raises NotSymplectic when R
-    is not symplectic.  With coherent set and phi None, phi is derived from
-    R through the compatibility relation; with coherent set and phi given,
-    the covectors are compared with that derivation (compatibility_check),
-    and IncoherentSpec is raised when they differ.  No Omega^+ is built.
+    is not symplectic and otherwise proves that the symplectic adjoint
+    R^*(-z), which the legs and vertex logs read, is R^{-1}.  With coherent
+    set and phi None, phi is derived from R through the compatibility
+    relation; with coherent set and phi given, the covectors are compared
+    with that derivation (compatibility_check), and IncoherentSpec is
+    raised when they differ.  No Omega^+ and no inverse series are built.
     """
 
     def __init__(self, algebra, ss, phi, r, degree, coherent=False):
@@ -116,10 +130,12 @@ class CohFTSpec:
             r = EndSeries.from_higher_coeffs(algebra.dim, self.degree, r)
         self.r = r
         algebra.check_semisimple_data(ss)
+        frame = _projector_frame(ss, r)
         try:
-            self._kernel_ss = _semisimple_kernel(ss, r.invert())
+            self._kernel_ss = _semisimple_kernel(ss, *frame)
         except NotDivisible:
             raise NotSymplectic("R does not satisfy the symplectic condition") from None
+        self._inverse = _adjoint_inverse(ss, *frame)
         self._cache = {}
         self.coherent = bool(coherent)
         if phi is None:
@@ -161,22 +177,31 @@ class CohFTSpec:
         return self._kernel_ss
 
     def leg_series(self, v):
-        """R^{-1}(z) v in semisimple coordinates, one tuple per power of z."""
+        """R^{-1}(z) v in semisimple coordinates, one tuple per power of z:
+        T(z) applied to the pi-coordinates of v (see _adjoint_inverse)."""
         v = vec(v)
         if len(v) != self.algebra.dim:
             raise ValueError("dimension mismatch")
 
         def build():
-            return tuple(self.ss.to_semisimple(c) for c in self.r_inverse().apply(v).coeffs)
+            dx, x = numerators(self.ss.to_semisimple(v))
+            dens, rows = self._inverse
+            return tuple(
+                tuple(Fraction(sum(map(mul, row, x)), d * dx) for row, d in zip(t, dens)) for t in rows
+            )
 
         return self._get(("legs", v), build)
 
     def vertex_log_coeffs(self):
-        """a_j^mu from -log u_mu(z), for j = 1..degree."""
-        return self._get(
-            "vertex_log",
-            lambda: _vertex_log_coeffs(self.algebra.unit, self.ss, self.r_inverse(), self.degree),
-        )
+        """a_j^mu from -log u_mu(z), for j = 1..degree: u_mu is the row sum
+        of T at mu, since the unit has pi-coordinates (1, ..., 1)."""
+
+        def build():
+            dens, rows = self._inverse
+            u = [[Fraction(sum(t[mu]), d) for t in rows] for mu, d in enumerate(dens)]
+            return _log_coeffs(u, self.degree)
+
+        return self._get("vertex_log", build)
 
     def vertex_exp(self, mu, cap):
         """exp(sum_j a_j^mu kappa_j) through degree cap <= degree.
@@ -194,56 +219,80 @@ class CohFTSpec:
         return full if cap == self.degree else KappaPoly(cap, full.terms)
 
 
-def _semisimple_kernel(ss, s):
-    """The edge kernel (W - T(z) W T(w)^t) / (z + w) in pi-coordinates, in
-    the layout of CohFTSpec.kernel_ss, for S = R^{-1}.
+def _projector_frame(ss, r):
+    """(d, M): R in the projector frame, U_k = P^{-t} R_k P^t = M[k] / d,
+    as int matrices over one denominator, P the projector rows."""
+    da, a = int_rows(ss.to_ss)
+    dc, c = int_rows(transpose(ss.projectors))
+    db, b = int_rows([row for coeff in r.coeffs for row in coeff])
+    n = len(a)
+    return da * db * dc, [int_mat_mul(int_mat_mul(a, b[k * n : (k + 1) * n]), c) for k in range(len(r.coeffs))]
 
-    The pi_mu are eta-orthogonal of norms w_mu, so with P the projector
-    rows, P^{-t} (eta^{-1} - S_a eta^{-1} S_b^t) P^{-1} is
-    delta_{a0} delta_{b0} W - T_a W T_b^t with W = diag(1/w) and
-    T_a = P^{-t} S_a P^t.  The division leaves a zero remainder exactly
-    when R is symplectic, so building the kernel is the symplectic check:
-    NotDivisible otherwise.
+
+def _adjoint_inverse(ss, d, frame):
+    """R^{-1} in the projector frame as the symplectic adjoint R^*(-z):
+    T_k = (-1)^k W U_k^t E with E = diag(w), W = E^{-1}, stored as
+    (dens, rows) on ints: with w = e / dw,
+    T_k[i][j] = (-1)^k U_k[j][i] e_j / e_i = rows[k][i][j] / dens[i].
+
+    T(z) U(z) = W U(-z)^t E U(z) is Id exactly when U(-z)^t E U(z) = E,
+    which is the remainder check of _semisimple_kernel: a spec exists only
+    for a symplectic R, and then T is R^{-1}, with no series inverted.
     """
-    order = s.order
-    pt = transpose(ss.projectors)
-    t = [mat_mul(ss.to_ss, mat_mul(c, pt)) for c in s.coeffs]
-    inv = [1 / w for w in ss.norms]
-    # the rows of T_b W, so that (T_a W T_b^t)_ij = T_a[i] . (T_b W)[j]
-    tw = [tuple(tuple(x * y for x, y in zip(row, inv)) for row in tb) for tb in t]
+    _, e = numerators(ss.norms)
+    n = len(e)
+    rows = [[[(-1) ** k * m[j][i] * e[j] for j in range(n)] for i in range(n)] for k, m in enumerate(frame)]
+    return [x * d for x in e], rows
+
+
+def _semisimple_kernel(ss, d, frame):
+    """The edge kernel (W - T(z) W T(w)^t) / (z + w) in pi-coordinates, in
+    the layout of CohFTSpec.kernel_ss, for T = R^*(-z) (_adjoint_inverse)
+    and U = M / d the projector frame (_projector_frame).
+
+    The pi_mu are eta-orthogonal of norms w_mu, so the numerator is
+    N[a][b] = W (delta_{a0} delta_{b0} E - (-1)^{a+b} U_a^t E U_b) W with
+    E = diag(w) = e / dw on ints, W = E^{-1}.  The middle factor is divided
+    by z + w as int numerators X over d^2 dw, and each kernel entry is
+    built once, as X dw / (e_i e_j d^2).  The remainder at w = -z is
+    W (E - U(-z)^t E U(z)) W, zero exactly when R is symplectic, so
+    building the kernel is the symplectic check: NotDivisible otherwise.
+    """
+    order = len(frame) - 1
+    dw, e = numerators(ss.norms)
+    n = len(e)
+    transposed = [tuple(zip(*m)) for m in frame]
+    scaled = [[[w * x for x in row] for w, row in zip(e, m)] for m in frame]
     numerator = {}
     for a in range(order + 1):
         for b in range(a, order + 1 - a):
+            sign = -1 if (a + b) % 2 else 1
             m = tuple(
-                tuple((inv[i] if a == b == 0 and i == j else Q0) - dot(ti, rj) for j, rj in enumerate(tw[b]))
-                for i, ti in enumerate(t[a])
+                tuple((e[i] * d * d if a == b == 0 and i == j else 0) - sign * x for j, x in enumerate(row))
+                for i, row in enumerate(int_mat_mul(transposed[a], scaled[b]))
             )
             # N[b][a] is the transpose of N[a][b]
             numerator[(a, b)] = m
             numerator[(b, a)] = transpose(m)
+    scale = [[Fraction(dw, e[i] * e[j] * d * d) for j in range(n)] for i in range(n)]
     out = {}
     table = divide_by_z_plus_w(numerator, order)
     for (a, b), m in sorted(table.items(), key=lambda it: (sum(it[0]), it[0])):
         for mu, row in enumerate(m):
-            for nu, c in enumerate(row):
-                if c != 0:
-                    out.setdefault((mu, nu), []).append((a, b, c))
+            for nu, x in enumerate(row):
+                if x:
+                    out.setdefault((mu, nu), []).append((a, b, x * scale[mu][nu]))
     return out
 
 
-def _vertex_log_coeffs(unit, ss, rinv, cap):
-    """a_j^mu = -[z^j] log u_mu(z) for j = 1..cap, one tuple per projector.
-
-    R^{-1}(z) unit = sum_mu u_mu(z) pi_mu, and u_mu has constant term 1
-    since unit = sum_mu pi_mu; each log is a scalar series, a dim-1
-    EndSeries.
-    """
-    coords = [ss.to_semisimple(c) for c in rinv.apply(unit).coeffs[: cap + 1]]
+def _log_coeffs(u, cap):
+    """a_j^mu = -[z^j] log u_mu(z) for j = 1..cap, one tuple per projector,
+    from the cap + 1 coefficients u[mu] of a series with constant term 1;
+    each log is a scalar series, a dim-1 EndSeries."""
     one = EndSeries.identity(1, cap)
     out = []
-    for mu in range(ss.dim):
-        u = EndSeries(1, cap, [[[c[mu]]] for c in coords])
-        log = truncated_log(u, one, cap)
+    for coeffs in u:
+        log = truncated_log(EndSeries(1, cap, [[[c]] for c in coeffs]), one, cap)
         out.append(tuple(-c[0][0] for c in log.coeffs[1:]))
     return tuple(out)
 
@@ -313,8 +362,13 @@ def compatibility_check(spec):
 
 
 def coherent_phi(algebra, ss, r, cap):
-    """The unique covectors making (phi, R) a coherent specification."""
-    return _phi_from_log(algebra, ss, _vertex_log_coeffs(algebra.unit, ss, r.invert(), cap))
+    """The unique covectors making (phi, R) a coherent specification.
+
+    Read from R^{-1}(z) unit = sum_mu u_mu(z) pi_mu with R^{-1} the inverted
+    series: a path independent of the spec's symplectic adjoint.
+    """
+    coords = [ss.to_semisimple(c) for c in r.invert().apply(algebra.unit).coeffs[: cap + 1]]
+    return _phi_from_log(algebra, ss, _log_coeffs(list(zip(*coords)), cap))
 
 
 def _class_cap(spec, g, n):
@@ -377,7 +431,9 @@ class VertexTables(dict):
     times the leg factors [z^e] R^{-1}(z) v at mu, sorted by degree so that
     a walk reads the prefix that fits.  The table is stored as
     (denominator, rows): each row's coefficient is its numerator over the
-    table's one denominator.  A table depends only on its key, the spec and
+    table's one denominator, den(exp) prod den(leg), from the exponential
+    and the leg series read once per sum as ints over one denominator
+    each.  A table depends only on its key, the spec and
     the vectors, so one dict serves every graph of a sum; a table is built
     the first time it is read.
 
@@ -389,29 +445,44 @@ class VertexTables(dict):
     def __init__(self, spec, vectors):
         super().__init__()
         self.spec = spec
-        self.legs = [spec.leg_series(v) for v in vectors]
+        self.legs = [int_rows(spec.leg_series(v)) for v in vectors]
         entries = spec.kernel_ss()
         self.kernel_den = lcm(*(c.denominator for row in entries.values() for _, _, c in row))
         self.kernel = {key: _numerators(row, self.kernel_den) for key, row in entries.items()}
+        self._exps = {}
         self._vertices = {}
+
+    def _exp(self, mu, room):
+        """(den, rows): the terms of exp(sum_j a_j^mu kappa_j) through room
+        as rows (degree, kappa monomial, numerator) over one denominator."""
+        key = (mu, room)
+        data = self._exps.get(key)
+        if data is None:
+            terms = self.spec.vertex_exp(mu, room).terms
+            den, nums = numerators(terms.values())
+            data = self._exps[key] = (den, [(sum(kk), kk, c) for kk, c in zip(terms, nums) if c])
+        return data
 
     def __missing__(self, key):
         labels, room, mu = key
-        legs = self.legs
+        den, exp_rows = self._exp(mu, room)
+        legs = []
+        for label in labels:
+            leg_den, leg = self.legs[label - 1]
+            den *= leg_den
+            legs.append([row[mu] for row in leg])
         rows = []
-        for kk, kc in self.spec.vertex_exp(mu, room).terms.items():
-            kdeg = sum(kk)
+        for kdeg, kk, c in exp_rows:
             for exps in _bounded_tuples(len(labels), room - kdeg):
-                c = kc
-                for label, e in zip(labels, exps):
-                    c *= legs[label - 1][e][mu]
-                    if c == 0:
+                x = c
+                for leg, e in zip(legs, exps):
+                    x *= leg[e]
+                    if not x:
                         break
-                if c != 0:
-                    rows.append((kdeg + sum(exps), kk, exps, c))
+                if x:
+                    rows.append((kdeg + sum(exps), kk, exps, x))
         rows.sort(key=lambda row: row[0])
-        den = lcm(*(row[3].denominator for row in rows))
-        self[key] = table = (den, _numerators(rows, den))
+        self[key] = table = (den, rows)
         return table
 
     def vertex(self, h, labels, room):

@@ -3,11 +3,15 @@
 Matrices are tuples of tuples of Fraction, vectors are tuples of Fraction.
 Everything here is immutable and pure; dimensions are tiny (the engine works
 with algebras of dimension <= 4 or so), so plain Gaussian elimination with
-exact pivoting is all we need.
+exact pivoting is all we need.  mat_mul and mat_vec multiply int
+numerators, over one denominator per operand (numerators, int_rows), and
+build one Fraction per entry of the result.
 """
 
 import re
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
@@ -53,13 +57,37 @@ def mat_scale(c, a):
     return tuple(tuple(c * x for x in row) for row in a)
 
 
+def numerators(entries):
+    """(d, ints): the rationals entries as int numerators over d, the lcm of
+    their denominators."""
+    d = lcm(*(x.denominator for x in entries))
+    return d, [x.numerator * (d // x.denominator) for x in entries]
+
+
+def int_rows(a):
+    """(d, rows): the matrix a as int rows over one denominator d."""
+    d = lcm(*(x.denominator for row in a for x in row))
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in a]
+
+
+def int_mat_mul(a, b):
+    """The product of two matrices of ints, as lists of int rows."""
+    bt = tuple(zip(*b))
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
+
+
 def mat_mul(a, b):
-    bt = transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    da, a = int_rows(a)
+    db, b = int_rows(b)
+    d = da * db
+    return tuple(tuple(Fraction(x, d) for x in row) for row in int_mat_mul(a, b))
 
 
 def mat_vec(a, v):
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    da, a = int_rows(a)
+    dv, v = numerators(v)
+    d = da * dv
+    return tuple(Fraction(sum(map(mul, row, v)), d) for row in a)
 
 
 def transpose(a):

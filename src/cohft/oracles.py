@@ -223,6 +223,21 @@ def trr_genus1(corr, eta_inv, points):
     return _call(corr, 1, points), separating, non_separating
 
 
+def trr_cases(dim, max_dim):
+    """(g, psi, basis indices) of the TRR cases of `cohft oracle trr`: genus
+    0 at n >= 4 and genus 1 at n >= 1, each of dimension d = 3g-3+n with
+    1 <= d <= max_dim, each psi with psi_1 >= 1 of total at most d (below d
+    the class's higher degrees, and so the edge kernel, take part), and, for
+    each basis vector b_i, point p carrying b_((i+p) mod dim)."""
+    for g in (0, 1):
+        for n in range(4 - 3 * g, max_dim + 4 - 3 * g):
+            d = 3 * g - 3 + n
+            for psi in product(range(d + 1), repeat=n):
+                if psi[0] >= 1 and sum(psi) <= d:
+                    for i in range(dim):
+                        yield g, psi, tuple((i + p) % dim for p in range(n))
+
+
 def multikappa_by_permutations(ks, cap):
     """kappa multi-index class by summing cycle products over all of S_m."""
     ks = list(ks)

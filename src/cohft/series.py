@@ -4,9 +4,11 @@ truncated exp/log pair of the engine.
 EndSeries models End(A)-valued series R(z) = R_0 + R_1 z + ... + R_D z^D;
 all operations are exact through the truncation order and drop higher terms.
 The two series-level facts the engine leans on are that inversion works
-order by order whenever R_0 is invertible, and that the edge numerator
-eta^{-1} - S(z) eta^{-1} S(w)^t is divisible by z + w exactly when S comes
-from a series satisfying the symplectic condition.  divide_by_z_plus_w is
+order by order whenever R_0 is invertible (the independent reference for
+R^{-1}: a spec reads R^{-1} as the symplectic adjoint, see givental), and
+that the edge numerator eta^{-1} - S(z) eta^{-1} S(w)^t is divisible by
+z + w exactly when S comes from a series satisfying the symplectic
+condition.  divide_by_z_plus_w is
 that division; a spec builds its kernel with it in the semisimple basis
 (givental), which is the spec's symplectic check.  check_symplectic (the
 product R(z) R(-z)^*) and edge_kernel (the kernel in the ambient basis)

@@ -712,6 +712,41 @@ def test_cli_oracles(tmp_path):
     assert out.endswith("mismatches: 0\n")
 
 
+@pytest.mark.parametrize("theory, rows, nonzero", [("readme", 49, 40), ("p1", 98, 54), ("p1 at 4", 98, 54)])
+def test_cli_oracle_trr(tmp_path, capsys, theory, rows, nonzero):
+    # one row per genus-0 and genus-1 TRR case at dims 1-3, each side a
+    # correlator of the theory
+    cfg = tmp_path / "spec.cfg"
+    cfg.write_text({"readme": _readme_cli_examples()[0], "p1": _qh_p1_config(1), "p1 at 4": _qh_p1_config(4)}[theory])
+    code, out = run_cli(["--config", str(cfg), "oracle", "trr"])
+    lines = out.splitlines()
+    assert code == 0
+    assert len(lines) == rows + 1 and lines[-1] == "mismatches: 0"
+    assert all(line.startswith("genus ") and line.endswith(" ok") for line in lines[:-1])
+    assert sum(": 0 vs 0 ok" not in line for line in lines[:-1]) == nonzero
+    assert lines[0].startswith("genus 0 psi 1,0,0,0 at b1 ")
+    code, json_out = run_cli(["--json", "--config", str(cfg), "oracle", "trr"])
+    assert json.loads(json_out) == {"report": lines, "mismatches": 0}
+    assert run_cli(["--config", str(cfg), "oracle", "trr", "--max-dim", "0"]) == (1, "")
+    assert "no case below --max-dim 1" in capsys.readouterr().err
+
+
+def test_cli_oracle_trr_sees_a_doubled_kernel(tmp_path, monkeypatch):
+    # the recursion ties correlators with different edge counts together,
+    # so doubling the degree-0 kernel entries breaks rows of it
+    cfg = tmp_path / "spec.cfg"
+    cfg.write_text(serialize_config(coherent_spec(random.Random(1), 2, 3)))
+    spec = parse_config(cfg.read_text())
+    assert run_cli(["--config", str(cfg), "oracle", "trr", "--max-dim", "2"])[0] == 0
+    kernel = spec.kernel_ss()
+    for key, entries in kernel.items():
+        kernel[key] = [(a, b, 2 * c if a + b == 0 else c) for a, b, c in entries]
+    monkeypatch.setattr(cli, "_load_spec", lambda args: spec)
+    code, out = run_cli(["--config", str(cfg), "oracle", "trr", "--max-dim", "2"])
+    assert code == 2
+    assert out.count(" MISMATCH\n") == int(out.splitlines()[-1].split()[1]) > 0
+
+
 @pytest.mark.parametrize("value", ["0", "3", "5"])
 def test_cli_vertex_sum_takes_no_max_dim(tmp_path, capsys, value):
     # the vertex-sum oracle has one fixed size, so a --max-dim would be ignored
@@ -822,6 +857,7 @@ README_PINS = {
     "oracle dvv": "d3578b8dbc0ef5af422b8c3d6d596dac5a07ebd1ed89b45f7b50ac68b2aff835",
     "--config spec.cfg oracle vertex-sum": "0a045a240205620a977a0c6c82cbc1e4379f86024f1a623120a2e6dfdce16ddb",
     "oracle hodge": "325d201e1417bf43657abbe9c9f6ede1d44a168f86b3b045fea43806890406ed",
+    "--config spec.cfg oracle trr": "fdd34e738499cf9c590abb75f7acdaaedc9fa550d0d43e0dfa151c3b4b4bd7fa",
 }
 
 

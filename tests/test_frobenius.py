@@ -633,3 +633,81 @@ def test_number_grammar_rejects_other_text(text):
     assert read_integer("-07") == -7
     with pytest.raises(ValueError):
         read_integer("1/2")
+
+
+def _fraction_product(alg, a, b):
+    """a b by the plain Fraction triple loop over the structure constants."""
+    out = [F(0)] * alg.dim
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            for k in range(alg.dim):
+                out[k] += F(a[i]) * F(b[j]) * alg.structure[i][j][k]
+    return tuple(out)
+
+
+# rationals with zeros and numerators and denominators of up to 25 digits
+_entries = st.one_of(
+    st.just(F(0)),
+    st.builds(F, st.integers(-10**25, 10**25), st.integers(1, 10**25)),
+    st.builds(F, st.integers(-3, 3), st.integers(1, 3)),
+)
+
+
+@st.composite
+def algebra_and_vectors(draw):
+    """A random split algebra of dim 1-4, built from projector rows and norms
+    drawn with zero entries and large denominators, and two vectors."""
+    dim = draw(st.integers(1, 4))
+    norms = [draw(_entries.filter(bool)) for _ in range(dim)]
+    rows = draw(st.lists(st.lists(_entries, min_size=dim, max_size=dim), min_size=dim, max_size=dim)
+                .filter(lambda m: det(mat(m)) != 0))
+    alg = FrobeniusAlgebra.from_semisimple(norms, rows)
+    a, b = (draw(st.lists(_entries, min_size=dim, max_size=dim)) for _ in range(2))
+    return alg, vec(a), vec(b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(algebra_and_vectors())
+def test_int_product_matches_the_fraction_triple_loop(data):
+    # the product runs on int numerators over one denominator per operand
+    # and one for the structure constants
+    alg, a, b = data
+    want = _fraction_product(alg, a, b)
+    assert alg.multiply(a, b) == want
+    assert all(type(x) is F for x in alg.multiply(a, b))
+    assert alg.multiply(b, a) == want
+    # plain int coordinates are read as rationals
+    ints = tuple(int(x.numerator) for x in a)
+    assert alg.multiply(ints, b) == _fraction_product(alg, ints, b)
+
+
+def _split_along_every_basis_vector(alg):
+    """The blocks of the unit split along every basis vector, sorted."""
+    blocks = [alg.unit]
+    for b in identity(alg.dim):
+        blocks = [p for u in blocks for p in alg._split_block(u, b)]
+    return tuple(sorted(blocks))
+
+
+def test_semisimplify_stops_once_it_holds_dim_blocks(monkeypatch):
+    # dim orthogonal idempotents summing to the unit are primitive, so the
+    # split stops there; the blocks are those of splitting along every basis
+    # vector, both when b_1 is the unit (it splits nothing) and generically
+    rng = random.Random(31)
+    calls = []
+    split = FrobeniusAlgebra._split_block
+    monkeypatch.setattr(FrobeniusAlgebra, "_split_block", lambda self, u, b: calls.append(b) or split(self, u, b))
+    for dim in (1, 2, 3, 4):
+        for make in (random_semisimple_algebra, _unit_first_algebra):
+            for _ in range(4):
+                alg = make(rng, dim)[0]
+                ss = alg.semisimplify()
+                assert ss.projectors == _split_along_every_basis_vector(alg)
+                assert ss.norms == tuple(alg.frobenius_trace(p) for p in ss.projectors)
+    # Q x Q x Q: b_1 = (1, 0, 0) splits off one block, b_2 the other two,
+    # and b_3 is never read
+    structure = [[[F(int(i == j == k)) for k in range(3)] for j in range(3)] for i in range(3)]
+    alg = FrobeniusAlgebra(3, identity(3), structure, [1, 1, 1])
+    calls.clear()
+    assert alg.semisimplify().projectors == tuple(sorted(identity(3)))
+    assert identity(3)[2] not in calls

@@ -838,6 +838,37 @@ def test_semisimple_kernel_is_the_symplectic_check(data):
     assert spec.kernel_ss() == want
 
 
+def _scalar_log(u):
+    """-[z^j] log u(z), j >= 1, for a series u with constant term 1, by the
+    recurrence j L_j = j u_j - sum_{0<i<j} i L_i u_{j-i} of u L' = u'."""
+    logs = [F(0)]
+    for j in range(1, len(u)):
+        logs.append(u[j] - sum((i * logs[i] * u[j - i] for i in range(1, j)), F(0)) / j)
+    return tuple(-x for x in logs[1:])
+
+
+@pytest.mark.parametrize("make", [coherent_spec, _indefinite_spec, "hodge"])
+def test_spec_inverse_is_the_inverted_series(make):
+    # a spec reads R^{-1} as the symplectic adjoint R^*(-z) in the projector
+    # frame; the leg series, the vertex logs and phi must be those of the
+    # inverted series EndSeries.invert, moved to pi-coordinates by to_ss
+    if make == "hodge":
+        specs = [hodge_spec(degree) for degree in (1, 2, 3, 5)]
+    else:
+        specs = [make(random.Random(seed), dim, degree) for dim in (1, 2, 3) for seed in range(3)
+                 for degree in (1, 3, 4)]
+    rng = random.Random(5)
+    for spec in specs:
+        alg, ss = spec.algebra, spec.ss
+        rinv = spec.r.invert()
+        for v in [alg.unit] + list(identity(alg.dim)) + [random_vector(rng, alg.dim)]:
+            assert spec.leg_series(v) == tuple(ss.to_semisimple(c) for c in rinv.apply(v).coeffs)
+        u = [ss.to_semisimple(c) for c in rinv.apply(alg.unit).coeffs]
+        assert spec.vertex_log_coeffs() == tuple(_scalar_log([c[mu] for c in u]) for mu in range(alg.dim))
+        assert spec.phi_from_r() == coherent_phi(alg, ss, spec.r, spec.degree)
+        assert spec.phi == tuple(spec.phi_from_r())
+
+
 def _generic_vector(rng, dim):
     while True:
         v = random_vector(rng, dim)
