@@ -8,10 +8,14 @@ other exception is an internal error.  All output is deterministic: results
 are assembled in canonical order, and --json switches to a
 machine-readable mirror of the same data.
 
-The COHFT_CACHE_DIR environment variable, when set, persists the
-correlator memo table between runs as sorted key-value text; a cache that
-cannot be read is a validation failure that names its path, and a cache file
-with a malformed line one that names the line.
+Each command that reads intersection numbers (correlator, verify and
+oracle dvv, hodge and trr) starts from an empty memo table of its own, so
+what it prints does not depend on what ran before it in the same process.
+The COHFT_CACHE_DIR environment variable, when set, persists correlator's
+memo table between runs as sorted key-value text: correlator reads the file
+into its empty table and writes the table back.  A cache that cannot be read
+is a validation failure that names its path, and a cache file with a
+malformed line one that names the line.
 """
 
 import argparse
@@ -33,7 +37,7 @@ from .givental import (
     verify_axioms,
 )
 from .graphs import enumerate_stable_graphs, special_order
-from .intersect import correlator_of_theory, default_backend
+from .intersect import Correlators, correlator_of_theory
 from .linalg import CohftError, frac_str, identity, read_integer, read_rational
 from .sampling import hodge_spec
 from .oracles import (
@@ -257,7 +261,7 @@ def _cmd_correlator(args):
     if not spec.coherent:
         raise ConfigError([(None, "correlators need a coherent spec")])
     cache_dir = os.environ.get("COHFT_CACHE_DIR")
-    backend = default_backend()
+    backend = Correlators()
     if cache_dir:
         backend.load_from(cache_dir)
     try:
@@ -282,146 +286,124 @@ def _cmd_correlator(args):
     return 0
 
 
+def _row(text, bad, detail=""):
+    """One oracle row: its mismatch count bad, and text followed by `ok`, or
+    by `MISMATCH` and the detail when bad is not 0."""
+    return bad, "%s %s" % (text, "MISMATCH" + detail if bad else "ok")
+
+
+def _compare(label, got, want):
+    """The row `label: got vs want ok|MISMATCH` of two exact values."""
+    return _row("%s: %s vs %s" % (label, frac_str(got), frac_str(want)), int(got != want))
+
+
+def _oracle_graphs(args, max_dim):
+    for g in range(max_dim // 3 + 2):
+        for n in range(max_dim + 4):
+            if 2 * g - 2 + n > 0 and 3 * g - 3 + n <= max_dim:
+                main, oracle = enumerate_stable_graphs(g, n), brute_force_stable_graphs(g, n)
+                yield _row("(%d,%d): main %d oracle %d" % (g, n, len(main), len(oracle)), int(main != oracle))
+
+
+def _oracle_dvv(args, max_dim):
+    backend = Correlators()
+    for g in range(0, 3):
+        for n in range(1, 6):
+            d = 3 * g - 3 + n
+            if 2 * g - 2 + n > 0 and d <= max_dim + 2:
+                backend.psi_correlator(g, (d,) + (0,) * (n - 1))
+    failures = backend.check_string_dilaton()
+    yield _row("string/dilaton checks on %d keys:" % len(backend.psi_keys()), len(failures))
+    # the multi-index class kappa_[1^m] against psi^2 at m added points
+    for g, n in [(0, 3), (1, 1), (1, 2), (1, 3)]:
+        for parts in ([1], [1, 1]):
+            multi = kappa_multi_index(parts, 3 * g - 3 + n + len(parts))
+            via_kappa = sum(
+                (backend.kappa_psi_correlator(g, (0,) * n, key) * c for key, c in multi.terms.items()),
+                Fraction(0),
+            )
+            direct = backend.psi_correlator(g, (0,) * n + tuple(p + 1 for p in parts))
+            yield _compare("kappa multi-index (%d,%d) parts %s" % (g, n, parts), via_kappa, direct)
+    for g in range(1, 7):
+        yield _compare(
+            "closed form <tau_%d>_%d = 1/(24^g g!)" % (3 * g - 2, g),
+            backend.psi_correlator(g, (3 * g - 2,)),
+            witten_top_closed_form(g),
+        )
+    for n in range(3, 7):
+        keys = [e for e in combinations_with_replacement(range(n - 2), n) if sum(e) == n - 3]
+        bad = [e for e in keys if backend.psi_correlator(0, e) != genus0_multinomial(e)]
+        text = "genus-0 multinomial (n-3)!/prod a_i! on %d keys with n=%d:" % (len(keys), n)
+        yield _row(text, len(bad), " at %s" % bad)
+
+
+def _oracle_hodge(args, max_dim):
+    # the Hodge theory's correlators against the lambda_g formula
+    backend = Correlators()
+    spec = hodge_spec(max(max_dim, 1))
+    for g, n, exps in lambda_g_cases(max_dim):
+        yield _compare(
+            "lambda_g (%d,%d) psi %s" % (g, n, ",".join(map(str, exps))),
+            correlator_of_theory(spec, g, n, [[1]] * n, exps, backend),
+            lambda_g_closed_form(g, exps),
+        )
+
+
+def _oracle_trr(args, max_dim):
+    # the theory's correlators against each other, through the genus-0 and
+    # genus-1 topological recursion relations
+    if max_dim < 1:
+        raise CohftError("oracle trr has no case below --max-dim 1")
+    spec = _load_spec(args)
+    backend = Correlators()
+    basis = identity(spec.algebra.dim)
+
+    def corr(g, vectors, psi):
+        return correlator_of_theory(spec, g, len(vectors), vectors, psi, backend)
+
+    for g, psi, idx in trr_cases(spec.algebra.dim, max_dim):
+        points = [(basis[i], k) for i, k in zip(idx, psi)]
+        if g == 0:
+            lhs, rhs = trr_genus0(corr, spec.algebra.eta_inv, points)
+        else:
+            lhs, separating, non_separating = trr_genus1(corr, spec.algebra.eta_inv, points)
+            rhs = separating + non_separating / 24
+        label = "genus %d psi %s at %s" % (g, ",".join(map(str, psi)), " ".join("b%d" % (i + 1) for i in idx))
+        yield _compare(label, lhs, rhs)
+
+
+def _oracle_vertex_sum(args, max_dim):
+    spec = _load_spec(args)
+    for mu in range(spec.algebra.dim):
+        diff = vertex_factor_diff(spec, mu, spec.degree)
+        yield _row("projector %d vertex sum:" % mu, int(not diff.is_zero()), " " + diff.render())
+    rng = random.Random(20150417)
+    for trial in range(5):
+        coeffs = [Fraction(rng.randrange(-3, 4), rng.randrange(1, 3)) for _ in range(4)]
+        text = "exponential pushforward %s:" % " ".join(frac_str(c) for c in coeffs)
+        yield _row(text, int(not exp_pushforward_check(coeffs, 6)))
+    for parts in [[1, 1], [2, 1], [1, 2, 3], [2, 2, 1], [1, 1, 1, 1], [1, 1, 1, 2, 2]]:
+        same = kappa_multi_index(parts, 12) == multikappa_by_permutations(parts, 12)
+        yield _row("multi-index kappa %s vs permutation sum:" % ",".join(map(str, parts)), int(not same))
+
+
+_ORACLES = {
+    "graphs": _oracle_graphs,
+    "dvv": _oracle_dvv,
+    "hodge": _oracle_hodge,
+    "trr": _oracle_trr,
+    "vertex-sum": _oracle_vertex_sum,
+}
+
+
 def _cmd_oracle(args):
+    """Each kind yields (mismatch count, line) rows; a row's text ends in
+    its status word, and the report ends with the sum of the counts."""
     if args.kind == "vertex-sum" and args.max_dim is not None:
         raise CohftError("oracle vertex-sum has a fixed size and takes no --max-dim")
-    max_dim = 3 if args.max_dim is None else args.max_dim
-    lines = []
-    mismatches = 0
-    if args.kind == "graphs":
-        pairs = []
-        g = 0
-        while 3 * g - 3 <= max_dim:
-            for n in range(0, max_dim + 4):
-                if 2 * g - 2 + n > 0 and 0 <= 3 * g - 3 + n <= max_dim:
-                    pairs.append((g, n))
-            g += 1
-        for g, n in sorted(pairs):
-            main = enumerate_stable_graphs(g, n)
-            oracle = brute_force_stable_graphs(g, n)
-            ok = main == oracle
-            mismatches += 0 if ok else 1
-            lines.append("(%d,%d): main %d oracle %d %s" % (g, n, len(main), len(oracle), "ok" if ok else "MISMATCH"))
-    elif args.kind == "dvv":
-        backend = default_backend()
-        keys = []
-        for g in range(0, 3):
-            for n in range(1, 6):
-                if 2 * g - 2 + n <= 0:
-                    continue
-                d = 3 * g - 3 + n
-                if d < 0 or d > max_dim + 2:
-                    continue
-                keys.append((g, (d,) + (0,) * (n - 1)))
-        for g, exps in keys:
-            backend.psi_correlator(g, exps)
-        failures = backend.check_string_dilaton()
-        mismatches += len(failures)
-        lines.append("string/dilaton checks on %d keys: %s" % (len(backend._psi), "ok" if not failures else "FAIL"))
-        for g in range(0, 2):
-            for n in range(1, 4):
-                if 2 * g - 2 + n <= 0:
-                    continue
-                for m in range(1, 3):
-                    d = 3 * g - 3 + n + m
-                    if d > 5 or d < m:
-                        continue
-                    parts = [1] * (m - 1) + [d - 3 * g + 3 - n - (m - 1)]
-                    if parts[-1] < 1:
-                        continue
-                    multi = kappa_multi_index(parts, d)
-                    via_kappa = sum(
-                        (backend.kappa_psi_correlator(g, (0,) * n, key) * c for key, c in multi.terms.items()),
-                        Fraction(0),
-                    )
-                    direct = backend.psi_correlator(g, (0,) * n + tuple(p + 1 for p in parts))
-                    ok = via_kappa == direct
-                    mismatches += 0 if ok else 1
-                    lines.append(
-                        "kappa multi-index (%d,%d) parts %s: %s vs %s %s"
-                        % (g, n, parts, frac_str(via_kappa), frac_str(direct), "ok" if ok else "MISMATCH")
-                    )
-        for g in range(1, 7):
-            value = backend.psi_correlator(g, (3 * g - 2,))
-            want = witten_top_closed_form(g)
-            ok = value == want
-            mismatches += 0 if ok else 1
-            lines.append(
-                "closed form <tau_%d>_%d = 1/(24^g g!): %s vs %s %s"
-                % (3 * g - 2, g, frac_str(value), frac_str(want), "ok" if ok else "MISMATCH")
-            )
-        for n in range(3, 7):
-            keys = [e for e in combinations_with_replacement(range(n - 2), n) if sum(e) == n - 3]
-            bad = [e for e in keys if backend.psi_correlator(0, e) != genus0_multinomial(e)]
-            mismatches += len(bad)
-            lines.append(
-                "genus-0 multinomial (n-3)!/prod a_i! on %d keys with n=%d: %s"
-                % (len(keys), n, "ok" if not bad else "MISMATCH at %s" % bad)
-            )
-    elif args.kind == "hodge":
-        # the Hodge theory's correlators against the lambda_g formula
-        backend = default_backend()
-        spec = hodge_spec(max(max_dim, 1))
-        for g, n, exps in lambda_g_cases(max_dim):
-            value = correlator_of_theory(spec, g, n, [[1]] * n, exps, backend)
-            want = lambda_g_closed_form(g, exps)
-            ok = value == want
-            mismatches += 0 if ok else 1
-            lines.append(
-                "lambda_g (%d,%d) psi %s: %s vs %s %s"
-                % (g, n, ",".join(map(str, exps)), frac_str(value), frac_str(want), "ok" if ok else "MISMATCH")
-            )
-    elif args.kind == "trr":
-        # the theory's correlators against each other, through the genus-0
-        # and genus-1 topological recursion relations
-        if max_dim < 1:
-            raise CohftError("oracle trr has no case below --max-dim 1")
-        spec = _load_spec(args)
-        backend = default_backend()
-        basis = identity(spec.algebra.dim)
-        eta_inv = spec.algebra.eta_inv
-
-        def corr(g, vectors, psi):
-            return correlator_of_theory(spec, g, len(vectors), vectors, psi, backend)
-
-        for g, psi, idx in trr_cases(spec.algebra.dim, max_dim):
-            points = [(basis[i], k) for i, k in zip(idx, psi)]
-            if g == 0:
-                lhs, rhs = trr_genus0(corr, eta_inv, points)
-            else:
-                lhs, separating, non_separating = trr_genus1(corr, eta_inv, points)
-                rhs = separating + non_separating / 24
-            ok = lhs == rhs
-            mismatches += 0 if ok else 1
-            lines.append(
-                "genus %d psi %s at %s: %s vs %s %s"
-                % (g, ",".join(map(str, psi)), " ".join("b%d" % (i + 1) for i in idx),
-                   frac_str(lhs), frac_str(rhs), "ok" if ok else "MISMATCH")
-            )
-    else:  # vertex-sum
-        spec = _load_spec(args)
-        for mu in range(spec.algebra.dim):
-            diff = vertex_factor_diff(spec, mu, spec.degree)
-            ok = diff.is_zero()
-            mismatches += 0 if ok else 1
-            lines.append("projector %d vertex sum: %s" % (mu, "ok" if ok else "MISMATCH " + diff.render()))
-        rng = random.Random(20150417)
-        for trial in range(5):
-            coeffs = [Fraction(rng.randrange(-3, 4), rng.randrange(1, 3)) for _ in range(4)]
-            ok = exp_pushforward_check(coeffs, 6)
-            mismatches += 0 if ok else 1
-            lines.append(
-                "exponential pushforward %s: %s"
-                % (" ".join(frac_str(c) for c in coeffs), "ok" if ok else "MISMATCH")
-            )
-        for parts in [[1, 1], [2, 1], [1, 2, 3], [2, 2, 1], [1, 1, 1, 1], [1, 1, 1, 2, 2]]:
-            ok = kappa_multi_index(parts, 12) == multikappa_by_permutations(parts, 12)
-            mismatches += 0 if ok else 1
-            lines.append(
-                "multi-index kappa %s vs permutation sum: %s"
-                % (",".join(map(str, parts)), "ok" if ok else "MISMATCH")
-            )
-    lines.append("mismatches: %d" % mismatches)
+    rows = list(_ORACLES[args.kind](args, 3 if args.max_dim is None else args.max_dim))
+    mismatches = sum(bad for bad, _ in rows)
+    lines = [line for _, line in rows] + ["mismatches: %d" % mismatches]
     _emit(args, lines, {"report": lines, "mismatches": mismatches})
     return 0 if mismatches == 0 else 2
 

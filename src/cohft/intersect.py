@@ -218,6 +218,10 @@ class Correlators:
 
     # -- consistency and persistence ------------------------------------------
 
+    def psi_keys(self):
+        """The memoized pure-psi keys (g, exps), sorted."""
+        return sorted(self._psi)
+
     def check_string_dilaton(self):
         """String and dilaton equations on every memoized pure-psi key.
 
@@ -227,7 +231,7 @@ class Correlators:
         compared, through the dilaton equation, with <exps, tau_1>_g.
         """
         failures = []
-        for g, exps in sorted(self._psi):
+        for g, exps in self.psi_keys():
             n = len(exps)
             val = self._psi_value(g, exps)
             rest = exps[:-1]
@@ -250,7 +254,7 @@ class Correlators:
 
     def dump(self):
         lines = []
-        for g, exps in sorted(self._psi):
+        for g, exps in self.psi_keys():
             val = self._psi_value(g, exps)
             lines.append("psi %d %s = %s" % (g, ",".join(map(str, exps)), frac_str(val)))
         for (g, pp, kk), val in sorted(self._kp.items()):
@@ -369,10 +373,6 @@ def psi_correlator(g, *exps):
 
 def kappa_psi_correlator(g, psi_exps, kappa_key=()):
     return _DEFAULT.kappa_psi_correlator(g, psi_exps, kappa_key)
-
-
-def default_backend():
-    return _DEFAULT
 
 
 def _require_psi(psi, n):

@@ -27,7 +27,7 @@ from cohft.graphs import (
     special_type,
     smooth_graph,
 )
-from cohft.intersect import Correlators, correlator_of_theory, default_backend
+from cohft.intersect import Correlators, correlator_of_theory
 from cohft.kappa import (
     KappaPoly,
     coproduct,
@@ -217,11 +217,11 @@ def test_criterion_09_correlator_backend():
     ok = ok and backend.kappa_psi_correlator(1, (0,), (1,)) == F(1, 24)
     ok = ok and backend.check_string_dilaton() == []
     spec = trivial_spec(4)
-    pure = default_backend()
+    pure = Correlators()
     for g, n, psi in [(1, 1, (1,)), (0, 4, (1, 0, 0, 0)), (1, 2, (2, 0)), (2, 1, (4,))]:
-        got = correlator_of_theory(spec, g, n, [[1]] * n, psi)
+        got = correlator_of_theory(spec, g, n, [[1]] * n, psi, pure)
         ok = ok and got == pure.psi_correlator(g, psi)
-    # every key the shared backend has memoized so far must be consistent
+    # every key the correlators have memoized in pure must be consistent
     ok = ok and pure.check_string_dilaton() == []
     report(9, ok, "DVV backend values, string/dilaton consistency, trivial-theory correlators")
 

@@ -634,14 +634,20 @@ def test_cli_unusable_correlator_cache_is_validation_failure(tmp_path, monkeypat
     else:
         (cache / "correlators.txt").mkdir(parents=True)
     monkeypatch.setenv("COHFT_CACHE_DIR", str(cache))
-    backend = intersect.Correlators()
-    monkeypatch.setattr(intersect, "_DEFAULT", backend)
+    built = []
+
+    def recording_backend():
+        built.append(intersect.Correlators())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "Correlators", recording_backend)
     code, out = run_cli(["--config", str(cfg), "correlator", "1", "1", "--psi", "1"])
     assert (code, out) == (1, "")
     err = capsys.readouterr().err
     assert str(cache / "correlators.txt") in err
     assert "internal error" not in err
-    assert backend.dump() == ""
+    # one backend, into which the cache was to be read, and nothing in it
+    assert [backend.dump() for backend in built] == [""]
 
 
 def test_cli_correlator_cache_leaves_no_temp_file(tmp_path, monkeypatch):
@@ -794,9 +800,9 @@ class _PerThreadStdout:
 
 
 def test_cli_deterministic_across_threads(tmp_path):
-    # the memo tables main shares between runs (enumerated graphs, the
-    # correlator backend) only ever hold finished values, so runs on four
-    # threads at once print what a run on the main thread prints
+    # the memo table main shares between runs (enumerated graphs) only
+    # ever holds finished values, so runs on four threads at once print
+    # what a run on the main thread prints
     cfg = tmp_path / "spec.cfg"
     cfg.write_text(serialize_config(coherent_spec(random.Random(2), 2, 3)))
     argv = ["--config", str(cfg), "reconstruct", "nodal", "1", "2"]
@@ -876,18 +882,30 @@ def _readme_cli_examples():
 
 
 def test_readme_cli_examples_byte_identical(tmp_path, monkeypatch):
+    # all in one process, forward and then reversed: each command starts
+    # from an empty memo table, so what ran before it changes nothing
     config, commands = _readme_cli_examples()
     assert commands == list(README_PINS)
     cfg = tmp_path / "spec.cfg"
     cfg.write_text(config)
     monkeypatch.delenv("COHFT_CACHE_DIR", raising=False)
-    for command in commands:
-        # each README line is a fresh process: start from an empty memo table
-        monkeypatch.setattr(intersect, "_DEFAULT", intersect.Correlators())
+    for command in commands + commands[::-1]:
         argv = [str(cfg) if tok == "spec.cfg" else tok for tok in command.split()]
         code, out = run_cli(argv)
         assert code == 0, command
         assert hashlib.sha256(out.encode()).hexdigest() == README_PINS[command], command
+
+
+def test_cli_dump_table_does_not_depend_on_earlier_runs(tmp_path, monkeypatch):
+    # the table is the memo of this one command, not of the process
+    cfg = tmp_path / "spec.cfg"
+    cfg.write_text(SCALAR_CFG)
+    monkeypatch.delenv("COHFT_CACHE_DIR", raising=False)
+    argv = ["--config", str(cfg), "correlator", "1", "1", "--psi", "1", "--dump-table"]
+    first = run_cli(argv)
+    assert first == (0, "1/24\npsi 1 1 = 1/24\n")
+    assert run_cli(["--config", str(cfg), "correlator", "0", "5", "--psi", "2,0,0,0,0"])[0] == 0
+    assert run_cli(argv) == first
 
 
 def test_every_bench_tracer_target_resolves():

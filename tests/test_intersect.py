@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction as F
+from itertools import product
 from math import factorial
 
 import pytest
@@ -11,7 +12,6 @@ from cohft.givental import CohFTSpec, r_action, verify_axioms
 from cohft.graphs import UnstablePair
 from cohft.intersect import (
     Correlators,
-    default_backend,
     integrate_taut,
     kappa_psi_correlator,
     psi_correlator,
@@ -208,7 +208,7 @@ def test_kappa_reduction_examples():
 def test_multi_index_against_multipoint():
     # integral of the multi-index class == bare psi powers at extra points,
     # for every total dimension up to 5
-    backend = default_backend()
+    backend = Correlators()
     cases = []
     for g in (0, 1):
         for n in (1, 2, 3, 4):
@@ -284,28 +284,36 @@ def test_theory_correlators_satisfy_string_and_dilaton():
     # a genuine nodal theory inherits the string and dilaton equations at
     # the correlator level: the unit in the last slot comes from the
     # forgetful axiom, so these identities exercise every boundary graph,
-    # the edge kernels and the insertion exponentials at once
-    import random
-
-    from cohft.sampling import coherent_spec, random_vector
-
+    # the edge kernels and the insertion exponentials at once.  Every psi
+    # vector of total at most 3g-3+n+1 is checked at genus <= 2 and dims
+    # 2-3: at the top total the string side reads the class in degree 0
+    # and the dilaton side is 0 = 0.  A floor on the identities with a
+    # nonzero side keeps them from passing as 0 = 0
     rng = random.Random(78)
-    spec = coherent_spec(rng, 2, 4)
-    unit = spec.algebra.unit
-    cases = [(0, 4, (2, 0, 0, 0)), (1, 1, (1,)), (1, 2, (1, 1)), (1, 2, (2, 0))]
-    for g, n, psi in cases:
-        vs = [random_vector(rng, 2) for _ in range(n)]
-        string_lhs = correlator_of_theory(spec, g, n + 1, vs + [unit], tuple(psi) + (0,))
-        string_rhs = F(0)
-        for j, a in enumerate(psi):
-            if a >= 1:
-                reduced = list(psi)
-                reduced[j] -= 1
-                string_rhs += correlator_of_theory(spec, g, n, vs, tuple(reduced))
-        assert string_lhs == string_rhs, (g, n, psi)
-        dilaton_lhs = correlator_of_theory(spec, g, n + 1, vs + [unit], tuple(psi) + (1,))
-        dilaton_rhs = (2 * g - 2 + n) * correlator_of_theory(spec, g, n, vs, tuple(psi))
-        assert dilaton_lhs == dilaton_rhs, (g, n, psi)
+    checked = nonzero = 0
+    for dim in (2, 3):
+        spec = coherent_spec(rng, dim, 5)
+        unit = spec.algebra.unit
+        backend = Correlators()
+
+        def corr(g, vs, psi):
+            return correlator_of_theory(spec, g, len(vs), vs, psi, backend)
+
+        for g, n in [(0, 3), (0, 4), (1, 1), (1, 2), (2, 1)]:
+            vs = [random_vector(rng, dim) for _ in range(n)]
+            d = 3 * g - 3 + n
+            for psi in product(range(d + 2), repeat=n):
+                if sum(psi) > d + 1:
+                    continue
+                string = sum(
+                    (corr(g, vs, psi[:j] + (a - 1,) + psi[j + 1 :]) for j, a in enumerate(psi) if a >= 1), F(0)
+                )
+                dilaton = (2 * g - 2 + n) * corr(g, vs, psi)
+                for lhs, rhs in [(corr(g, vs + [unit], psi + (0,)), string), (corr(g, vs + [unit], psi + (1,)), dilaton)]:
+                    assert lhs == rhs, (dim, g, n, psi)
+                    checked += 1
+                    nonzero += lhs != 0
+    assert checked == 152 and nonzero >= 95, (checked, nonzero)
 
 
 def test_r_action_integral_matches_smooth_model_when_pure():
@@ -339,6 +347,9 @@ def test_memo_dump_load_roundtrip():
     other = Correlators()
     other.load(text)
     assert other.dump() == text
+    # psi_keys lists the memo's psi keys, one per psi line of the dump
+    assert other.psi_keys() == backend.psi_keys()
+    assert len(backend.psi_keys()) == sum(line.startswith("psi ") for line in text.splitlines()) > 0
 
 
 def test_backend_persistence(tmp_path):
