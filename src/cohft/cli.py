@@ -2,25 +2,20 @@
 
 Exit codes: 0 success, 1 validation failure, 2 identity-check failure,
 3 internal error.  A validation failure is a usage error (an unknown option
-or a malformed argument), a CohftError (config errors, unstable pairs, bad
-arguments and cache lines) or an algebra that does not split or invert; any
-other exception is an internal error.  All output is deterministic: results
+or a malformed argument), a CohftError (config errors, unstable pairs and
+bad arguments) or an algebra that does not split or invert; any other
+exception is an internal error.  All output is deterministic: results
 are assembled in canonical order, and --json switches to a
 machine-readable mirror of the same data.
 
 Each command that reads intersection numbers (correlator, verify and
 oracle dvv, hodge and trr) starts from an empty memo table of its own, so
-what it prints does not depend on what ran before it in the same process.
-The COHFT_CACHE_DIR environment variable, when set, persists correlator's
-memo table between runs as sorted key-value text: correlator reads the file
-into its empty table and writes the table back.  A cache that cannot be read
-is a validation failure that names its path, and a cache file with a
-malformed line one that names the line.
+what it prints does not depend on what ran before it in the same process,
+and no command reads or writes a file of intersection numbers.
 """
 
 import argparse
 import json
-import os
 import random
 import sys
 from fractions import Fraction
@@ -260,10 +255,6 @@ def _cmd_correlator(args):
     spec = _load_spec(args)
     if not spec.coherent:
         raise ConfigError([(None, "correlators need a coherent spec")])
-    cache_dir = os.environ.get("COHFT_CACHE_DIR")
-    backend = Correlators()
-    if cache_dir:
-        backend.load_from(cache_dir)
     try:
         psi = tuple(read_integer(x.strip()) for x in args.psi.split(",")) if args.psi else (0,) * args.n
     except ValueError:
@@ -271,10 +262,8 @@ def _cmd_correlator(args):
     if len(psi) != args.n:
         raise ConfigError([(None, "--psi needs %d entries" % args.n)])
     vectors = _parse_vectors(args.vectors, spec.algebra.dim, args.n, spec.algebra.unit)
+    backend = Correlators()
     value = correlator_of_theory(spec, args.g, args.n, vectors, psi, backend)
-    if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
-        backend.save_to(cache_dir)
     lines = [frac_str(value)]
     payload = {"value": frac_str(value)}
     if args.dump_table:
@@ -314,10 +303,12 @@ def _oracle_dvv(args, max_dim):
                 backend.psi_correlator(g, (d,) + (0,) * (n - 1))
     failures = backend.check_string_dilaton()
     yield _row("string/dilaton checks on %d keys:" % len(backend.psi_keys()), len(failures))
-    # the multi-index class kappa_[1^m] against psi^2 at m added points
-    for g, n in [(0, 3), (1, 1), (1, 2), (1, 3)]:
-        for parts in ([1], [1, 1]):
-            multi = kappa_multi_index(parts, 3 * g - 3 + n + len(parts))
+    # the multi-index class kappa_parts, its parts filling the dimension d,
+    # against psi^(p+1) at one added point per part p
+    for g, n in [(0, 4), (0, 5), (1, 1), (1, 2), (1, 3)]:
+        d = 3 * g - 3 + n
+        for parts in ([d], [d - 1, 1]) if d >= 2 else ([d],):
+            multi = kappa_multi_index(parts, d)
             via_kappa = sum(
                 (backend.kappa_psi_correlator(g, (0,) * n, key) * c for key, c in multi.terms.items()),
                 Fraction(0),

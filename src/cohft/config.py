@@ -11,8 +11,6 @@ separated by '|'.  Example:
     mul 2 2: 0 1
     degree: 3
     coherent: no
-    weights: 1 1
-    basis: 1 0 | 0 1
     phi 1: 1/2 0
     R 1: 0 1 | -1 0
 
@@ -23,22 +21,19 @@ zero, so 0.5, 1e-1 and 1_0 are rejected.  The keyed rows and matrices
 (eta, unit, mul i j, phi j, R k) are read by one reader, which reports a
 missing required entry and a wrong shape at the entry's line.
 
-The semisimple data is recomputed when absent.  A file may state it in
-the eta-orthonormal form, the weights theta_mu and basis rows e_mu, which
-is read as the projectors pi_mu = theta_mu e_mu of norms theta_mu^2; its
-faults are reported at the weights line.  serialize_config writes that
-form, canonically signed and sorted, only when it exists (every norm a
-rational square; frobenius.orthonormal_form).  phi and R default to zero
-and Id.  A dim whose file holds fewer entries than its dim(dim+1)/2 mul
-rows is rejected at the dim line before any entry is read, and a degree
-outside 1..MAX_DEGREE (60) at the degree line.  Every
-invariant is validated eagerly and violations are reported with the
-offending line when there is one.
+The semisimple data is always computed from the algebra
+(FrobeniusAlgebra.semisimplify: the primitive idempotents are unique), so
+a file states no frame, and a weights or basis line is an unknown entry.
+phi and R default to zero and Id.  A dim whose file holds fewer entries
+than its dim(dim+1)/2 mul rows is rejected at the dim line before any
+entry is read, and a degree outside 1..MAX_DEGREE (60) at the degree
+line.  Every invariant is validated eagerly and violations are reported
+with the offending line when there is one.
 """
 
 from fractions import Fraction
 
-from .frobenius import FrobeniusAlgebra, InvalidAlgebra, NotInvertible, NotSplit, SemisimpleData, orthonormal_form
+from .frobenius import FrobeniusAlgebra, InvalidAlgebra, NotInvertible, NotSplit
 from .givental import CohFTSpec, IncoherentSpec, NotSymplectic
 from .linalg import CohftError, frac_str, identity, read_integer, read_rational, zero_mat
 from .series import EndSeries
@@ -172,9 +167,6 @@ def parse_config(text):
             row = read("mul %d %d" % (i + 1, j + 1), required=True) or zero
             structure[i][j] = structure[j][i] = row
 
-    weights_item = take("weights")
-    basis_item = take("basis")
-
     phi_given = any(key[:1] == ("phi",) for key in entries)
     phi = [read("phi %d" % j) or [0] * dim for j in range(1, degree + 1)]
     higher = [read("R %d" % k, matrix=True) or zero_mat(dim) for k in range(1, degree + 1)]
@@ -189,28 +181,10 @@ def parse_config(text):
     except InvalidAlgebra as exc:
         raise ConfigError([(None, p) for p in exc.problems]) from None
 
-    if weights_item is not None or basis_item is not None:
-        if weights_item is None or basis_item is None:
-            raise ConfigError([(None, "weights and basis must be given together")])
-        w_line, w_text = weights_item
-        b_line, b_text = basis_item
-        weights = _parse_row(w_text, w_line, report)
-        basis = _parse_matrix(b_text, b_line, report)
-        if report:
-            raise ConfigError(report)
-        # pi_mu = theta_mu e_mu of norm theta_mu^2; rows past the weights
-        # are kept, so a basis of the wrong shape is reported as one
-        projectors = [[t * x for x in row] for t, row in zip(weights, basis)] + basis[len(weights) :]
-        try:
-            ss = SemisimpleData([t * t for t in weights], projectors)
-            algebra.check_semisimple_data(ss)
-        except InvalidAlgebra as exc:
-            raise ConfigError([(w_line, p) for p in exc.problems]) from None
-    else:
-        try:
-            ss = algebra.semisimplify()
-        except (NotSplit, NotInvertible) as exc:
-            raise ConfigError([(None, "semisimple basis: %s" % exc)]) from None
+    try:
+        ss = algebra.semisimplify()
+    except (NotSplit, NotInvertible) as exc:
+        raise ConfigError([(None, "semisimple basis: %s" % exc)]) from None
 
     r = EndSeries.from_higher_coeffs(dim, degree, higher)
     if coherent and not phi_given:
@@ -243,10 +217,6 @@ def serialize_config(spec):
     for i in range(dim):
         for j in range(i, dim):
             lines.append("mul %d %d: %s" % (i + 1, j + 1, _render_row(spec.algebra.structure[i][j])))
-    form = orthonormal_form(spec.ss)
-    if form is not None:
-        lines.append("weights: " + _render_row(form[0]))
-        lines.append("basis: " + _render_matrix(form[1]))
     for j, p in enumerate(spec.phi, start=1):
         if any(x != 0 for x in p):
             lines.append("phi %d: %s" % (j, _render_row(p)))

@@ -20,8 +20,8 @@ checks, the split and check_semisimple_data all run on it.
 The engine works in the frame of the projectors pi_mu and their norms
 w_mu = eta(pi_mu, 1) = eta(pi_mu, pi_mu), which may be any nonzero
 rationals, so no square root is taken.  orthonormal_form() gives the
-eta-orthonormal frame e_mu = pi_mu / theta_mu, theta_mu^2 = w_mu, that a
-config may state, when every norm is a rational square.
+eta-orthonormal frame e_mu = pi_mu / theta_mu, theta_mu^2 = w_mu, when
+every norm is a rational square.
 
 Construction validates every axiom (_validate): eta symmetric and
 nondegenerate, the product commutative with a neutral unit, then
@@ -181,8 +181,8 @@ def orthonormal_form(ss):
 
     e_mu = pi_mu / theta_mu with theta_mu^2 = w_mu, signed so that its
     first nonzero coordinate is positive, so theta_mu = eta(e_mu, unit)
-    carries the sign; the e_mu are sorted.  It is the form the optional
-    weights/basis lines of a config state.
+    carries the sign; the e_mu are sorted.  `cohft algebra check` prints
+    its weights.
     """
     pairs = []
     for w, p in zip(ss.norms, ss.projectors):
@@ -449,8 +449,8 @@ class FrobeniusAlgebra:
         if tuple(map(sum, zip(*p))) != self.unit:
             problems.append("unit is not sum of weighted projectors")
         for mu in range(n):
-            # the message of a config's orthonormal block: with the product
-            # law, w_mu = eta(pi_mu, unit) is eta(e_mu, e_mu) = 1
+            # with the product law, w_mu = eta(pi_mu, unit) = eta(pi_mu, pi_mu);
+            # a wrong norm leaves e_mu = pi_mu / sqrt(w_mu) not orthonormal
             if self.frobenius_trace(p[mu]) != ss.norms[mu]:
                 problems.append("semisimple basis not orthonormal at (%d,%d)" % (mu, mu))
         if problems:

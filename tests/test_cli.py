@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohft import cli, graphs, intersect, taut
+from cohft import cli, graphs, taut
 from cohft.cli import main
 from cohft.config import ConfigError, parse_config, serialize_config
 from cohft.frobenius import FrobeniusAlgebra
@@ -104,8 +104,9 @@ DIM2_CFG = "dim: 2\neta: 1 0 | 0 1\nunit: 1 1\nmul 1 1: 1 0\nmul 1 2: 0 0\nmul 2
         (DIM2_CFG.replace("mul 1 2: 0 0", "mul 1 2: 0 0 0"), [(5, "mul 1 2 must have 2 entries")]),
         (DIM2_CFG + "phi 1: 1/2\n", [(7, "phi 1 must have 2 entries")]),
         (DIM2_CFG + "R 1: 0 1\n", [(7, "R 1 must be a 2x2 matrix")]),
-        (DIM2_CFG + "weights: 1 1\n", [(None, "weights and basis must be given together")]),
-        (DIM2_CFG + "weights: 1 x\nbasis: 1 0 | 0 1\n", [(7, "not an exact rational: 'x'")]),
+        # the frame is computed from the algebra, never stated
+        (DIM2_CFG + "weights: 1 1\n", [(7, "unknown entry 'weights'")]),
+        (DIM2_CFG + "basis: 1 0 | 0 1\n", [(7, "unknown entry 'basis'")]),
         ("dim: 1\neta: 1\nunit: 1\nmul 1 1: 2\n", [(None, "unit is not neutral on basis vector 0")]),
         (
             # Q[x]/(x^2 - 2): semisimple, but not split over Q
@@ -195,54 +196,47 @@ def test_parse_rejects_non_symplectic_r(tmp_path):
     assert run_cli(["--config", str(cfg), "classify"])[0] == 1
 
 
-def test_parse_reports_bad_semisimple_data_at_its_line():
-    # a wrong weight, or a basis change that is not a 1x1 matrix
-    for basis in ("1", "1 0", "1 | 1", "1 0 | 0 1"):
-        text = SCALAR_CFG + "weights: 2\nbasis: %s\n" % basis
-        with pytest.raises(ConfigError) as exc:
-            parse_config(text)
-        assert all(line == 11 for line, _ in exc.value.report)
-        assert any("semisimple" in msg for _, msg in exc.value.report)
+def test_cli_rejects_a_stated_frame_at_its_lines(tmp_path, capsys):
+    # the weights/basis block an earlier serialize_config wrote is not read:
+    # each of its lines is an unknown entry
+    cfg = tmp_path / "spec.cfg"
+    cfg.write_text(SCALAR_CFG + "weights: 1\nbasis: 1\n")
+    assert run_cli(["--config", str(cfg), "classify"]) == (1, "")
+    assert capsys.readouterr().err == "line 11: unknown entry 'weights'\nline 12: unknown entry 'basis'\n"
 
 
 def _big_weights_config(digits):
-    """The algebra with eta-orthonormal basis rows (1, 1) and (0, 1) of
-    weights 1/(a+1) and 1/(a+3), a = 10^digits, serialised, and its
-    weights/basis lines apart."""
+    """The algebra with projectors (1, 1)/(a+1) and (0, 1)/(a+3), a = 10^digits,
+    of norms 1/(a+1)^2 and 1/(a+3)^2, serialised."""
     a = 10**digits
-    text = (
+    return (
         "dim: 2\ndegree: 1\ncoherent: yes\neta: 2 -1 | -1 1\n"
         "unit: 1/%d %d/%d\n" % (a + 1, 2 * a + 4, (a + 1) * (a + 3))
         + "mul 1 1: %d %d\nmul 1 2: 0 -%d\nmul 2 2: 0 %d\n" % (a + 1, 2 * a + 4, a + 3, a + 3)
     )
-    return text, "weights: 1/%d 1/%d\nbasis: 0 1 | 1 1\n" % (a + 3, a + 1)
 
 
 @pytest.mark.parametrize("digits", [8, 60])
 def test_cli_classify_derives_big_weights_at_once(tmp_path, digits):
-    # the split finds the weights and basis the file can also state, in time
-    # that grows with their digits, not with the divisors of their numbers
-    text, semisimple = _big_weights_config(digits)
+    # the split finds the projectors and norms in time that grows with their
+    # digits, not with the divisors of their numbers
+    text = _big_weights_config(digits)
     a = 10**digits
-    # projectors pi = theta e of norms theta^2
+    cfg = tmp_path / "spec.cfg"
+    cfg.write_text(text)
+    start = time.perf_counter()
+    code, _ = run_cli(["--config", str(cfg), "classify"])
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    spec = parse_config(text)
     alg = FrobeniusAlgebra.from_semisimple(
         [F(1, a + 1) ** 2, F(1, a + 3) ** 2], [[F(1, a + 1), F(1, a + 1)], [0, F(1, a + 3)]]
     )
-    spec = parse_config(text + semisimple)  # checks weights and basis against the algebra
-    assert (spec.algebra.eta, spec.algebra.structure, spec.algebra.unit) == (
-        alg.eta,
-        alg.structure,
-        alg.unit,
-    )
-    cfg = tmp_path / "spec.cfg"
-    cfg.write_text(text + semisimple)
-    given = run_cli(["--config", str(cfg), "classify"])
-    cfg.write_text(text)
-    start = time.perf_counter()
-    derived = run_cli(["--config", str(cfg), "classify"])
-    assert time.perf_counter() - start < 1
-    assert derived == given and given[0] == 0
-    assert serialize_config(parse_config(text)) == text + semisimple
+    assert (spec.algebra.eta, spec.algebra.structure, spec.algebra.unit) == (alg.eta, alg.structure, alg.unit)
+    # the projectors sorted, each with its norm
+    assert spec.ss.projectors == ((0, F(1, a + 3)), (F(1, a + 1), F(1, a + 1)))
+    assert spec.ss.norms == (F(1, a + 3) ** 2, F(1, a + 1) ** 2)
+    assert serialize_config(spec) == text
 
 
 def test_cli_graphs_enumerate():
@@ -551,29 +545,21 @@ def test_cli_quantum_cohomology_of_p1(tmp_path, q):
 
 
 def test_cli_prints_a_stated_orthonormal_block_canonically(tmp_path):
-    # weights -2 -1 with basis rows (2, 1) and (0, -2) state the projectors
-    # (-4, -2) and (0, 2) of norms 4 and 1.  The block is printed back with
-    # each row signed by its first nonzero entry and the rows sorted, and
-    # every result equals that of the canonical file
+    # the projectors (-4, -2) and (0, 2) of norms 4 and 1 are 1 * (0, 2) and
+    # -2 * (2, 1) in the eta-orthonormal frame: algebra check prints those
+    # weights, each row signed by its first nonzero entry and the rows
+    # sorted, and the config states no frame
     alg = FrobeniusAlgebra.from_semisimple([4, 1], [[-4, -2], [0, 2]])
     r = random_symplectic_r(random.Random(5), alg, 3)
-    canonical = serialize_config(CohFTSpec(alg, alg.semisimplify(), None, r, 3, coherent=True))
-    block = "weights: 1 -2\nbasis: 0 2 | 2 1\n"
-    assert block in canonical
-    hand = canonical.replace(block, "weights: -2 -1\nbasis: 2 1 | -0 -2\n")
-    results = []
-    for name, text in (("canonical", canonical), ("hand", hand)):
-        cfg = tmp_path / (name + ".cfg")
-        cfg.write_text(text)
-        base = ["--config", str(cfg)]
-        code, out = run_cli(base + ["--json", "classify"])
-        assert (code, json.loads(out)["config"]) == (0, canonical)
-        commands = (["algebra", "check"], ["correlator", "1", "1", "--psi", "1"], ["verify", "free"], ["verify", "fixed"])
-        results.append([run_cli(base + command) for command in commands])
-    assert results[0] == results[1]
-    assert results[0][0] == (0, "algebra ok: dim 2\nsemisimple: yes\nweights: 1 -2\n")
-    assert results[0][1][0] == 0 and results[0][1][1] != "0\n"
-    assert [code for code, _ in results[0][2:]] == [0, 0]
+    text = serialize_config(CohFTSpec(alg, alg.semisimplify(), None, r, 3, coherent=True))
+    assert "weights" not in text and "basis" not in text
+    cfg = tmp_path / "spec.cfg"
+    cfg.write_text(text)
+    base = ["--config", str(cfg)]
+    assert run_cli(base + ["algebra", "check"]) == (0, "algebra ok: dim 2\nsemisimple: yes\nweights: 1 -2\n")
+    code, out = run_cli(base + ["correlator", "1", "1", "--psi", "1"])
+    assert code == 0 and out != "0\n"
+    assert [run_cli(base + ["verify", kind])[0] for kind in ("free", "fixed")] == [0, 0]
 
 
 def test_cli_correlator(tmp_path):
@@ -587,78 +573,25 @@ def test_cli_correlator(tmp_path):
     assert out.strip() == "1/4"
 
 
-def test_cli_correlator_cache(tmp_path, monkeypatch):
+def test_cli_correlator_reads_and_writes_no_cache(tmp_path, monkeypatch):
+    # correlator neither reads nor writes the cache file COHFT_CACHE_DIR
+    # names: a wrong value there (psi 1 1 = 1/8, on the lattice) is never
+    # printed, and no file is made
     cfg = tmp_path / "spec.cfg"
     cfg.write_text(SCALAR_CFG)
-    cache = tmp_path / "cache"
-    monkeypatch.setenv("COHFT_CACHE_DIR", str(cache))
-    code, _ = run_cli(["--config", str(cfg), "correlator", "1", "1"])
-    assert code == 0
-    assert (cache / "correlators.txt").exists()
-    text = (cache / "correlators.txt").read_text()
-    assert "psi" in text
-    code, _ = run_cli(["--config", str(cfg), "correlator", "1", "1"])
-    assert code == 0
-
-
-@pytest.mark.parametrize(
-    "bad_line",
-    # a value off the lattice (<tau_1>_1 is 1/24, and 24 * 1/7 is no
-    # integer) and an unstable pair are rejected like malformed lines
-    ["junk", "psi 1 1 = 1/x", "psi 1 1 = 1/0", "kp 1 0 = 1/24", "psi 1 a = 1", "psi 1 1 = 1/7", "psi 0 1 = 1"],
-)
-def test_cli_correlator_cache_rejects_bad_line(tmp_path, monkeypatch, capsys, bad_line):
-    cfg = tmp_path / "spec.cfg"
-    cfg.write_text(SCALAR_CFG)
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    (cache / "correlators.txt").write_text("psi 0 0,0,0 = 1\n%s\npsi 1 1 = 1/24\n" % bad_line)
-    monkeypatch.setenv("COHFT_CACHE_DIR", str(cache))
-    code, out = run_cli(["--config", str(cfg), "correlator", "1", "1"])
-    assert code == 1
-    assert out == ""
-    assert "line 2:" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("kind", ["cache dir is a file", "not utf-8", "file is a directory"])
-def test_cli_unusable_correlator_cache_is_validation_failure(tmp_path, monkeypatch, capsys, kind):
-    # reported before anything is computed: the backend stays empty
-    cfg = tmp_path / "spec.cfg"
-    cfg.write_text(SCALAR_CFG)
-    cache = tmp_path / "cache"
-    if kind == "cache dir is a file":
-        cache.write_text("x\n")
-    elif kind == "not utf-8":
-        cache.mkdir()
-        (cache / "correlators.txt").write_bytes(b"\xff\xfe psi 1 1 = 1/24\n")
-    else:
-        (cache / "correlators.txt").mkdir(parents=True)
-    monkeypatch.setenv("COHFT_CACHE_DIR", str(cache))
-    built = []
-
-    def recording_backend():
-        built.append(intersect.Correlators())
-        return built[-1]
-
-    monkeypatch.setattr(cli, "Correlators", recording_backend)
-    code, out = run_cli(["--config", str(cfg), "correlator", "1", "1", "--psi", "1"])
-    assert (code, out) == (1, "")
-    err = capsys.readouterr().err
-    assert str(cache / "correlators.txt") in err
-    assert "internal error" not in err
-    # one backend, into which the cache was to be read, and nothing in it
-    assert [backend.dump() for backend in built] == [""]
-
-
-def test_cli_correlator_cache_leaves_no_temp_file(tmp_path, monkeypatch):
-    cfg = tmp_path / "spec.cfg"
-    cfg.write_text(SCALAR_CFG)
-    cache = tmp_path / "cache"
-    monkeypatch.setenv("COHFT_CACHE_DIR", str(cache))
-    for _ in range(2):
-        code, _ = run_cli(["--config", str(cfg), "correlator", "1", "1"])
-        assert code == 0
-    assert [p.name for p in cache.iterdir()] == ["correlators.txt"]
+    argv = ["--config", str(cfg), "correlator", "1", "1", "--psi", "1", "--dump-table"]
+    monkeypatch.delenv("COHFT_CACHE_DIR", raising=False)
+    without = run_cli(argv)
+    assert without == (0, "1/24\npsi 1 1 = 1/24\n")
+    stale = tmp_path / "stale"
+    stale.mkdir()
+    (stale / "correlators.txt").write_text("psi 1 1 = 1/8\n")
+    for cache in (stale, tmp_path / "fresh"):
+        monkeypatch.setenv("COHFT_CACHE_DIR", str(cache))
+        assert run_cli(argv) == without
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.cfg", "stale"]
+    assert [p.name for p in stale.iterdir()] == ["correlators.txt"]
+    assert (stale / "correlators.txt").read_text() == "psi 1 1 = 1/8\n"
 
 
 def test_cli_verify_pass_and_fail(tmp_path):
@@ -716,6 +649,16 @@ def test_cli_oracles(tmp_path):
     assert code == 0
     assert out.count(" ok\n") == len(out.splitlines()) - 1
     assert out.endswith("mismatches: 0\n")
+
+
+def test_cli_oracle_dvv_compares_nonzero_kappa_numbers():
+    # each kappa multi-index row's parts fill the dimension 3g-3+n, so no
+    # row compares 0 with 0
+    code, out = run_cli(["oracle", "dvv"])
+    rows = [line for line in out.splitlines() if line.startswith("kappa multi-index")]
+    assert code == 0
+    assert [row.split(": ")[1].split(" vs ")[0] for row in rows] == ["1", "1", "6", "1/24", "1/24", "1/6", "1/24", "7/24"]
+    assert all(row.endswith(" ok") and ": 0 vs 0" not in row for row in rows)
 
 
 @pytest.mark.parametrize("theory, rows, nonzero", [("readme", 49, 40), ("p1", 98, 54), ("p1 at 4", 98, 54)])
@@ -860,7 +803,7 @@ README_PINS = {
     "--config spec.cfg verify free --max-dim 2": "ed9dc072a2859a23823e9fb25119a70bfddfd882eaf58d2a969c6c3ec100a829",
     "--config spec.cfg correlator 1 1 --psi 1": "fb2743bec153bc6094fb21d0ce07d780c228581dc696d5832809baff35ccc266",
     "oracle graphs": "11777c93d5e2ea228eee8e9651c9bd73d5b41de366136904992d8ee9c54413f2",
-    "oracle dvv": "d3578b8dbc0ef5af422b8c3d6d596dac5a07ebd1ed89b45f7b50ac68b2aff835",
+    "oracle dvv": "546e7027af2db88175a5ac203051192ba92900bf352e55584be488960d0b7648",
     "--config spec.cfg oracle vertex-sum": "0a045a240205620a977a0c6c82cbc1e4379f86024f1a623120a2e6dfdce16ddb",
     "oracle hodge": "325d201e1417bf43657abbe9c9f6ede1d44a168f86b3b045fea43806890406ed",
     "--config spec.cfg oracle trr": "fdd34e738499cf9c590abb75f7acdaaedc9fa550d0d43e0dfa151c3b4b4bd7fa",
@@ -881,14 +824,13 @@ def _readme_cli_examples():
     return config, commands
 
 
-def test_readme_cli_examples_byte_identical(tmp_path, monkeypatch):
+def test_readme_cli_examples_byte_identical(tmp_path):
     # all in one process, forward and then reversed: each command starts
     # from an empty memo table, so what ran before it changes nothing
     config, commands = _readme_cli_examples()
     assert commands == list(README_PINS)
     cfg = tmp_path / "spec.cfg"
     cfg.write_text(config)
-    monkeypatch.delenv("COHFT_CACHE_DIR", raising=False)
     for command in commands + commands[::-1]:
         argv = [str(cfg) if tok == "spec.cfg" else tok for tok in command.split()]
         code, out = run_cli(argv)
@@ -896,11 +838,10 @@ def test_readme_cli_examples_byte_identical(tmp_path, monkeypatch):
         assert hashlib.sha256(out.encode()).hexdigest() == README_PINS[command], command
 
 
-def test_cli_dump_table_does_not_depend_on_earlier_runs(tmp_path, monkeypatch):
+def test_cli_dump_table_does_not_depend_on_earlier_runs(tmp_path):
     # the table is the memo of this one command, not of the process
     cfg = tmp_path / "spec.cfg"
     cfg.write_text(SCALAR_CFG)
-    monkeypatch.delenv("COHFT_CACHE_DIR", raising=False)
     argv = ["--config", str(cfg), "correlator", "1", "1", "--psi", "1", "--dump-table"]
     first = run_cli(argv)
     assert first == (0, "1/24\npsi 1 1 = 1/24\n")

@@ -369,6 +369,42 @@ def test_load_is_all_or_nothing():
 
 
 @pytest.mark.parametrize(
+    "line",
+    ["junk", "kp 1 0 = 1/24", "psi 1 a = 1", "psi 1 1 = 1/x", "psi 1 1 = 1/0", "psi 1 1 = 1/7", "psi 0 1 = 1"],
+)
+def test_load_rejects_a_malformed_line(line):
+    backend = Correlators()
+    with pytest.raises(CohftError, match="line 2: "):
+        backend.load("psi 0 0,0,0 = 1\n%s\npsi 1 1 = 1/24\n" % line)
+    assert backend.dump() == ""
+
+
+@pytest.mark.parametrize("kind", ["cache dir is a file", "not utf-8", "file is a directory"])
+def test_load_from_names_an_unusable_path(tmp_path, kind):
+    cache = tmp_path / "cache"
+    if kind == "cache dir is a file":
+        cache.write_text("x\n")
+    elif kind == "not utf-8":
+        cache.mkdir()
+        (cache / "correlators.txt").write_bytes(b"\xff\xfe psi 1 1 = 1/24\n")
+    else:
+        (cache / "correlators.txt").mkdir(parents=True)
+    backend = Correlators()
+    with pytest.raises(CohftError) as exc:
+        backend.load_from(str(cache))
+    assert str(cache / "correlators.txt") in str(exc.value)
+    assert backend.dump() == ""
+
+
+def test_save_to_leaves_no_temp_file(tmp_path):
+    backend = Correlators()
+    backend.psi_correlator(1, (1,))
+    for _ in range(2):
+        backend.save_to(str(tmp_path))
+    assert [p.name for p in tmp_path.iterdir()] == ["correlators.txt"]
+
+
+@pytest.mark.parametrize(
     "line, report",
     [
         ("psi 1 1 = 1/7", "psi value 1/7 is off the lattice: .* it is 24/7, not an integer"),

@@ -1,14 +1,13 @@
 """One digest of what the CLI prints on a fixed set of seeded theories.
 
 The configs are drawn with this tree's own sampling and written with its
-own serialize_config: seeds 0-7, dims 1-3, coherent and incoherent, each
-with and without its weights/basis lines.  Each config is run through
-cli.main in-process, in text and in --json, on algebra check, classify,
-verify fixed|free (and --max-dim 3 at dim 3), reconstruct fixed|free|nodal,
-correlator at (1,1), (0,4) and (1,2), and oracle vertex-sum.  The script
-prints the number of runs and one sha256 over each run's argv, exit code,
-stdout and stderr, so two trees that print the same on every run give the
-same line.
+own serialize_config: seeds 0-7, dims 1-3, coherent and incoherent.  Each
+config is run through cli.main in-process, in text and in --json, on
+algebra check, classify, verify fixed|free (and --max-dim 3 at dim 3),
+reconstruct fixed|free|nodal, correlator at (1,1), (0,4) and (1,2), and
+oracle vertex-sum.  The script prints the number of runs and one sha256
+over each run's argv, exit code, stdout and stderr, so two trees that print
+the same on every run give the same line.
 
     python3 tools/cli_digest.py
 """
@@ -42,10 +41,8 @@ def configs():
             for coherent, make in ((True, coherent_spec), (False, incoherent_spec)):
                 rng = random.Random("cli-digest:%d:%d:%s" % (seed, dim, coherent))
                 text = serialize_config(make(rng, dim, DEGREE))
-                bare = "".join(ln for ln in text.splitlines(True) if not ln.startswith(("weights:", "basis:")))
                 name = "s%d-d%d-%s" % (seed, dim, "coh" if coherent else "inc")
                 yield name, text, dim, rng
-                yield name + "-bare", bare, dim, rng
 
 
 def vectors_arg(rng, dim, n):
@@ -75,7 +72,6 @@ def run(argv):
 
 
 def main():
-    os.environ.pop("COHFT_CACHE_DIR", None)
     digest = hashlib.sha256()
     runs = 0
     with tempfile.TemporaryDirectory() as tmp:
