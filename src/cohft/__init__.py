@@ -1,56 +1,57 @@
-"""Exact-arithmetic engine for semisimple cohomological field theories."""
+"""Exact-arithmetic engine for semisimple cohomological field theories.
 
-from .frobenius import FrobeniusAlgebra, InvalidAlgebra, NotInvertible, NotSplit, SemisimpleData
-from .givental import (
-    CohFTSpec,
-    IncoherentSpec,
-    compatibility_check,
-    omega_plus,
-    r_action,
-    reconstruct_fixed,
-    reconstruct_free,
-    restrict_to_smooth,
-    skipped_axioms,
-    tqft_value,
-    two_point,
-    verify_axioms,
-)
-from .graphs import StableGraph, enumerate_stable_graphs, enumerate_special_types, special_order
-from .intersect import correlator_of_theory, kappa_psi_correlator, psi_correlator
-from .series import EndSeries, check_symplectic, edge_kernel, translation_vector
-from .taut import KPPoly, TautExpr, exp_pushforward_check, kappa_multi_index
+The names below are resolved on first use (PEP 562): `from cohft import X`
+imports X's layer and only what that layer imports, so `import cohft`
+alone compiles no layer.  A name is looked up in its module on every
+access, never kept here, so `cohft.X` is always the module's current X.
+"""
 
-__all__ = [
-    "CohFTSpec",
-    "EndSeries",
-    "FrobeniusAlgebra",
-    "IncoherentSpec",
-    "InvalidAlgebra",
-    "KPPoly",
-    "NotInvertible",
-    "NotSplit",
-    "SemisimpleData",
-    "StableGraph",
-    "TautExpr",
-    "check_symplectic",
-    "compatibility_check",
-    "correlator_of_theory",
-    "edge_kernel",
-    "enumerate_special_types",
-    "enumerate_stable_graphs",
-    "exp_pushforward_check",
-    "kappa_multi_index",
-    "kappa_psi_correlator",
-    "omega_plus",
-    "psi_correlator",
-    "r_action",
-    "reconstruct_fixed",
-    "reconstruct_free",
-    "restrict_to_smooth",
-    "skipped_axioms",
-    "special_order",
-    "tqft_value",
-    "translation_vector",
-    "two_point",
-    "verify_axioms",
-]
+import importlib
+
+_LAYER = {
+    "CohFTSpec": "givental",
+    "EndSeries": "series",
+    "FrobeniusAlgebra": "frobenius",
+    "IncoherentSpec": "givental",
+    "InvalidAlgebra": "frobenius",
+    "KPPoly": "taut",
+    "NotInvertible": "frobenius",
+    "NotSplit": "frobenius",
+    "SemisimpleData": "frobenius",
+    "StableGraph": "graphs",
+    "TautExpr": "taut",
+    "check_symplectic": "series",
+    "compatibility_check": "givental",
+    "correlator_of_theory": "intersect",
+    "edge_kernel": "series",
+    "enumerate_special_types": "graphs",
+    "enumerate_stable_graphs": "graphs",
+    "exp_pushforward_check": "taut",
+    "kappa_multi_index": "taut",
+    "kappa_psi_correlator": "intersect",
+    "omega_plus": "givental",
+    "psi_correlator": "intersect",
+    "r_action": "givental",
+    "reconstruct_fixed": "givental",
+    "reconstruct_free": "givental",
+    "restrict_to_smooth": "givental",
+    "skipped_axioms": "givental",
+    "special_order": "graphs",
+    "tqft_value": "givental",
+    "translation_vector": "series",
+    "two_point": "givental",
+    "verify_axioms": "givental",
+}
+
+__all__ = sorted(_LAYER)
+
+
+def __getattr__(name):
+    layer = _LAYER.get(name)
+    if layer is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    return getattr(importlib.import_module("." + layer, __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -12,42 +12,18 @@ Each command that reads intersection numbers (correlator, verify and
 oracle dvv, hodge and trr) starts from an empty memo table of its own, so
 what it prints does not depend on what ran before it in the same process,
 and no command reads or writes a file of intersection numbers.
+
+Each command imports the layers it runs, in its own body, so that
+`graphs` and `strata` load only linalg and graphs.
 """
 
 import argparse
 import json
-import random
 import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .config import ConfigError, parse_config, serialize_config
-from .frobenius import NotInvertible, NotSplit, orthonormal_form
-from .givental import (
-    AXIOMS,
-    r_action,
-    reconstruct_fixed,
-    reconstruct_free,
-    skipped_axioms,
-    verify_axioms,
-)
-from .graphs import enumerate_stable_graphs, special_order
-from .intersect import Correlators, correlator_of_theory
-from .linalg import CohftError, frac_str, identity, read_integer, read_rational
-from .sampling import hodge_spec
-from .oracles import (
-    brute_force_stable_graphs,
-    genus0_multinomial,
-    lambda_g_cases,
-    lambda_g_closed_form,
-    multikappa_by_permutations,
-    trr_cases,
-    trr_genus0,
-    trr_genus1,
-    vertex_factor_diff,
-    witten_top_closed_form,
-)
-from .taut import exp_pushforward_check, kappa_multi_index
+from .linalg import CohftError, ConfigError, NotInvertible, NotSplit, frac_str, identity, read_integer, read_rational
 
 
 def _integer(text):
@@ -125,6 +101,8 @@ def _load_spec(args):
     except UnicodeDecodeError:
         reason = "not a text file"
     else:
+        from .config import parse_config
+
         return parse_config(text)
     raise ConfigError([(None, "cannot read config %r: %s" % (args.config, reason))])
 
@@ -156,6 +134,8 @@ def _emit(args, text_lines, payload):
 
 
 def _cmd_algebra(args):
+    from .frobenius import orthonormal_form
+
     spec = _load_spec(args)
     lines = ["algebra ok: dim %d" % spec.algebra.dim, "semisimple: yes"]
     payload = {"dim": spec.algebra.dim, "semisimple": True}
@@ -169,6 +149,8 @@ def _cmd_algebra(args):
 
 
 def _cmd_graphs(args):
+    from .graphs import enumerate_stable_graphs
+
     graphs = enumerate_stable_graphs(args.g, args.n)
     codes = [g.encode() for g in graphs]
     _emit(args, codes + ["total: %d" % len(graphs)], {"graphs": codes, "count": len(graphs)})
@@ -176,6 +158,8 @@ def _cmd_graphs(args):
 
 
 def _cmd_strata(args):
+    from .graphs import special_order
+
     types, greater, hasse = special_order(args.g, args.n)
     lines = []
     for t in types:
@@ -194,6 +178,8 @@ def _cmd_strata(args):
 
 
 def _cmd_classify(args):
+    from .config import serialize_config
+
     spec = _load_spec(args)
     if not spec.coherent:
         raise ConfigError([(None, "classify needs a coherent spec (set 'coherent: yes')")])
@@ -216,6 +202,8 @@ def _cmd_classify(args):
 
 
 def _cmd_reconstruct(args):
+    from .givental import r_action, reconstruct_fixed, reconstruct_free
+
     spec = _load_spec(args)
     if args.kind in ("free", "nodal") and not spec.coherent:
         raise ConfigError([(None, "%s reconstruction needs a coherent spec" % args.kind)])
@@ -231,6 +219,8 @@ def _cmd_reconstruct(args):
 
 
 def _cmd_verify(args):
+    from .givental import AXIOMS, skipped_axioms, verify_axioms
+
     spec = _load_spec(args)
     failures = verify_axioms(spec, args.kind, max_dim=args.max_dim)
     failed = {f["axiom"] for f in failures}
@@ -252,6 +242,8 @@ def _cmd_verify(args):
 
 
 def _cmd_correlator(args):
+    from .intersect import Correlators, correlator_of_theory
+
     spec = _load_spec(args)
     if not spec.coherent:
         raise ConfigError([(None, "correlators need a coherent spec")])
@@ -287,6 +279,9 @@ def _compare(label, got, want):
 
 
 def _oracle_graphs(args, max_dim):
+    from .graphs import enumerate_stable_graphs
+    from .oracles import brute_force_stable_graphs
+
     for g in range(max_dim // 3 + 2):
         for n in range(max_dim + 4):
             if 2 * g - 2 + n > 0 and 3 * g - 3 + n <= max_dim:
@@ -295,6 +290,10 @@ def _oracle_graphs(args, max_dim):
 
 
 def _oracle_dvv(args, max_dim):
+    from .intersect import Correlators
+    from .oracles import genus0_multinomial, witten_top_closed_form
+    from .taut import kappa_multi_index
+
     backend = Correlators()
     for g in range(0, 3):
         for n in range(1, 6):
@@ -329,6 +328,10 @@ def _oracle_dvv(args, max_dim):
 
 
 def _oracle_hodge(args, max_dim):
+    from .intersect import Correlators, correlator_of_theory
+    from .oracles import lambda_g_cases, lambda_g_closed_form
+    from .sampling import hodge_spec
+
     # the Hodge theory's correlators against the lambda_g formula
     backend = Correlators()
     spec = hodge_spec(max(max_dim, 1))
@@ -341,6 +344,9 @@ def _oracle_hodge(args, max_dim):
 
 
 def _oracle_trr(args, max_dim):
+    from .intersect import Correlators, correlator_of_theory
+    from .oracles import trr_cases, trr_genus0, trr_genus1
+
     # the theory's correlators against each other, through the genus-0 and
     # genus-1 topological recursion relations
     if max_dim < 1:
@@ -364,6 +370,11 @@ def _oracle_trr(args, max_dim):
 
 
 def _oracle_vertex_sum(args, max_dim):
+    import random
+
+    from .oracles import multikappa_by_permutations, vertex_factor_diff
+    from .taut import exp_pushforward_check, kappa_multi_index
+
     spec = _load_spec(args)
     for mu in range(spec.algebra.dim):
         diff = vertex_factor_diff(spec, mu, spec.degree)

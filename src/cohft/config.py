@@ -33,30 +33,15 @@ with the offending line when there is one.
 
 from fractions import Fraction
 
-from .frobenius import FrobeniusAlgebra, InvalidAlgebra, NotInvertible, NotSplit
+from .frobenius import FrobeniusAlgebra, InvalidAlgebra
 from .givental import CohFTSpec, IncoherentSpec, NotSymplectic
-from .linalg import CohftError, frac_str, identity, read_integer, read_rational, zero_mat
+from .linalg import ConfigError, NotInvertible, NotSplit, frac_str, identity, read_integer, read_rational, zero_mat
 from .series import EndSeries
 
 # reading grows fast with degree: at degree 60 a dim-1 config reads in about
 # 0.45 s with the Hodge R, nearly all of it the vertex log, and in under
 # 0.1 s with R = Id; one took 17 s at degree 1000 (Python 3.11, 2 cores)
 MAX_DEGREE = 60
-
-
-class ConfigError(CohftError):
-    """Carries a structured report: list of (line_number or None, message)."""
-
-    def __init__(self, report):
-        self.report = list(report)
-        super().__init__("; ".join(m for _, m in self.report))
-
-    def render(self):
-        lines = []
-        for lineno, msg in self.report:
-            where = "line %d: " % lineno if lineno else ""
-            lines.append(where + msg)
-        return "\n".join(lines)
 
 
 def _parse_row(text, lineno, report):

@@ -38,6 +38,8 @@ from fractions import Fraction
 from .linalg import (
     Q0,
     CohftError,
+    NotInvertible,
+    NotSplit,
     bilinear,
     det,
     dot,
@@ -60,14 +62,6 @@ class InvalidAlgebra(CohftError):
     def __init__(self, problems):
         self.problems = list(problems)
         super().__init__("; ".join(self.problems))
-
-
-class NotInvertible(ArithmeticError):
-    pass
-
-
-class NotSplit(ArithmeticError):
-    """The algebra has an element with irrational eigenvalues."""
 
 
 def rational_sqrt(x):

@@ -89,7 +89,6 @@ from operator import mul
 from .kappa import CovectorKappaPoly, KappaPoly, combination, exp_conv, is_grouplike
 from .graphs import enumerate_stable_graphs, require_stable
 from .linalg import CohftError, dot, frac_str, identity, int_mat_mul, int_rows, mat_vec, numerators, transpose, vec
-from .oracles import trr_genus1
 from .series import EndSeries, NotDivisible, divide_by_z_plus_w, truncated_log
 from .taut import DecoratedGraph, KPPoly, TautExpr
 
@@ -748,8 +747,9 @@ def verify_axioms(spec, mode="free", max_dim=2):
     # divisors, the non-separating one among them, so the gluing axioms and
     # the edge kernel behind them decide <tau_1(b_i) tau_0(b_j)>_1
     if _checks_sewing_nonseparating(spec, max_dim):
-        # intersect imports this module
+        # intersect imports this module, and only this check reads oracles
         from .intersect import Correlators, correlator_of_theory
+        from .oracles import trr_genus1
 
         backend = Correlators()
 

@@ -22,6 +22,34 @@ class CohftError(ValueError):
     them as validation failures (exit 1)."""
 
 
+# ConfigError, NotInvertible and NotSplit belong to config and frobenius,
+# which re-export them; they are defined here so that the CLI can catch
+# them without importing either layer
+
+
+class ConfigError(CohftError):
+    """Carries a structured report: list of (line_number or None, message)."""
+
+    def __init__(self, report):
+        self.report = list(report)
+        super().__init__("; ".join(m for _, m in self.report))
+
+    def render(self):
+        lines = []
+        for lineno, msg in self.report:
+            where = "line %d: " % lineno if lineno else ""
+            lines.append(where + msg)
+        return "\n".join(lines)
+
+
+class NotInvertible(ArithmeticError):
+    pass
+
+
+class NotSplit(ArithmeticError):
+    """The algebra has an element with irrational eigenvalues."""
+
+
 def _frac(x):
     # a Fraction is immutable, so it is kept rather than copied
     return x if type(x) is Fraction else Fraction(x)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohft import cli, graphs, taut
+from cohft import cli, config, graphs, taut
 from cohft.cli import main
 from cohft.config import ConfigError, parse_config, serialize_config
 from cohft.frobenius import FrobeniusAlgebra
@@ -452,7 +452,7 @@ def test_cli_value_error_in_a_handler_is_internal(monkeypatch, capsys):
     def broken(g, n):
         raise ValueError("bug")
 
-    monkeypatch.setattr(cli, "enumerate_stable_graphs", broken)
+    monkeypatch.setattr(graphs, "enumerate_stable_graphs", broken)
     code, _ = run_cli(["graphs", "enumerate", "1", "1"])
     assert code == 3
     assert "internal error: bug" in capsys.readouterr().err
@@ -467,7 +467,7 @@ def test_cli_spec_construction_error_is_validation_failure(tmp_path, monkeypatch
 
     cfg = tmp_path / "spec.cfg"
     cfg.write_text(SCALAR_CFG)
-    monkeypatch.setattr(cli, "parse_config", zero_degree)
+    monkeypatch.setattr(config, "parse_config", zero_degree)
     code, _ = run_cli(["--config", str(cfg), "classify"])
     assert code == 1
     assert "validation failure: truncation degree must be >= 1" in capsys.readouterr().err
