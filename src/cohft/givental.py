@@ -73,11 +73,15 @@ w_mu^{1-h} / den(table at mu) is brought to int prefactors over the lcm L_v
 over mu.  Every leaf of a graph's walk then multiplies one prefactor per
 vertex, one kernel numerator per edge and one row numerator per vertex,
 all ints over the one denominator D = D_K^|E| prod_v L_v of the graph.
-graph_contribution sums the int numerators under their raw decorations
-and builds each output coefficient once, as Fraction(N, D); the walk itself
-does no Fraction arithmetic.  The kernel is read per sum, not cached as
-ints on the spec, so an in-place change to the spec's kernel shows at the
-next sum.
+graph_contribution sums the int numerators under the walk's raw int keys,
+which carry each term's degree.  On a graph with automorphisms it merges
+the keys of one orbit under their least image, the form the checking
+DecoratedGraph(...) constructor picks; it then builds each distinct key
+once, through the trusted DecoratedGraph.trusted, and each coefficient
+once, as Fraction(N, D).  The walk itself does no Fraction arithmetic.
+|Aut| enters only in r_action, which divides the terms of a graph with
+|Aut| > 1 by it.  The kernel is read per sum, not cached as ints on the
+spec, so an in-place change to the spec's kernel shows at the next sum.
 """
 
 from fractions import Fraction
@@ -578,9 +582,9 @@ class DecorationWalk:
 def graph_contribution(spec, graph, vectors, tables=None):
     """The decorated-graph class attached to one boundary stratum.
 
-    No automorphism weight here; r_action divides by |Aut|.  Decorations are
-    truncated at each vertex's dimension (classes above it vanish) and at
-    the global cap.
+    No automorphism weight here; r_action divides by |Aut| where it is
+    above 1.  Decorations are truncated at each vertex's dimension (classes
+    above it vanish) and at the global cap.
 
     A DecorationWalk picks the edge decorations within the degree budget
     and the vertex dimensions; under each, a depth-first walk picks the
@@ -589,9 +593,13 @@ def graph_contribution(spec, graph, vectors, tables=None):
     the partial int numerator down, so every leaf is an emitted term over
     the walk's one denominator.  Calls with the same spec and vectors may
     share one VertexTables as tables: r_action passes one to every graph of
-    its sum.  Numerators are summed under their raw decorations,
-    canonicalized once at the end, and each coefficient is built once as a
-    Fraction over the denominator.
+    its sum.  Numerators are summed under their raw int keys, merged over
+    the graph's automorphism orbits by _orbit_minima, and each distinct key
+    is built once with DecoratedGraph.trusted, from the canonical tuples and
+    the degree the walk counted; the public DecoratedGraph(...) would check
+    and canonicalize each again.  Each coefficient is built once as a
+    Fraction over the denominator, and the TautExpr takes the terms with no
+    second filter.
     """
     g = graph.total_genus()
     n = graph.num_legs
@@ -616,7 +624,8 @@ def graph_contribution(spec, graph, vectors, tables=None):
 
     def walk_vertices(v, left, coeff):
         if v == nv:
-            key = (tuple(kappa), tuple(leg_psi), tuple(edge_psi))
+            # the term's degree is the cap less what the walk left
+            key = (tuple(kappa), tuple(leg_psi), tuple(edge_psi), cap - left)
             raw[key] = raw.get(key, 0) + coeff
             return
         limit = min(dims[v] - load[v], left)
@@ -629,26 +638,77 @@ def graph_contribution(spec, graph, vectors, tables=None):
             walk_vertices(v + 1, left - deg, coeff * c)
 
     walk.run(budget, lambda left, coeff: walk_vertices(0, left, coeff))
-    out = {}
-    for (vertex_kappa, legs_psi, edges_psi), c in raw.items():
-        key = DecoratedGraph(graph, vertex_kappa, legs_psi, edges_psi)
-        out[key] = out.get(key, 0) + c
     den = walk.denominator
-    return TautExpr(g, n, cap, {key: Fraction(c, den) for key, c in out.items() if c})
+    trusted_key = DecoratedGraph.trusted
+    terms = {
+        trusted_key(graph, vertex_kappa, legs_psi, edges_psi, degree): Fraction(c, den)
+        for (vertex_kappa, legs_psi, edges_psi, degree), c in _orbit_minima(graph, raw).items()
+        if c
+    }
+    return TautExpr.trusted(g, n, cap, terms)
+
+
+def _orbit_minima(graph, raw):
+    """raw, keyed by (vertex_kappa, leg_psi, edge_psi, degree), with its keys
+    merged over the orbits of graph.edge_automorphism_images(): each key goes
+    to the least image in its orbit, the one DecoratedGraph's constructor
+    picks, and the numerators of one orbit are summed.  raw itself when the
+    identity is the only image.
+
+    An image is kept as two maps: its vertex j holds the kappa monomial of
+    vertex vsrc[j], and its edge j the psi pair of edge i, ends swapped when
+    flip, for (i, flip) = esrc[j].  The images of one key are its whole
+    orbit, so each orbit is computed once, at the first of its keys met.
+    """
+    images = graph.edge_automorphism_images()
+    if len(images) == 1:
+        return raw
+    # vsrc and the edges of esrc are the inverse permutations
+    maps = [
+        (
+            sorted(range(len(perm)), key=perm.__getitem__),
+            [(i, flips[i]) for i in sorted(range(len(edge_perm)), key=edge_perm.__getitem__)],
+        )
+        for perm, edge_perm, flips in images
+    ]
+    least = {}
+    out = {}
+    for key, c in raw.items():
+        best = least.get(key)
+        if best is None:
+            kappa, legs, edges, degree = key
+            orbit = []
+            for vsrc, esrc in maps:
+                image_edges = tuple([edges[i][::-1] if flip else edges[i] for i, flip in esrc])
+                orbit.append((tuple([kappa[v] for v in vsrc]), legs, image_edges, degree))
+            best = min(orbit)
+            for image in orbit:
+                least[image] = best
+        out[best] = out.get(best, 0) + c
+    return out
 
 
 def r_action(spec, g, n, vectors):
-    """Sum of contributions over all boundary strata, weighted by 1/|Aut|."""
+    """Sum of contributions over all boundary strata, weighted by 1/|Aut|.
+
+    Each graph's terms come from graph_contribution, canonical and nonzero,
+    with no automorphism weight; only a graph with |Aut| > 1 has its
+    coefficients divided, by |Aut|.  Every key carries its graph, so no two
+    graphs share a key and the terms go into one TautExpr as they are.
+    """
     require_input(g, n, vectors)
     cap = _class_cap(spec, g, n)
     total = {}
     tables = VertexTables(spec, vectors)
     for graph in enumerate_stable_graphs(g, n):
-        weight = Fraction(1, graph.automorphism_order())
-        # every key carries its graph, so no two graphs share a key
-        for key, c in graph_contribution(spec, graph, vectors, tables).terms.items():
-            total[key] = c * weight
-    return TautExpr(g, n, cap, total)
+        terms = graph_contribution(spec, graph, vectors, tables).terms
+        aut = graph.automorphism_order()
+        if aut == 1:
+            total.update(terms)
+        else:
+            for key, c in terms.items():
+                total[key] = c / aut
+    return TautExpr.trusted(g, n, cap, total)
 
 
 def restrict_to_smooth(expr):

@@ -263,7 +263,17 @@ def exp_pushforward_check(coeffs, cap):
 
 class DecoratedGraph:
     """A stable graph with a kappa monomial per vertex and psi powers per
-    half edge, canonicalized under the graph's automorphisms."""
+    half edge, canonicalized under the graph's automorphisms.
+
+    Two constructors build one.  DecoratedGraph(...) checks: it coerces the
+    entries to ints, sorts each kappa monomial, checks the shapes against
+    the graph, takes the least image over graph.edge_automorphism_images()
+    and sums the degree; oracles.brute_force_graph_sum builds its keys this
+    way.  DecoratedGraph.trusted(...) checks nothing and keeps its tuples as
+    given: the caller passes the canonical form and the degree, as
+    givental.graph_contribution does after merging its keys over the
+    automorphism orbits.
+    """
 
     __slots__ = ("graph", "vertex_kappa", "leg_psi", "edge_psi", "_hash", "_degree")
 
@@ -289,6 +299,22 @@ class DecoratedGraph:
             + sum(leg_psi)
             + sum(a + b for a, b in edge_psi)
         )
+
+    @classmethod
+    def trusted(cls, graph, vertex_kappa, leg_psi, edge_psi, degree):
+        """The key of a decoration already in canonical form, as the public
+        constructor would build it: vertex_kappa a tuple of sorted int
+        tuples, leg_psi an int tuple, edge_psi a tuple of int pairs, the
+        least image under the graph's automorphisms, of total degree
+        degree.  Nothing is checked or copied."""
+        self = object.__new__(cls)
+        self.graph = graph
+        self.vertex_kappa = vertex_kappa
+        self.leg_psi = leg_psi
+        self.edge_psi = edge_psi
+        self._hash = hash((graph, vertex_kappa, leg_psi, edge_psi))
+        self._degree = degree
+        return self
 
     @staticmethod
     def _canonicalize(graph, vertex_kappa, leg_psi, edge_psi):
@@ -349,6 +375,17 @@ class TautExpr:
             for key, c in (terms or {}).items()
             if c != 0 and key.degree() <= cap
         }
+
+    @classmethod
+    def trusted(cls, g, n, cap, terms):
+        """A TautExpr holding the dict terms as it is: every coefficient a
+        nonzero Fraction, every key of degree <= cap.  Nothing is filtered."""
+        self = object.__new__(cls)
+        self.g = g
+        self.n = n
+        self.cap = cap
+        self.terms = terms
+        return self
 
     def __eq__(self, other):
         return (

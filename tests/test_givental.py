@@ -928,6 +928,36 @@ def test_brute_force_graph_sum_sees_a_changed_kernel_entry():
         assert r_action(spec, g, n, vs) == brute_force_graph_sum(spec, g, n, vs), (dim, g, n)
 
 
+# (dim, g, n, terms of r_action, terms on graphs with |Aut| > 1)
+MERGED_CASES = [(1, 1, 4, 1909, 817), (1, 2, 2, 1288, 899), (2, 2, 2, 1466, 978)]
+
+
+@pytest.mark.parametrize("dim, g, n, terms, merged", MERGED_CASES)
+def test_r_action_matches_the_brute_force_graph_sum_on_symmetric_graphs(dim, g, n, terms, merged):
+    # the sizes where most terms sit on graphs with automorphisms, so the
+    # walk's orbit merge decides them; the oracle canonicalizes through the
+    # checking DecoratedGraph constructor
+    spec, vs = _oracle_case(coherent_spec, dim, g, n)
+    got = r_action(spec, g, n, vs)
+    assert got == brute_force_graph_sum(spec, g, n, vs)
+    assert len(got.terms) == terms
+    assert sum(key.graph.automorphism_order() > 1 for key in got.terms) == merged
+
+
+@pytest.mark.parametrize("dim, g, n", [(1, 1, 4), (1, 2, 2), (2, 2, 2), (3, 1, 3)])
+def test_r_action_keys_are_what_the_checking_constructor_builds(dim, g, n):
+    # r_action builds its keys with DecoratedGraph.trusted, from orbit minima
+    # and degrees the walk computes; the public constructor recomputes both
+    spec, vs = _oracle_case(coherent_spec, dim, g, n)
+    keys = r_action(spec, g, n, vs).terms
+    assert sum(key.graph.automorphism_order() > 1 for key in keys) >= 65
+    for key in keys:
+        built = DecoratedGraph(key.graph, key.vertex_kappa, key.leg_psi, key.edge_psi)
+        assert built == key, key
+        assert hash(built) == hash(key), key
+        assert built.degree() == key.degree(), key
+
+
 # sha256 of r_action rendered on every SMALL_PAIRS entry, each followed by a
 # correlator of the class where the degree allows one, for a seeded
 # degree-3 coherent spec per dim; measured before the edge kernel was built
