@@ -28,9 +28,7 @@ _LAYER = {
     "enumerate_stable_graphs": "graphs",
     "exp_pushforward_check": "taut",
     "kappa_multi_index": "taut",
-    "kappa_psi_correlator": "intersect",
     "omega_plus": "givental",
-    "psi_correlator": "intersect",
     "r_action": "givental",
     "reconstruct_fixed": "givental",
     "reconstruct_free": "givental",

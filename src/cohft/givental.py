@@ -108,6 +108,9 @@ class NotSymplectic(CohftError):
 class CohFTSpec:
     """Classification data: algebra, semisimple basis, phi covectors, R.
 
+    R is an EndSeries of order degree with R_0 = Id; an R of another order
+    or constant term raises CohftError.
+
     Construction checks the semisimple data against the algebra first, then
     builds the edge kernel in that basis, which raises NotSymplectic when R
     is not symplectic and otherwise proves that the symplectic adjoint
@@ -124,13 +127,10 @@ class CohFTSpec:
         self.degree = int(degree)
         if self.degree < 1:
             raise CohftError("truncation degree must be >= 1")
-        if isinstance(r, EndSeries):
-            if r.order != self.degree:
-                r = EndSeries.from_higher_coeffs(algebra.dim, self.degree, r.coeffs[1:])
-            if r.coeffs[0] != identity(algebra.dim):
-                raise CohftError("R must have constant term Id")
-        else:
-            r = EndSeries.from_higher_coeffs(algebra.dim, self.degree, r)
+        if r.order != self.degree:
+            raise CohftError("R must have order %d, the truncation degree, not %d" % (self.degree, r.order))
+        if r.coeffs[0] != identity(algebra.dim):
+            raise CohftError("R must have constant term Id")
         self.r = r
         algebra.check_semisimple_data(ss)
         frame = _projector_frame(ss, r)
@@ -370,7 +370,7 @@ def coherent_phi(algebra, ss, r, cap):
     Read from R^{-1}(z) unit = sum_mu u_mu(z) pi_mu with R^{-1} the inverted
     series: a path independent of the spec's symplectic adjoint.
     """
-    coords = [ss.to_semisimple(c) for c in r.invert().apply(algebra.unit).coeffs[: cap + 1]]
+    coords = [ss.to_semisimple(c) for c in r.invert().apply(algebra.unit)[: cap + 1]]
     return _phi_from_log(algebra, ss, _log_coeffs(list(zip(*coords)), cap))
 
 

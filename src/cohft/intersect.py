@@ -1,10 +1,15 @@
 """Exact psi-kappa intersection numbers and correlators of reconstructed
 theories.
 
-psi_correlator implements the Virasoro/KdV recursion with the two standard
-seeds <tau_0^3>_0 = 1 and <tau_1>_1 = 1/24: the string equation removes a
-tau_0, the dilaton equation removes a tau_1, and the main (DVV) recursion
-applies to an index >= 2.  It runs on an integer lattice: the memo holds
+Every number is read from a Correlators backend that the caller holds:
+its memo is the only state, and integrate_taut and correlator_of_theory
+take the backend as an argument, so no table is shared across a process.
+
+Correlators.psi_correlator implements the Virasoro/KdV recursion with the
+two standard seeds <tau_0^3>_0 = 1 and <tau_1>_1 = 1/24: the string
+equation removes a tau_0, the dilaton equation removes a tau_1, and the
+main (DVV) recursion applies to an index >= 2.  It runs on an integer
+lattice: the memo holds
 
   N(g; a_1..a_n) = 2^{4g+n-2} prod (2a_i+1)!! <tau_a_1 ... tau_a_n>_g
 
@@ -111,7 +116,7 @@ def _right_degree(g, psi_exps, kappa_key):
 
 
 class Correlators:
-    """Memoized intersection-number backend.
+    """Memoized intersection-number backend, owned by its caller.
 
     The memo tables are plain dicts with no lock: share a backend between
     threads only with external synchronisation.
@@ -364,17 +369,6 @@ def _parse_entry(line):
     return (g, exps), scaled.numerator
 
 
-_DEFAULT = Correlators()
-
-
-def psi_correlator(g, *exps):
-    return _DEFAULT.psi_correlator(g, exps)
-
-
-def kappa_psi_correlator(g, psi_exps, kappa_key=()):
-    return _DEFAULT.kappa_psi_correlator(g, psi_exps, kappa_key)
-
-
 def _require_psi(psi, n):
     """psi as a tuple, once it is checked to hold n non-negative powers."""
     psi = tuple(psi)
@@ -385,7 +379,7 @@ def _require_psi(psi, n):
     return psi
 
 
-def integrate_taut(expr, backend=None, psi=None):
+def integrate_taut(expr, backend, psi=None):
     """Integrate a decorated graph sum, times psi powers at the legs, over
     its moduli space.
 
@@ -397,8 +391,8 @@ def integrate_taut(expr, backend=None, psi=None):
     zero and is skipped before any vertex is looked up.  Automorphisms fix
     the legs, so adding psi leaves every key canonical.  psi, when given,
     holds one non-negative power per leg, as for correlator_of_theory.
+    Every vertex number is read from backend.
     """
-    backend = backend or _DEFAULT
     psi = (0,) * expr.n if psi is None else _require_psi(psi, expr.n)
     room = 3 * expr.g - 3 + expr.n - sum(psi)
     total = Q0
@@ -417,12 +411,13 @@ def integrate_taut(expr, backend=None, psi=None):
     return total
 
 
-def correlator_of_theory(spec, g, n, vectors, psi_exps, backend=None):
+def correlator_of_theory(spec, g, n, vectors, psi_exps, backend):
     """Exact integral of the reconstructed class times psi powers.
 
     The factorised top-degree graph sum of the module docstring; no class
-    is built.  integrate_taut(r_action(...), backend, psi_exps) gives the
-    same number through the class.
+    is built; every vertex number is read from backend.
+    integrate_taut(r_action(...), backend, psi_exps) gives the same number
+    through the class.
     """
     psi = _require_psi(psi_exps, n)
     if spec.degree < 3 * g - 3 + n:
@@ -433,7 +428,6 @@ def correlator_of_theory(spec, g, n, vectors, psi_exps, backend=None):
             % (spec.degree, 3 * g - 3 + n)
         )
     require_input(g, n, vectors)
-    backend = backend or _DEFAULT
     if sum(psi) > 3 * g - 3 + n:
         return Q0
     tables = VertexTables(spec, vectors)

@@ -4,15 +4,15 @@ These deliberately avoid the main code paths: graphs are generated by
 unrestricted search with isomorphism rejection instead of degeneration
 walks, multi-index kappa classes by summing over all permutations instead
 of set partitions, and vertex insertion sums by the raw m-sum over
-forgotten points (taut.forgotten_point_msum, read off the pi_mu-coordinate
-of R^{-1} unit, with no division by a norm) instead of the closed-form
-exponential of the vertex log.  brute_force_graph_sum builds the whole
-class the same way, in plain Fractions: every graph of the brute-force
-search, every projector assignment and every decoration, with the edge
-kernel read from series.edge_kernel in the ambient basis and moved to the
-projectors, and with none of the walk, vertex tables or integer scaling of
-givental.  Closed forms check whole
-correlators: the Hodge theory's against the lambda_g formula, whose b_g
+forgotten points (taut.forgotten_point_msum, read off the pi_mu-coordinates
+of series.translation_vector, which inverts the series R, with no division
+by a norm) instead of the closed-form exponential of the vertex log.
+brute_force_graph_sum builds the whole class the same way, in plain
+Fractions: every graph of the brute-force search, every projector
+assignment and every decoration, with the edge kernel read from
+series.edge_kernel in the ambient basis and moved to the projectors, and
+with none of the walk, vertex tables or integer scaling of givental.
+Closed forms check whole correlators: the Hodge theory's against the lambda_g formula, whose b_g
 come from the series (t/2)/sin(t/2), not from the Bernoulli numbers that
 build the theory's R.  The topological recursion relations check a
 theory's correlators against each other: psi_1 on M-bar_{0,n} and on
@@ -27,7 +27,7 @@ from math import factorial
 from .graphs import StableGraph
 from .kappa import KappaPoly
 from .linalg import Q0, Q1, identity, mat_inv, mat_mul, transpose, vec
-from .series import edge_kernel
+from .series import edge_kernel, translation_vector
 from .taut import DecoratedGraph, TautExpr, forgotten_point_msum
 
 
@@ -265,14 +265,12 @@ def _vertex_msum(spec, mu, cap):
     """The vertex insertion sum at one projector by the raw m-sum.
 
     The m-sum needs the translation series through z^{cap+1} (an exponent-a
-    factor contributes kappa degree a-1), one order beyond the stored
-    truncation, so the series is rebuilt from R^{-1} unit directly:
-    that[k] = -u[k-1] for k >= 2 with u the pi_mu-coordinate of R^{-1} unit.
+    factor contributes kappa degree a-1), which series.translation_vector
+    gives from the inverted series R^{-1} unit; its pi_mu-coordinates are
+    the m-sum's input.
     """
-    s = spec.r_inverse().apply(spec.algebra.unit)
-    u = [spec.ss.to_semisimple(c)[mu] for c in s.coeffs]
-    t_hat = [Q0, Q0] + [-u[k - 1] for k in range(2, min(cap + 1, len(u)) + 1)]
-    return forgotten_point_msum(t_hat, cap)
+    t = translation_vector(spec.r, spec.algebra.unit)[: cap + 2]
+    return forgotten_point_msum([spec.ss.to_semisimple(c)[mu] for c in t], cap)
 
 
 def vertex_factor_diff(spec, mu, cap):
@@ -307,9 +305,9 @@ def brute_force_graph_sum(spec, g, n, vectors):
     alg, ss = spec.algebra, spec.ss
     cap = max(min(spec.degree, 3 * g - 3 + n), 0)
     binv = mat_inv(ss.projectors)
-    kernel = {ab: mat_mul(transpose(binv), mat_mul(m, binv)) for ab, m in edge_kernel(spec.r, alg.eta).table.items()}
+    kernel = {ab: mat_mul(transpose(binv), mat_mul(m, binv)) for ab, m in edge_kernel(spec.r, alg.eta).items()}
     rinv = spec.r.invert()
-    legs = [[ss.to_semisimple(c) for c in rinv.apply(vec(v)).coeffs] for v in vectors]
+    legs = [[ss.to_semisimple(c) for c in rinv.apply(vec(v))] for v in vectors]
     vertex = [_vertex_msum(spec, mu, cap) for mu in range(alg.dim)]
     terms = {}
     for graph in brute_force_stable_graphs(g, n):

@@ -1,8 +1,11 @@
-"""Truncated power series with matrix and vector coefficients, and the one
-truncated exp/log pair of the engine.
+"""Truncated End(A)-valued power series, and the one truncated exp/log
+pair of the engine.
 
 EndSeries models End(A)-valued series R(z) = R_0 + R_1 z + ... + R_D z^D;
 all operations are exact through the truncation order and drop higher terms.
+What a series yields is returned as plain coefficients: R(z) v (apply) and
+the translation series as tuples of vectors, the edge kernel as a
+{(a, b): matrix} table of its z^a w^b terms.
 The two series-level facts the engine leans on are that inversion works
 order by order whenever R_0 is invertible (the independent reference for
 R^{-1}: a spec reads R^{-1} as the symplectic adjoint, see givental), and
@@ -175,52 +178,8 @@ class EndSeries:
         )
 
     def apply(self, v):
-        """R(z) v as a VecSeries."""
-        return VecSeries(self.dim, self.order, [mat_vec(c, vec(v)) for c in self.coeffs])
-
-
-class VecSeries:
-    def __init__(self, dim, order, coeffs):
-        self.dim = dim
-        self.order = order
-        coeffs = [vec(c) for c in coeffs]
-        if len(coeffs) != order + 1:
-            raise OrderMismatch("expected %d coefficients" % (order + 1))
-        self.coeffs = tuple(coeffs)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, VecSeries)
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
-
-    def valuation(self):
-        for k, c in enumerate(self.coeffs):
-            if any(x != 0 for x in c):
-                return k
-        return self.order + 1
-
-
-class BivectorSeries:
-    """Coefficients K[a][b] are dim x dim matrices of the z^a w^b terms.
-
-    Only the triangle a + b <= order is stored; the matrix entry (i, j)
-    multiplies b_i (x) b_j in the ambient basis.
-    """
-
-    def __init__(self, dim, order, table):
-        self.dim = dim
-        self.order = order
-        self.table = {
-            (a, b): mat(m) for (a, b), m in table.items() if a + b <= order
-        }
-
-    def coeff(self, a, b):
-        return self.table.get((a, b), zero_mat(self.dim))
-
-    def is_zero(self):
-        return all(all(x == 0 for row in m for x in row) for m in self.table.values())
+        """R(z) v as the tuple of its coefficient vectors."""
+        return tuple(mat_vec(c, vec(v)) for c in self.coeffs)
 
 
 def check_symplectic(r, eta):
@@ -232,10 +191,12 @@ def check_symplectic(r, eta):
 def edge_kernel(r, eta):
     """(eta^{-1} - S(z) eta^{-1} S(w)^t) / (z + w)  for S = R^{-1}.
 
-    The kernel in the ambient basis; raises NotDivisible when R is not
+    The kernel in the ambient basis, as the {(a, b): matrix} table of its
+    z^a w^b coefficients on a + b <= order - 1, where the matrix entry
+    (i, j) multiplies b_i (x) b_j; raises NotDivisible when R is not
     symplectic (see divide_by_z_plus_w).
     """
-    dim, order = r.dim, r.order
+    order = r.order
     eta_inv = mat_inv(mat(eta))
     s = r.invert()
     numerator = {}
@@ -245,7 +206,7 @@ def edge_kernel(r, eta):
             if a == 0 and b == 0:
                 term = mat_sub(term, eta_inv)
             numerator[(a, b)] = mat_scale(-1, term)
-    return BivectorSeries(dim, order - 1 if order > 0 else 0, divide_by_z_plus_w(numerator, order))
+    return divide_by_z_plus_w(numerator, order)
 
 
 def divide_by_z_plus_w(numerator, order):
@@ -301,9 +262,10 @@ def truncated_log(u, one, order):
 
 
 def translation_vector(r, unit):
-    """T(z) = z (unit - R(z)^{-1} unit); always has valuation >= 2."""
+    """T(z) = z (unit - R(z)^{-1} unit) through z^(order+1), as the tuple of
+    its coefficient vectors; T_1 vanishes when R_0 = Id, and T_{k+1} is
+    -[z^k] R^{-1}(z) unit for k >= 1."""
     s = r.invert().apply(unit)
-    coeffs = [zero_vec(r.dim), tuple(u - x for u, x in zip(vec(unit), s.coeffs[0]))]
-    for k in range(1, r.order):
-        coeffs.append(tuple(-x for x in s.coeffs[k]))
-    return VecSeries(r.dim, r.order, coeffs[: r.order + 1])
+    return (zero_vec(r.dim), tuple(u - x for u, x in zip(vec(unit), s[0]))) + tuple(
+        tuple(-x for x in c) for c in s[1:]
+    )

@@ -838,6 +838,15 @@ def test_readme_cli_examples_byte_identical(tmp_path):
         assert hashlib.sha256(out.encode()).hexdigest() == README_PINS[command], command
 
 
+def test_readme_library_example_runs():
+    # the README's `python` block, as written: it holds its own Correlators
+    blocks = re.findall(r"```(\w*)\n(.*?)```", README.read_text(), re.S)
+    (code,) = [body for lang, body in blocks if lang == "python"]
+    namespace = {}
+    exec(compile(code, str(README), "exec"), namespace)
+    assert namespace["value"] == F(1, 12)
+
+
 def test_cli_dump_table_does_not_depend_on_earlier_runs(tmp_path):
     # the table is the memo of this one command, not of the process
     cfg = tmp_path / "spec.cfg"

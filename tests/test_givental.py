@@ -323,7 +323,7 @@ def test_vectors_need_the_algebra_dimension():
             with pytest.raises(ValueError, match="dimension mismatch"):
                 two_point(spec, v, w)
         with pytest.raises(ValueError, match="dimension mismatch"):
-            correlator_of_theory(spec, 1, 1, [bad], (1,))
+            correlator_of_theory(spec, 1, 1, [bad], (1,), Correlators())
 
 
 def test_spec_rejects_phi_of_the_wrong_length():
@@ -369,6 +369,11 @@ def test_spec_construction_errors_are_cohft_errors():
         CohFTSpec(alg, ss, [], doubled, 3)
     with pytest.raises(CohftError, match="only for a coherent spec"):
         CohFTSpec(alg, ss, None, r, 3)
+    # an R of another order is refused, not padded with zeros or cut
+    for order in (2, 4):
+        other = random_symplectic_r(rng, alg, order, sparsity=1)
+        with pytest.raises(CohftError, match="R must have order 3, the truncation degree, not %d" % order):
+            CohFTSpec(alg, ss, [], other, 3)
 
 
 def test_spec_derives_coherent_phi_from_r():
@@ -412,7 +417,7 @@ def test_graph_contribution_scalar_loop():
         1,
         1,
         1,
-        {DecoratedGraph(loop, ((),), (0,), ((0, 0),)): kernel.coeff(0, 0)[0][0]},
+        {DecoratedGraph(loop, ((),), (0,), ((0, 0),)): kernel[(0, 0)][0][0]},
     )
     assert got == want
 
@@ -533,8 +538,8 @@ def test_r_action_dim2_loop_hand_assembly():
 
     kernel = edge_kernel(spec.r, alg.eta)
     binv = mat_inv(ss.projectors)
-    k00 = mat_mul(transpose(binv), mat_mul(kernel.coeff(0, 0), binv))
-    rv0 = ss.to_semisimple(spec.r_inverse().apply(v).coeffs[0])
+    k00 = mat_mul(transpose(binv), mat_mul(kernel[(0, 0)], binv))
+    rv0 = ss.to_semisimple(spec.r_inverse().apply(v)[0])
     loop_coeff = sum(rv0[mu] * k00[mu][mu] * ss.norms[mu] for mu in range(2))
     key = DecoratedGraph(loop, ((),), (0,), ((0, 0),))
     terms[key] = terms.get(key, F(0)) + loop_coeff / 2
@@ -707,12 +712,12 @@ def test_smooth_part_matches_the_ambient_reference(make):
             vs = [random_vector(rng, dim) for _ in range(n)]
             cap = min(spec.degree, 3 * g - 3 + n)
             fixed = ambient_slot_sum(spec, g, [(v,) for v in vs], cap)
-            free = ambient_slot_sum(spec, g, [rinv.apply(v).coeffs for v in vs], cap)
+            free = ambient_slot_sum(spec, g, [rinv.apply(v) for v in vs], cap)
             assert reconstruct_fixed(spec, g, n, vs) == fixed
             assert reconstruct_free(spec, g, n, vs) == free
             moved += free != fixed
         v, w = random_vector(rng, dim), random_vector(rng, dim)
-        slot = [alg.multiply(s, w) for s in rinv.apply(v).coeffs]
+        slot = [alg.multiply(s, w) for s in rinv.apply(v)]
         assert two_point(spec, v, w) == ambient_slot_sum(spec, 0, [slot], spec.degree)
     assert moved >= 9  # of 15: R moves the free form off the fixed one
 
@@ -754,7 +759,7 @@ def test_two_point_pairing_identity():
     acc = KPPoly(1, cap)
     for mu in range(2):
         tpm = two_point(spec, ss.projectors[mu], w)
-        coords = [ss.to_semisimple(c)[mu] for c in rv.coeffs]
+        coords = [ss.to_semisimple(c)[mu] for c in rv]
         series = KPPoly(1, cap, {((), (k,)): c for k, c in enumerate(coords)})
         acc = acc + series * tpm
     want = KPPoly.from_kappa(1, ambient_omega_plus(spec, alg.multiply(v, w)))
@@ -829,7 +834,7 @@ def test_semisimple_kernel_is_the_symplectic_check(data):
     assert symplectic
     binv = mat_inv(ss.projectors)
     want = {}
-    kernel = edge_kernel(r, alg.eta).table
+    kernel = edge_kernel(r, alg.eta)
     for (a, b), m in sorted(kernel.items(), key=lambda it: (sum(it[0]), it[0])):
         for mu, row in enumerate(mat_mul(transpose(binv), mat_mul(m, binv))):
             for nu, c in enumerate(row):
@@ -862,8 +867,8 @@ def test_spec_inverse_is_the_inverted_series(make):
         alg, ss = spec.algebra, spec.ss
         rinv = spec.r.invert()
         for v in [alg.unit] + list(identity(alg.dim)) + [random_vector(rng, alg.dim)]:
-            assert spec.leg_series(v) == tuple(ss.to_semisimple(c) for c in rinv.apply(v).coeffs)
-        u = [ss.to_semisimple(c) for c in rinv.apply(alg.unit).coeffs]
+            assert spec.leg_series(v) == tuple(ss.to_semisimple(c) for c in rinv.apply(v))
+        u = [ss.to_semisimple(c) for c in rinv.apply(alg.unit)]
         assert spec.vertex_log_coeffs() == tuple(_scalar_log([c[mu] for c in u]) for mu in range(alg.dim))
         assert spec.phi_from_r() == coherent_phi(alg, ss, spec.r, spec.degree)
         assert spec.phi == tuple(spec.phi_from_r())

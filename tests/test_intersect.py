@@ -10,13 +10,7 @@ from cohft import givental, intersect, taut
 from cohft.frobenius import FrobeniusAlgebra, orthonormal_form
 from cohft.givental import CohFTSpec, r_action, verify_axioms
 from cohft.graphs import UnstablePair
-from cohft.intersect import (
-    Correlators,
-    integrate_taut,
-    kappa_psi_correlator,
-    psi_correlator,
-    correlator_of_theory,
-)
+from cohft.intersect import Correlators, integrate_taut, correlator_of_theory
 from cohft.linalg import CohftError, det, frac_str, read_rational
 from cohft.oracles import (
     genus0_multinomial,
@@ -39,24 +33,27 @@ from cohft.sampling import (
 from cohft.taut import kappa_multi_index
 from test_graphs import SMALL_PAIRS
 
+# one backend for the module, so its tests share one memo
+BACKEND = Correlators()
+
 
 def test_base_cases():
-    assert psi_correlator(0, 0, 0, 0) == 1
-    assert psi_correlator(1, 1) == F(1, 24)
+    assert BACKEND.psi_correlator(0, (0, 0, 0)) == 1
+    assert BACKEND.psi_correlator(1, (1,)) == F(1, 24)
 
 
 def test_string_equation_values():
-    assert psi_correlator(0, 1, 0, 0, 0) == 1
-    assert psi_correlator(0, 2, 0, 0, 0, 0) == 1
-    assert psi_correlator(0, 1, 1, 0, 0, 0) == 2
+    assert BACKEND.psi_correlator(0, (1, 0, 0, 0)) == 1
+    assert BACKEND.psi_correlator(0, (2, 0, 0, 0, 0)) == 1
+    assert BACKEND.psi_correlator(0, (1, 1, 0, 0, 0)) == 2
 
 
 def test_genus_one_values():
-    assert psi_correlator(1, 0, 2) == F(1, 24)
-    assert psi_correlator(1, 1, 1) == F(1, 24)
-    assert psi_correlator(1, 0, 0, 3) == F(1, 24)
-    assert psi_correlator(1, 0, 1, 2) == F(1, 12)
-    assert psi_correlator(1, 1, 1, 1) == F(1, 12)
+    assert BACKEND.psi_correlator(1, (0, 2)) == F(1, 24)
+    assert BACKEND.psi_correlator(1, (1, 1)) == F(1, 24)
+    assert BACKEND.psi_correlator(1, (0, 0, 3)) == F(1, 24)
+    assert BACKEND.psi_correlator(1, (0, 1, 2)) == F(1, 12)
+    assert BACKEND.psi_correlator(1, (1, 1, 1)) == F(1, 12)
 
 
 def test_genus_zero_closed_form():
@@ -79,17 +76,17 @@ def test_genus_zero_closed_form():
         want = F(factorial(n - 3))
         for a in exps:
             want /= factorial(a)
-        assert psi_correlator(0, *exps) == want, exps
+        assert BACKEND.psi_correlator(0, exps) == want, exps
 
 
 def test_higher_genus_values():
     # frozen from the recursion, consistent with string/dilaton and with the
     # classically tabulated numbers
-    assert psi_correlator(2, 4) == F(1, 1152)
-    assert psi_correlator(2, 5, 0) == F(1, 1152)
-    assert psi_correlator(2, 4, 1) == F(1, 384)
-    assert psi_correlator(2, 3, 2) == F(29, 5760)
-    assert psi_correlator(3, 7) == F(1, 82944)
+    assert BACKEND.psi_correlator(2, (4,)) == F(1, 1152)
+    assert BACKEND.psi_correlator(2, (5, 0)) == F(1, 1152)
+    assert BACKEND.psi_correlator(2, (4, 1)) == F(1, 384)
+    assert BACKEND.psi_correlator(2, (3, 2)) == F(29, 5760)
+    assert BACKEND.psi_correlator(3, (7,)) == F(1, 82944)
 
 
 def test_top_psi_closed_form():
@@ -137,26 +134,26 @@ def test_kappa_repeated_part_value():
 
 
 def test_degree_mismatch_is_zero():
-    assert psi_correlator(0, 1, 1, 1) == 0
-    assert psi_correlator(1, 3) == 0
-    assert kappa_psi_correlator(1, (0,), (2,)) == 0
+    assert BACKEND.psi_correlator(0, (1, 1, 1)) == 0
+    assert BACKEND.psi_correlator(1, (3,)) == 0
+    assert BACKEND.kappa_psi_correlator(1, (0,), (2,)) == 0
 
 
 def test_unstable_pair_raises():
     with pytest.raises(UnstablePair):
-        psi_correlator(0, 0)
+        BACKEND.psi_correlator(0, (0,))
     with pytest.raises(UnstablePair):
-        kappa_psi_correlator(1, (), (1,))
+        BACKEND.kappa_psi_correlator(1, (), (1,))
 
 
 def test_negative_genus_raises():
     # (-1, 5) passes 2g-2+n > 0, and its degree 3g-3+n = -1 once read 0
     with pytest.raises(UnstablePair, match="negative genus"):
-        psi_correlator(-1, 0, 0, 0, 0, 0)
+        BACKEND.psi_correlator(-1, (0, 0, 0, 0, 0))
     with pytest.raises(UnstablePair, match="negative genus"):
-        kappa_psi_correlator(-1, (0,) * 5)
+        BACKEND.kappa_psi_correlator(-1, (0,) * 5)
     with pytest.raises(CohftError, match="negative"):
-        kappa_psi_correlator(1, (2, -1), (1,))
+        BACKEND.kappa_psi_correlator(1, (2, -1), (1,))
 
 
 def test_string_dilaton_on_all_memoized_keys():
@@ -194,15 +191,15 @@ def test_library_argument_errors_are_cohft_errors():
 
 
 def test_kappa_reduction_examples():
-    assert kappa_psi_correlator(1, (0,), (1,)) == F(1, 24)
-    assert kappa_psi_correlator(0, (0, 0, 0, 0), (1,)) == 1
+    assert BACKEND.kappa_psi_correlator(1, (0,), (1,)) == F(1, 24)
+    assert BACKEND.kappa_psi_correlator(0, (0, 0, 0, 0), (1,)) == 1
     # M_{0,5}: kappa_1^2 = 5 and kappa_2 = 1 (multi-index expansion gives 6)
-    assert kappa_psi_correlator(0, (0,) * 5, (1, 1)) == 5
-    assert kappa_psi_correlator(0, (0,) * 5, (2,)) == 1
+    assert BACKEND.kappa_psi_correlator(0, (0,) * 5, (1, 1)) == 5
+    assert BACKEND.kappa_psi_correlator(0, (0,) * 5, (2,)) == 1
     # mixed psi-kappa: psi_1 kappa_1 on M_{1,2} reduces in one step to
     # psi_1 psi_3^2 on M_{1,3}
-    assert kappa_psi_correlator(1, (1, 0), (1,)) == psi_correlator(1, 1, 0, 2)
-    assert kappa_psi_correlator(1, (1, 0), (1,)) == F(1, 12)
+    assert BACKEND.kappa_psi_correlator(1, (1, 0), (1,)) == BACKEND.psi_correlator(1, (1, 0, 2))
+    assert BACKEND.kappa_psi_correlator(1, (1, 0), (1,)) == F(1, 12)
 
 
 def test_multi_index_against_multipoint():
@@ -234,16 +231,16 @@ def test_multi_index_against_multipoint():
 
 def test_trivial_spec_correlators_are_witten_numbers():
     spec = trivial_spec(4)
-    assert correlator_of_theory(spec, 1, 1, [[1]], (1,)) == F(1, 24)
-    assert correlator_of_theory(spec, 0, 3, [[1]] * 3, (0, 0, 0)) == 1
-    assert correlator_of_theory(spec, 0, 4, [[1]] * 4, (1, 0, 0, 0)) == 1
-    assert correlator_of_theory(spec, 1, 2, [[1]] * 2, (2, 0)) == F(1, 24)
-    assert correlator_of_theory(spec, 1, 2, [[1]] * 2, (1, 1)) == F(1, 24)
+    assert correlator_of_theory(spec, 1, 1, [[1]], (1,), BACKEND) == F(1, 24)
+    assert correlator_of_theory(spec, 0, 3, [[1]] * 3, (0, 0, 0), BACKEND) == 1
+    assert correlator_of_theory(spec, 0, 4, [[1]] * 4, (1, 0, 0, 0), BACKEND) == 1
+    assert correlator_of_theory(spec, 1, 2, [[1]] * 2, (2, 0), BACKEND) == F(1, 24)
+    assert correlator_of_theory(spec, 1, 2, [[1]] * 2, (1, 1), BACKEND) == F(1, 24)
 
 
 def test_correlator_point_integral():
     spec = trivial_spec(3)
-    assert correlator_of_theory(spec, 0, 3, [[2], [3], [5]], (0, 0, 0)) == 30
+    assert correlator_of_theory(spec, 0, 3, [[2], [3], [5]], (0, 0, 0), BACKEND) == 30
 
 
 def test_scalar_exp_loop_contribution():
@@ -252,32 +249,32 @@ def test_scalar_exp_loop_contribution():
     # (1/2) K(0,0) = a/2
     a = F(2, 3)
     spec = scalar_exp_spec(a, 3)
-    assert correlator_of_theory(spec, 1, 1, [[1]], (0,)) == a / 2
+    assert correlator_of_theory(spec, 1, 1, [[1]], (0,), BACKEND) == a / 2
 
 
 def test_correlator_multilinear_and_symmetric():
     spec = scalar_exp_spec(F(1, 2), 3)
     v = [[F(2)]]
-    assert correlator_of_theory(spec, 1, 1, v, (1,)) == 2 * correlator_of_theory(
-        spec, 1, 1, [[1]], (1,)
+    assert correlator_of_theory(spec, 1, 1, v, (1,), BACKEND) == 2 * correlator_of_theory(
+        spec, 1, 1, [[1]], (1,), BACKEND
     )
     vs = [[F(1)], [F(3)]]
-    a = correlator_of_theory(spec, 1, 2, vs, (2, 0))
-    b = correlator_of_theory(spec, 1, 2, vs[::-1], (0, 2))
+    a = correlator_of_theory(spec, 1, 2, vs, (2, 0), BACKEND)
+    b = correlator_of_theory(spec, 1, 2, vs[::-1], (0, 2), BACKEND)
     assert a == b
 
 
 def test_degenerate_degree_gives_zero():
     spec = trivial_spec(3)
-    assert correlator_of_theory(spec, 0, 3, [[1]] * 3, (1, 0, 0)) == 0
+    assert correlator_of_theory(spec, 0, 3, [[1]] * 3, (1, 0, 0), BACKEND) == 0
 
 
 def test_correlator_rejects_underresolved_spec():
     spec = trivial_spec(2)
     with pytest.raises(ValueError):
-        correlator_of_theory(spec, 2, 1, [[1]], (4,))  # dimension 4 > degree 2
+        correlator_of_theory(spec, 2, 1, [[1]], (4,), BACKEND)  # dimension 4 > degree 2
     # at the dimension the guard stays quiet
-    assert correlator_of_theory(spec, 1, 2, [[1], [1]], (2, 0)) == F(1, 24)
+    assert correlator_of_theory(spec, 1, 2, [[1], [1]], (2, 0), BACKEND) == F(1, 24)
 
 
 def test_theory_correlators_satisfy_string_and_dilaton():
@@ -329,12 +326,12 @@ def test_r_action_integral_matches_smooth_model_when_pure():
     for psi, want in [((0, 0), 0), ((2, 0), F(1, 24)), ((1, 1), F(1, 24))]:
         by_monomial = sum(
             (
-                c * kappa_psi_correlator(1, tuple(a + b for a, b in zip(pp, psi)), kk)
+                c * BACKEND.kappa_psi_correlator(1, tuple(a + b for a, b in zip(pp, psi)), kk)
                 for (kk, pp), c in poly.terms.items()
             ),
             F(0),
         )
-        assert integrate_taut(expr, psi=psi) == by_monomial == want
+        assert integrate_taut(expr, BACKEND, psi=psi) == by_monomial == want
 
 
 def test_memo_dump_load_roundtrip():
@@ -611,7 +608,7 @@ def test_correlator_argument_errors_keep_their_types():
     ]
     for args, kind in cases:
         with pytest.raises(ValueError) as exc:
-            correlator_of_theory(spec, *args)
+            correlator_of_theory(spec, *args, BACKEND)
         assert type(exc.value) is kind, args
 
 

@@ -114,17 +114,17 @@ def test_symplectic_examples():
 
 def test_edge_kernel_identity_is_zero():
     k = edge_kernel(EndSeries.identity(2, 4), identity(2))
-    assert k.is_zero()
+    assert not any(x for m in k.values() for row in m for x in row)
 
 
 def test_edge_kernel_scalar_exp():
     a = F(2, 3)
     k = edge_kernel(scalar_exp(a, 6), ETA1)
     # (1 - exp(-a(z+w)))/(z+w) = a - a^2/2 (z+w) + a^3/6 (z+w)^2 - ...
-    assert k.coeff(0, 0)[0][0] == a
-    assert k.coeff(1, 0)[0][0] == -a * a / 2
-    assert k.coeff(0, 1)[0][0] == -a * a / 2
-    assert k.coeff(1, 1)[0][0] == 2 * a**3 / 6
+    assert k[(0, 0)][0][0] == a
+    assert k[(1, 0)][0][0] == -a * a / 2
+    assert k[(0, 1)][0][0] == -a * a / 2
+    assert k[(1, 1)][0][0] == 2 * a**3 / 6
 
 
 def test_edge_kernel_not_divisible():
@@ -168,15 +168,20 @@ def test_symplectic_adjoint_inverse_equivalence():
         assert r.adjoint(alg.eta) == r.invert().negate_variable()
 
 
+def valuation(coeffs):
+    """The index of the first nonzero coefficient vector, else their count."""
+    return next((k for k, c in enumerate(coeffs) if any(c)), len(coeffs))
+
+
 def test_translation_vector():
     alg = FrobeniusAlgebra(1, [[1]], [[[1]]], [1])
-    assert translation_vector(EndSeries.identity(1, 4), alg.unit).valuation() == 5
+    assert not any(x for c in translation_vector(EndSeries.identity(1, 4), alg.unit) for x in c)
     a = F(3)
     r = EndSeries.from_higher_coeffs(1, 4, [[[a]]])
     t = translation_vector(r, alg.unit)
     # z(1 - (1 - az + a^2 z^2 - ...)) = a z^2 - a^2 z^3 + a^3 z^4
-    assert [c[0] for c in t.coeffs] == [0, 0, a, -a * a, a**3]
-    assert t.valuation() == 2
+    assert [c[0] for c in t[:5]] == [0, 0, a, -a * a, a**3]
+    assert valuation(t) == 2
 
 
 def test_translation_valuation_random():
@@ -184,7 +189,21 @@ def test_translation_valuation_random():
     for dim in (1, 2, 3):
         alg, _, _ = random_semisimple_algebra(rng, dim)
         r = random_symplectic_r(rng, alg, 5)
-        assert translation_vector(r, alg.unit).valuation() >= 2
+        assert valuation(translation_vector(r, alg.unit)) >= 2
+
+
+def test_translation_vector_reaches_one_order_past_r():
+    # T(z) = z (unit - R^{-1}(z) unit) has a z^{D+1} term for R of order D:
+    # the last coefficient of R^{-1}(z) unit, negated
+    rng = random.Random(6)
+    alg, _, _ = random_semisimple_algebra(rng, 2)
+    for order in (1, 3, 5):
+        r = random_symplectic_r(rng, alg, order, sparsity=1)
+        t = translation_vector(r, alg.unit)
+        last = r.invert().apply(alg.unit)[order]
+        assert len(t) == order + 2
+        assert any(last)
+        assert t[order + 1] == tuple(-x for x in last)
 
 
 # -- the shared truncated exp/log ----------------------------------------------
