@@ -10,7 +10,11 @@ that does not split into distinct rational linear factors.
 rational_roots() decides that by one exact integer Newton walk, so its cost
 grows with the digits of the coefficients, not with their divisors.  The
 split stops once it holds dim blocks, since dim orthogonal idempotents
-summing to the unit are primitive.
+summing to the unit are primitive.  Such a split proves A = Q^dim, so it
+decides semisimplicity as well: the Euler class is solved for its inverse
+only after a split fails, to choose between NotInvertible (not semisimple)
+and NotSplit.  The split's data holds by construction and is not checked
+again here; check_semisimple_data runs where a CohFTSpec takes a frame.
 
 The product runs on an integer lattice: the structure constants are held
 as int numerators over one denominator, and a b multiplies the int
@@ -24,7 +28,8 @@ eta-orthonormal frame e_mu = pi_mu / theta_mu, theta_mu^2 = w_mu, when
 every norm is a rational square.
 
 Construction validates every axiom (_validate): eta symmetric and
-nondegenerate, the product commutative with a neutral unit, then
+nondegenerate (one elimination inverts eta, and the algebra keeps the
+inverse as eta_inv), the product commutative with a neutral unit, then
 associativity and invariance on the basis triples.  Invariance is the
 cyclic symmetry of the one table c_ijk = eta(b_i b_j, b_k), and
 associativity is checked for i < k only, because in a commutative algebra
@@ -41,7 +46,6 @@ from .linalg import (
     NotInvertible,
     NotSplit,
     bilinear,
-    det,
     dot,
     identity,
     linear_dependence,
@@ -208,8 +212,6 @@ class FrobeniusAlgebra:
         problems = self._validate()
         if problems:
             raise InvalidAlgebra(problems)
-        self.eta_inv = mat_inv(self.eta)
-        self._checked_ss = None  # the last SemisimpleData that passed
 
     def _validate(self):
         n = self.dim
@@ -222,7 +224,9 @@ class FrobeniusAlgebra:
             return ["structure tensor has wrong shape"]
         if any(self.eta[i][j] != self.eta[j][i] for i in range(n) for j in range(n)):
             problems.append("eta is not symmetric")
-        if det(self.eta) == 0:
+        try:
+            self.eta_inv = mat_inv(self.eta)
+        except ZeroDivisionError:
             problems.append("eta is degenerate")
         basis = identity(n)
         for i in range(n):
@@ -399,7 +403,7 @@ class FrobeniusAlgebra:
         return out
 
     def semisimplify(self):
-        """The primitive idempotents, sorted, with their norms, or NotSplit.
+        """The primitive idempotents, sorted, with their norms.
 
         The unit is split along the rational eigenvalues of each ambient
         basis vector in turn, and the split stops with NotSplit at the first
@@ -408,18 +412,27 @@ class FrobeniusAlgebra:
         vector, so uA = Q u: the blocks are the dim primitive idempotents.
         The split also stops as soon as it holds dim blocks: dim orthogonal
         nonzero idempotents summing to the unit are already primitive.
+
+        A split that holds dim blocks proves A = Q^dim, so it proves
+        semisimplicity too, and its data is right by construction: it is
+        checked where a CohFTSpec takes it.  A non-semisimple algebra has a
+        nilpotent element, so its split always stops with NotSplit; only
+        then is the Euler class solved for its inverse, to choose the
+        error: NotInvertible when the algebra is not semisimple, the
+        NotSplit otherwise.
         """
-        if not self.is_semisimple():
-            raise NotInvertible("euler class is not invertible: algebra is not semisimple")
         blocks = [self.unit]
-        for b in identity(self.dim):
-            if len(blocks) == self.dim:
-                break
-            blocks = [p for u in blocks for p in self._split_block(u, b)]
+        try:
+            for b in identity(self.dim):
+                if len(blocks) == self.dim:
+                    break
+                blocks = [p for u in blocks for p in self._split_block(u, b)]
+        except NotSplit:
+            if not self.is_semisimple():
+                raise NotInvertible("euler class is not invertible: algebra is not semisimple") from None
+            raise
         blocks.sort()
-        ss = SemisimpleData([self.frobenius_trace(u) for u in blocks], blocks)
-        self.check_semisimple_data(ss)
-        return ss
+        return SemisimpleData([self.frobenius_trace(u) for u in blocks], blocks)
 
     def check_semisimple_data(self, ss):
         """All SemisimpleData invariants against this algebra, exactly:
@@ -427,10 +440,9 @@ class FrobeniusAlgebra:
         w_mu = eta(pi_mu, unit).  By invariance, eta(pi_mu, pi_nu) =
         eta(pi_mu pi_nu, unit) = delta w_mu follows.
 
-        Both are immutable, so data that passed once is not checked again.
+        CohFTSpec runs it once on the data it takes; semisimplify does not,
+        since its split builds data that holds by construction.
         """
-        if ss is self._checked_ss:
-            return
         n = self.dim
         if ss.dim != n:
             raise InvalidAlgebra(["semisimple data has wrong dimension"])
@@ -449,4 +461,3 @@ class FrobeniusAlgebra:
                 problems.append("semisimple basis not orthonormal at (%d,%d)" % (mu, mu))
         if problems:
             raise InvalidAlgebra(problems)
-        self._checked_ss = ss

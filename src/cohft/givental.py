@@ -42,7 +42,7 @@ symplectic, which is when T = R^{-1}: the division is the spec's
 symplectic check and proves T too.  The leg series R^{-1}(z) v is T(z)
 applied to the pi-coordinates of v, and the u_mu of the vertex log are the
 row sums of T, since the unit has pi-coordinates (1, ..., 1).
-EndSeries.invert stays the independent reference: r_inverse, coherent_phi,
+EndSeries.invert stays the independent reference: coherent_phi,
 series.check_symplectic, series.edge_kernel and the oracles read it, and
 the tests compare the spec's kernel, legs, logs and phi with it.
 
@@ -111,14 +111,16 @@ class CohFTSpec:
     R is an EndSeries of order degree with R_0 = Id; an R of another order
     or constant term raises CohftError.
 
-    Construction checks the semisimple data against the algebra first, then
-    builds the edge kernel in that basis, which raises NotSymplectic when R
-    is not symplectic and otherwise proves that the symplectic adjoint
-    R^*(-z), which the legs and vertex logs read, is R^{-1}.  With coherent
-    set and phi None, phi is derived from R through the compatibility
-    relation; with coherent set and phi given, the covectors are compared
-    with that derivation (compatibility_check), and IncoherentSpec is
-    raised when they differ.  No Omega^+ and no inverse series are built.
+    Construction checks the semisimple data against the algebra first;
+    this is the one check of a frame, since FrobeniusAlgebra.semisimplify
+    returns its split unchecked.  It then builds the edge kernel in that
+    basis, which raises NotSymplectic when R is not symplectic and
+    otherwise proves that the symplectic adjoint R^*(-z), which the legs
+    and vertex logs read, is R^{-1}.  With coherent set and phi None, phi
+    is derived from R through the compatibility relation and not checked
+    against itself; with coherent set and phi given, the covectors are
+    compared with that derivation (compatibility_check), and IncoherentSpec
+    is raised when they differ.  No Omega^+ and no inverse series are built.
     """
 
     def __init__(self, algebra, ss, phi, r, degree, coherent=False):
@@ -144,7 +146,9 @@ class CohFTSpec:
         if phi is None:
             if not self.coherent:
                 raise CohftError("phi is derived from R only for a coherent spec")
-            phi = self.phi_from_r()
+            # derived from R, this phi needs no compatibility check
+            self.phi = tuple(self.phi_from_r())
+            return
         phi = [vec(p) for p in phi]
         if any(len(p) != algebra.dim for p in phi):
             raise CohftError("each phi covector must have %d entries" % algebra.dim)
@@ -160,9 +164,6 @@ class CohFTSpec:
         if key not in self._cache:
             self._cache[key] = build()
         return self._cache[key]
-
-    def r_inverse(self):
-        return self.r.invert()
 
     def phi_from_r(self):
         """The coherent covectors forced by R (see coherent_phi)."""

@@ -152,26 +152,6 @@ def _eliminate(rows, ncols):
     return pivots
 
 
-def det(a):
-    n = len(a)
-    rows = [list(row) for row in a]
-    d = Q1
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if pivot is None:
-            return Q0
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            d = -d
-        d *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return d
-
-
 def mat_inv(a):
     n = len(a)
     rows = [list(row) + [Q1 if i == j else Q0 for j in range(n)] for i, row in enumerate(a)]

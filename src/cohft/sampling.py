@@ -12,7 +12,7 @@ from math import comb
 
 from .frobenius import FrobeniusAlgebra
 from .givental import CohFTSpec, coherent_phi
-from .linalg import Q0, Q1, det, mat, mat_mul, zero_mat
+from .linalg import Q0, Q1, mat, mat_inv, mat_mul, zero_mat
 from .series import EndSeries, check_symplectic, truncated_exp
 
 
@@ -37,8 +37,11 @@ def random_semisimple_algebra(rng, dim):
     weights = [_rand_nonzero(rng) for _ in range(dim)]
     while True:
         rows = [[Fraction(rng.randrange(-3, 4)) for _ in range(dim)] for _ in range(dim)]
-        if det(mat(rows)) != 0:
+        try:
+            mat_inv(rows)
             break
+        except ZeroDivisionError:
+            pass
     projectors = [[t * x for x in row] for t, row in zip(weights, rows)]
     return FrobeniusAlgebra.from_semisimple([t * t for t in weights], projectors), weights, rows
 

@@ -42,10 +42,6 @@ class UnsupportedLowPower(ValueError):
     pass
 
 
-class NodalTermPresent(ValueError):
-    pass
-
-
 def _set_partitions(items):
     if not items:
         yield []
@@ -409,12 +405,6 @@ class TautExpr:
             ((key.vertex_kappa[0], key.leg_psi), c) for key, c in self.terms.items() if not key.graph.edges
         )
         return KPPoly(self.n, self.cap, smooth)
-
-    def forgetful_pullback(self):
-        for key in self.terms:
-            if key.graph.edges:
-                raise NodalTermPresent("pullback of nodal terms is out of scope")
-        return self.restrict_to_smooth().forgetful_pullback()
 
     def render_lines(self):
         lines = []

@@ -19,7 +19,6 @@ from cohft.frobenius import (
     rational_sqrt,
 )
 from cohft.linalg import (
-    det,
     frac_str,
     identity,
     linear_dependence,
@@ -36,10 +35,24 @@ from cohft.linalg import (
 from cohft.sampling import random_nilpotent_algebra, random_semisimple_algebra
 
 
+def _invertible(m):
+    try:
+        mat_inv(m)
+    except ZeroDivisionError:
+        return False
+    return True
+
+
 def dual_numbers():
     # Q[x]/(x^2) with the antidiagonal pairing
     structure = [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]
     return FrobeniusAlgebra(2, [[0, 1], [1, 0]], structure, [1, 0])
+
+
+def sqrt2_field():
+    # Q[x]/(x^2 - 2) with the pairing eta(1, 1) = 1, eta(x, x) = 2
+    structure = [[[1, 0], [0, 1]], [[0, 1], [2, 0]]]
+    return FrobeniusAlgebra(2, [[1, 0], [0, 2]], structure, [1, 0])
 
 
 def split_pair():
@@ -172,11 +185,10 @@ def test_semisimplify_deterministic():
 
 
 def test_not_split_irrational():
-    # Q[x]/(x^2 - 2): a field, hence semisimple, but not split over Q
-    structure = [[[1, 0], [0, 1]], [[0, 1], [2, 0]]]
-    alg = FrobeniusAlgebra(2, [[1, 0], [0, 2]], structure, [1, 0])
+    # a field, hence semisimple, but not split over Q
+    alg = sqrt2_field()
     assert alg.is_semisimple()
-    with pytest.raises(NotSplit):
+    with pytest.raises(NotSplit, match="irrational eigenvalues"):
         alg.semisimplify()
 
 
@@ -294,9 +306,52 @@ def test_split_quotient():
     assert orthonormal_form(ss) == _canonical((1, 1, 1), lagrange)
 
 
+def _direct_product(a, b):
+    """A x B, in the basis of A followed by the basis of B."""
+    n = a.dim + b.dim
+    zero = (F(0),) * n
+    eta = [[F(0)] * n for _ in range(n)]
+    structure = [[zero] * n for _ in range(n)]
+    for alg, s in ((a, 0), (b, a.dim)):
+        for i in range(alg.dim):
+            for j in range(alg.dim):
+                eta[s + i][s + j] = alg.eta[i][j]
+                structure[s + i][s + j] = zero[:s] + alg.structure[i][j] + zero[s + alg.dim :]
+    return FrobeniusAlgebra(n, eta, structure, a.unit + b.unit)
+
+
 def test_semisimplify_requires_semisimple():
-    with pytest.raises(NotInvertible):
-        dual_numbers().semisimplify()
+    # Q(sqrt 2) x Q[x]/(x^2) is not semisimple, and its split fails first,
+    # on sqrt 2 or on the nilpotent, whichever factor comes first
+    sqrt2, dual = sqrt2_field(), dual_numbers()
+    for alg in (dual, _direct_product(sqrt2, dual), _direct_product(dual, sqrt2)):
+        with pytest.raises(NotInvertible) as exc:
+            alg.semisimplify()
+        assert str(exc.value) == "euler class is not invertible: algebra is not semisimple"
+
+
+def test_semisimplify_data_passes_the_check():
+    # semisimplify does not check its own split; the check it used to run
+    # holds on what it returns
+    rng = random.Random(41)
+    algebras = [random_semisimple_algebra(rng, dim)[0] for dim in (1, 2, 3, 4) for _ in range(3)]
+    algebras.append(FrobeniusAlgebra(2, [[0, 1], [1, 0]], [[[1, 0], [0, 1]], [[0, 1], [1, 0]]], [1, 0]))
+    for alg in algebras:
+        alg.check_semisimple_data(alg.semisimplify())
+
+
+def test_split_decides_semisimplicity(monkeypatch):
+    # a split that reaches dim blocks proves semisimplicity, so a split
+    # config parses without solving for the inverse of the Euler class
+    from cohft.config import parse_config
+
+    def fail(self):
+        raise AssertionError("is_semisimple called after a successful split")
+
+    monkeypatch.setattr(FrobeniusAlgebra, "is_semisimple", fail)
+    text = "dim: 2\neta: 0 1 | 1 0\nunit: 1 0\nmul 1 1: 1 0\nmul 1 2: 0 1\nmul 2 2: 1 0\ndegree: 2\ncoherent: yes\n"
+    spec = parse_config(text)
+    assert spec.ss.norms == (F(-1, 2), F(1, 2))
 
 
 def test_euler_power():
@@ -376,9 +431,11 @@ def _unit_first_algebra(rng, dim):
     while True:
         # row 0 of the inverse basis change: the unit's semisimple coordinates
         coords = [weights] + [[F(rng.randrange(-3, 4)) for _ in range(dim)] for _ in range(dim - 1)]
-        if det(coords) != 0:
+        try:
+            rows = mat_inv(coords)
             break
-    rows = mat_inv(coords)
+        except ZeroDivisionError:
+            pass
     alg = _from_orthonormal(weights, rows)
     assert alg.unit == (1,) + (0,) * (dim - 1)
     return alg, weights, rows
@@ -398,7 +455,7 @@ def _big_number_algebra(rng, dim):
     weights = [big() for _ in range(dim)]
     while True:
         rows = [[big() for _ in range(dim)] for _ in range(dim)]
-        if det(rows) != 0:
+        if _invertible(rows):
             return _from_orthonormal(weights, rows), weights, rows
 
 
@@ -443,7 +500,7 @@ def test_single_constant_changes_match_a_full_triple_check():
                 eta = [list(row) for row in generic.eta]
                 eta[i][j] += delta
                 eta[j][i] += delta if i != j else 0
-                if det(eta) != 0:
+                if _invertible(eta):
                     changed.append(("eta", eta, generic.structure, generic.unit))
             for kind, eta, s, unit in changed:
                 problems = _problems(dim, eta, s, unit)
@@ -660,7 +717,7 @@ def algebra_and_vectors(draw):
     dim = draw(st.integers(1, 4))
     norms = [draw(_entries.filter(bool)) for _ in range(dim)]
     rows = draw(st.lists(st.lists(_entries, min_size=dim, max_size=dim), min_size=dim, max_size=dim)
-                .filter(lambda m: det(mat(m)) != 0))
+                .filter(lambda m: _invertible(mat(m))))
     alg = FrobeniusAlgebra.from_semisimple(norms, rows)
     a, b = (draw(st.lists(_entries, min_size=dim, max_size=dim)) for _ in range(2))
     return alg, vec(a), vec(b)

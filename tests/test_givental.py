@@ -386,6 +386,22 @@ def test_spec_derives_coherent_phi_from_r():
     assert derived.phi == given.phi
 
 
+def test_derived_phi_is_not_checked_against_itself(monkeypatch):
+    # a phi derived from R would only be compared with itself; a phi the
+    # caller passes is still compared with the derivation
+    import cohft.givental as givental
+
+    rng = random.Random(13)
+    alg, _, _ = random_semisimple_algebra(rng, 2)
+    ss = alg.semisimplify()
+    r = random_symplectic_r(rng, alg, 3)
+    monkeypatch.setattr(givental, "compatibility_check", lambda spec: False)
+    derived = CohFTSpec(alg, ss, None, r, 3, coherent=True)
+    assert derived.phi == tuple(coherent_phi(alg, ss, r, 3))
+    with pytest.raises(IncoherentSpec):
+        CohFTSpec(alg, ss, derived.phi, r, 3, coherent=True)
+
+
 def test_graph_contribution_identity_r_smooth():
     rng = random.Random(11)
     spec = identity_spec(rng, 2, 3)
@@ -539,7 +555,7 @@ def test_r_action_dim2_loop_hand_assembly():
     kernel = edge_kernel(spec.r, alg.eta)
     binv = mat_inv(ss.projectors)
     k00 = mat_mul(transpose(binv), mat_mul(kernel[(0, 0)], binv))
-    rv0 = ss.to_semisimple(spec.r_inverse().apply(v)[0])
+    rv0 = ss.to_semisimple(spec.r.invert().apply(v)[0])
     loop_coeff = sum(rv0[mu] * k00[mu][mu] * ss.norms[mu] for mu in range(2))
     key = DecoratedGraph(loop, ((),), (0,), ((0, 0),))
     terms[key] = terms.get(key, F(0)) + loop_coeff / 2
@@ -707,7 +723,7 @@ def test_smooth_part_matches_the_ambient_reference(make):
     for dim in (1, 2, 3):
         rng = random.Random("ambient:%d:%s" % (dim, make.__name__))
         spec = make(rng, dim, 3)
-        alg, rinv = spec.algebra, spec.r_inverse()
+        alg, rinv = spec.algebra, spec.r.invert()
         for g, n in [(0, 3), (0, 4), (1, 1), (1, 2), (2, 1)]:
             vs = [random_vector(rng, dim) for _ in range(n)]
             cap = min(spec.degree, 3 * g - 3 + n)

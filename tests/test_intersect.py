@@ -11,7 +11,7 @@ from cohft.frobenius import FrobeniusAlgebra, orthonormal_form
 from cohft.givental import CohFTSpec, r_action, verify_axioms
 from cohft.graphs import UnstablePair
 from cohft.intersect import Correlators, integrate_taut, correlator_of_theory
-from cohft.linalg import CohftError, det, frac_str, read_rational
+from cohft.linalg import CohftError, frac_str, mat_inv, read_rational
 from cohft.oracles import (
     genus0_multinomial,
     hodge_b,
@@ -474,8 +474,11 @@ def _indefinite_spec(rng, dim, degree):
     norms = [sign * (-1) ** mu * rng.choice(NONSQUARES) for mu in range(dim)]
     while True:
         rows = [[F(rng.randrange(-3, 4)) for _ in range(dim)] for _ in range(dim)]
-        if det(rows) != 0:
+        try:
+            mat_inv(rows)
             break
+        except ZeroDivisionError:
+            pass
     algebra = FrobeniusAlgebra.from_semisimple(norms, rows)
     r = random_symplectic_r(rng, algebra, degree)
     return CohFTSpec(algebra, algebra.semisimplify(), None, r, degree, coherent=True)

@@ -11,7 +11,6 @@ from cohft.oracles import multikappa_by_permutations
 from cohft.taut import (
     DecoratedGraph,
     KPPoly,
-    NodalTermPresent,
     TautExpr,
     UnsupportedLowPower,
     exp_pushforward_check,
@@ -136,8 +135,6 @@ def test_restrict_to_smooth_and_pullback_guard():
         },
     )
     assert expr.restrict_to_smooth() == KPPoly(1, 4, {((1,), (0,)): 2})
-    with pytest.raises(NodalTermPresent):
-        expr.forgetful_pullback()
 
 
 def test_decorated_graph_theta_symmetry():
