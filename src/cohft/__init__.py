@@ -24,7 +24,6 @@ _LAYER = {
     "compatibility_check": "givental",
     "correlator_of_theory": "intersect",
     "edge_kernel": "series",
-    "enumerate_special_types": "graphs",
     "enumerate_stable_graphs": "graphs",
     "exp_pushforward_check": "taut",
     "kappa_multi_index": "taut",

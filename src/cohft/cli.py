@@ -377,7 +377,7 @@ def _oracle_vertex_sum(args, max_dim):
 
     spec = _load_spec(args)
     for mu in range(spec.algebra.dim):
-        diff = vertex_factor_diff(spec, mu, spec.degree)
+        diff = vertex_factor_diff(spec, mu)
         yield _row("projector %d vertex sum:" % mu, int(not diff.is_zero()), " " + diff.render())
     rng = random.Random(20150417)
     for trial in range(5):

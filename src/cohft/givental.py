@@ -47,13 +47,17 @@ series.check_symplectic, series.edge_kernel and the oracles read it, and
 the tests compare the spec's kernel, legs, logs and phi with it.
 
 The graph sum does work in proportion to its output, and its two pieces
-serve both sums over graphs, the class and the correlator.  A
-DecorationWalk picks each projector assignment and then the edge
-decorations depth first, cutting a branch once it overruns the degree left
-or a vertex's psi limit.  VertexTables holds, per (leg labels, room,
-projector), the (kappa monomial, leg psi) decorations of a vertex sorted by
-degree; one dict of them serves every graph of a sum.  graph_contribution
-walks the vertices through these tables under each edge decoration, and
+serve both sums over graphs, the class and the correlator.  A sum is its
+VertexTables, built from the spec and the vectors, and the graphs it walks.
+A DecorationWalk takes a graph, a psi limit per vertex and a degree budget;
+it picks each projector assignment and then the edge decorations depth
+first, cutting a branch once it overruns the degree left or a vertex's
+limit.  VertexTables holds, per (leg labels, room, projector), the (kappa
+monomial, leg psi) decorations of a vertex sorted by degree, where a
+vertex's room is the lesser of its limit and the budget; one dict of them
+serves every graph of a sum.  graph_contribution(tables, graph) walks the
+vertices through these tables under each edge decoration, each limited by
+its dimension within the degree its class leaves to decorations, and
 r_action adds every graph's terms into one dict and builds a single
 TautExpr.  intersect.correlator_of_theory runs the same walk with each
 vertex limited by what the psi powers at its legs leave of its dimension,
@@ -64,8 +68,9 @@ spec.
 
 The walk runs on an integer lattice.  When a sum starts, VertexTables reads
 the edge kernel from spec.kernel_ss() as int numerators over one
-denominator D_K, and each leg series as int numerators over one
-denominator; each vertex exponential it reads once, the same way.  A
+denominator D_K, each leg series as int numerators over one denominator,
+and each projector's vertex exponential once, at the spec degree, the same
+way; a table at room r keeps the exponential's terms of degree <= r.  A
 vertex table's rows are products of those ints, over the table's
 denominator den(exp) prod den(leg), so no Fraction is built per row; per
 vertex (genus h, legs, room) the factor
@@ -207,20 +212,16 @@ class CohFTSpec:
 
         return self._get("vertex_log", build)
 
-    def vertex_exp(self, mu, cap):
-        """exp(sum_j a_j^mu kappa_j) through degree cap <= degree.
-
-        One exponential per projector is built, at the spec degree; a
-        smaller cap takes its terms of degree <= cap, which are exactly the
-        exponential truncated there.
-        """
+    def vertex_exp(self, mu):
+        """exp(sum_j a_j^mu kappa_j) through the spec degree, built once per
+        projector.  Its terms of degree <= r are the exponential truncated
+        at r, which is how VertexTables reads a smaller room."""
 
         def build():
             coeffs = self.vertex_log_coeffs()[mu]
             return KappaPoly(self.degree, {(j,): c for j, c in enumerate(coeffs, start=1)}).exp()
 
-        full = self._get(("vexp", mu), build)
-        return full if cap == self.degree else KappaPoly(cap, full.terms)
+        return self._get(("vexp", mu), build)
 
 
 def _projector_frame(ss, r):
@@ -427,7 +428,7 @@ def _bounded_tuples(n, cap):
 
 class VertexTables(dict):
     """The integer data of one graph sum: its vertex tables, keyed by
-    (labels, room, mu), and its edge kernel.
+    (labels, room, mu), its edge kernel and the leg series of its vectors.
 
     A table lists the decorations of a vertex that carries the legs labels
     under projector mu, through degree room: rows (degree, kappa monomial,
@@ -435,11 +436,13 @@ class VertexTables(dict):
     times the leg factors [z^e] R^{-1}(z) v at mu, sorted by degree so that
     a walk reads the prefix that fits.  The table is stored as
     (denominator, rows): each row's coefficient is its numerator over the
-    table's one denominator, den(exp) prod den(leg), from the exponential
-    and the leg series read once per sum as ints over one denominator
-    each.  A table depends only on its key, the spec and
-    the vectors, so one dict serves every graph of a sum; a table is built
-    the first time it is read.
+    table's one denominator, den(exp) prod den(leg).  When the sum starts,
+    each projector's exponential is read once, at the spec degree
+    (spec.vertex_exp), and each leg series once, as ints over one
+    denominator each; a table at room r keeps the exponential's terms of
+    degree <= r.  A table depends only on its key, the spec and the
+    vectors, so one dict serves every graph of a sum; a table is built the
+    first time it is read.
 
     The kernel is read from spec.kernel_ss() when the sum starts, as int
     numerators over one denominator kernel_den, so an in-place change of
@@ -453,23 +456,16 @@ class VertexTables(dict):
         entries = spec.kernel_ss()
         self.kernel_den = lcm(*(c.denominator for row in entries.values() for _, _, c in row))
         self.kernel = {key: _numerators(row, self.kernel_den) for key, row in entries.items()}
-        self._exps = {}
-        self._vertices = {}
-
-    def _exp(self, mu, room):
-        """(den, rows): the terms of exp(sum_j a_j^mu kappa_j) through room
-        as rows (degree, kappa monomial, numerator) over one denominator."""
-        key = (mu, room)
-        data = self._exps.get(key)
-        if data is None:
-            terms = self.spec.vertex_exp(mu, room).terms
+        self.exps = []
+        for mu in range(len(spec.ss.norms)):
+            terms = spec.vertex_exp(mu).terms
             den, nums = numerators(terms.values())
-            data = self._exps[key] = (den, [(sum(kk), kk, c) for kk, c in zip(terms, nums) if c])
-        return data
+            self.exps.append((den, [(sum(kk), kk, c) for kk, c in zip(terms, nums) if c]))
+        self._vertices = {}
 
     def __missing__(self, key):
         labels, room, mu = key
-        den, exp_rows = self._exp(mu, room)
+        den, exp_rows = self.exps[mu]
         legs = []
         for label in labels:
             leg_den, leg = self.legs[label - 1]
@@ -477,6 +473,10 @@ class VertexTables(dict):
             legs.append([row[mu] for row in leg])
         rows = []
         for kdeg, kk, c in exp_rows:
+            # the terms are not sorted, and a vertex with no legs would
+            # keep every one of them
+            if kdeg > room:
+                continue
             for exps in _bounded_tuples(len(labels), room - kdeg):
                 x = c
                 for leg, e in zip(legs, exps):
@@ -497,7 +497,7 @@ class VertexTables(dict):
         key = (h, labels, room)
         data = self._vertices.get(key)
         if data is None:
-            tables = [self[(labels, room, mu)] for mu in range(len(self.spec.ss.norms))]
+            tables = [self[(labels, room, mu)] for mu in range(len(self.exps))]
             scaled = [w ** (1 - h) / den for w, (den, _) in zip(self.spec.ss.norms, tables)]
             den = lcm(*(q.denominator for q in scaled))
             data = self._vertices[key] = (
@@ -516,30 +516,37 @@ def _numerators(rows, den):
 
 class DecorationWalk:
     """The projector assignments and edge decorations of one graph, depth
-    first, on integers.
+    first, on integers, within a degree budget.
 
-    run(left, leaf) sets assign to each projector assignment in turn, then
-    picks a kernel entry (a, b, c) for each edge, one edge at a time, and
-    carries the int prod_v prefactor_v(mu) prod_e c down: the kernel
-    numerators over the sum's kernel_den, the vertex prefactors of
-    VertexTables.vertex over their L_v.  A branch is cut as soon as an
-    edge's a + b passes the degree left (the entries are sorted by a + b,
-    so the loop stops there) or a vertex's load, the psi degree its edge
-    ends carry, passes its limit.  Each decoration that fits calls
+    Vertex v is limited to load limits[v], the psi degree its edge ends
+    carry, and reads its table at room min(limits[v], budget), the most
+    degree it can ever have.  run(leaf) sets assign to each projector
+    assignment in turn, then picks a kernel entry (a, b, c) for each edge,
+    one edge at a time, and carries the int prod_v prefactor_v(mu) prod_e c
+    down: the kernel numerators over the sum's kernel_den, the vertex
+    prefactors of VertexTables.vertex over their L_v.  A branch is cut as
+    soon as an edge's a + b passes the degree left of the budget (the
+    entries are sorted by a + b, so the loop stops there) or a vertex's
+    load passes its limit.  Each decoration that fits calls
     leaf(left, coeff), with assign, load and edge_psi holding the choice;
-    rows[v][mu] are the integer table rows of vertex v under mu, at the room
-    rooms[v].  Every leaf, times one row numerator per vertex, is over the
-    one denominator kernel_den^|E| prod_v L_v of the graph.
-    graph_contribution limits each vertex by its dimension; the correlator
-    sum of intersect by what the psi powers at its legs leave of it.
+    rows[v][mu] are the integer table rows of vertex v under mu.  Every
+    leaf, times one row numerator per vertex, is over the one denominator
+    kernel_den^|E| prod_v L_v of the graph.  graph_contribution limits each
+    vertex by its dimension, within the degree its class leaves to
+    decorations; the correlator sum of intersect by what the psi powers at
+    its legs leave of it, within the sum of those limits.
     """
 
-    __slots__ = ("graph", "limits", "kernel", "prefactors", "rows", "denominator", "assign", "load", "edge_psi")
+    __slots__ = (
+        "graph", "limits", "budget", "kernel", "prefactors", "rows", "denominator", "assign", "load", "edge_psi"
+    )
 
-    def __init__(self, tables, graph, limits, rooms):
+    def __init__(self, tables, graph, limits, budget):
         self.graph = graph
         self.limits = limits
+        self.budget = budget
         self.kernel = tables.kernel
+        rooms = [min(limit, budget) for limit in limits]
         data = [tables.vertex(*key) for key in zip(graph.genera, graph.labels, rooms)]
         self.prefactors = [prefactors for _, prefactors, _ in data]
         self.rows = [rows for _, _, rows in data]
@@ -550,7 +557,7 @@ class DecorationWalk:
         self.load = [0] * graph.num_vertices
         self.edge_psi = [None] * len(graph.edges)
 
-    def run(self, left, leaf):
+    def run(self, leaf):
         edges = self.graph.edges
         ne = len(edges)
         kernel, factors = self.kernel, self.prefactors
@@ -577,11 +584,13 @@ class DecorationWalk:
             pref = 1
             for mu, row in zip(assignment, factors):
                 pref *= row[mu]
-            walk(0, left, pref)
+            walk(0, self.budget, pref)
 
 
-def graph_contribution(spec, graph, vectors, tables=None):
-    """The decorated-graph class attached to one boundary stratum.
+def graph_contribution(tables, graph):
+    """The decorated-graph class attached to one boundary stratum, for the
+    spec and vectors of tables; ValueError unless the graph has one leg per
+    vector.
 
     No automorphism weight here; r_action divides by |Aut| where it is
     above 1.  Decorations are truncated at each vertex's dimension (classes
@@ -592,32 +601,27 @@ def graph_contribution(spec, graph, vectors, tables=None):
     vertex decorations one vertex at a time from the integer table rows,
     reading the prefix that fits the room left at that vertex, and carries
     the partial int numerator down, so every leaf is an emitted term over
-    the walk's one denominator.  Calls with the same spec and vectors may
-    share one VertexTables as tables: r_action passes one to every graph of
-    its sum.  Numerators are summed under their raw int keys, merged over
-    the graph's automorphism orbits by _orbit_minima, and each distinct key
-    is built once with DecoratedGraph.trusted, from the canonical tuples and
-    the degree the walk counted; the public DecoratedGraph(...) would check
-    and canonicalize each again.  Each coefficient is built once as a
-    Fraction over the denominator, and the TautExpr takes the terms with no
-    second filter.
+    the walk's one denominator.  r_action passes one VertexTables to every
+    graph of its sum.  Numerators are summed under their raw int keys,
+    merged over the graph's automorphism orbits by _orbit_minima, and each
+    distinct key is built once with DecoratedGraph.trusted, from the
+    canonical tuples and the degree the walk counted; the public
+    DecoratedGraph(...) would check and canonicalize each again.  Each
+    coefficient is built once as a Fraction over the denominator, and the
+    TautExpr takes the terms with no second filter.
     """
     g = graph.total_genus()
     n = graph.num_legs
-    if len(vectors) != n:
+    if len(tables.legs) != n:
         raise ValueError("need %d vectors" % n)
-    cap = _class_cap(spec, g, n)
+    cap = _class_cap(tables.spec, g, n)
     ne = len(graph.edges)
-    if tables is None:
-        tables = VertexTables(spec, vectors)
     if ne > cap or (ne and not tables.kernel):
         return TautExpr(g, n, cap)
-    budget = cap - ne  # decoration degree available globally
     nv = graph.num_vertices
     dims = [graph.vertex_dim(v) for v in range(nv)]
     labels = graph.labels
-    # a vertex's room is the most degree it can ever have
-    walk = DecorationWalk(tables, graph, dims, [min(d, budget) for d in dims])
+    walk = DecorationWalk(tables, graph, dims, cap - ne)
     assign, load, edge_psi, rows = walk.assign, walk.load, walk.edge_psi, walk.rows
     kappa = [None] * nv
     leg_psi = [0] * n
@@ -638,7 +642,7 @@ def graph_contribution(spec, graph, vectors, tables=None):
                 leg_psi[label - 1] = e
             walk_vertices(v + 1, left - deg, coeff * c)
 
-    walk.run(budget, lambda left, coeff: walk_vertices(0, left, coeff))
+    walk.run(lambda left, coeff: walk_vertices(0, left, coeff))
     den = walk.denominator
     trusted_key = DecoratedGraph.trusted
     terms = {
@@ -702,7 +706,7 @@ def r_action(spec, g, n, vectors):
     total = {}
     tables = VertexTables(spec, vectors)
     for graph in enumerate_stable_graphs(g, n):
-        terms = graph_contribution(spec, graph, vectors, tables).terms
+        terms = graph_contribution(tables, graph).terms
         aut = graph.automorphism_order()
         if aut == 1:
             total.update(terms)

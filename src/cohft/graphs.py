@@ -447,16 +447,6 @@ def special_type(graph, n):
     return SpecialType(graph.genera[v] + mu, nu, k, mu)
 
 
-def _require_last_point(n):
-    if n < 1:
-        raise UnstablePair("special types need a last marked point")
-
-
-def enumerate_special_types(g, n):
-    _require_last_point(n)
-    return sorted({special_type(graph, n) for graph in enumerate_stable_graphs(g, n)})
-
-
 def special_order(g, n):
     """Degeneration order on special types.
 
@@ -466,7 +456,8 @@ def special_order(g, n):
     full strict relation as a set of (tau, tau') pairs and hasse its
     transitive reduction.  The smooth type is the unique maximum.
     """
-    _require_last_point(n)
+    if n < 1:
+        raise UnstablePair("special types need a last marked point")
     graphs, children = enumerate_stable_graphs(g, n, with_children=True)
     kind = {gr: special_type(gr, n) for gr in graphs}
     types = sorted(set(kind.values()))

@@ -71,8 +71,10 @@ vertex prefactors and kernel numerators, and F_v is formed from the
 integer row numerators of the table, its denominator already in the
 prefactor.  Here each vertex is limited by what the psi powers at its legs
 leave of its dimension, so a branch is cut once a vertex's load passes
-that.  F_v is memoised for one call by (genus, leg labels, projector,
-sorted edge-end psi); within a graph each vertex reads its values as int
+that; the walk's budget is the sum of those limits, which no limit
+exceeds, so each vertex reads its table with its limit as room.  F_v is
+memoised for one call by (genus, leg labels, projector, sorted edge-end
+psi); within a graph each vertex reads its values as int
 numerators over one denominator of its own, so a graph's part is an int
 sum, divided once, together with its 1/|Aut|.
 integrate_taut(r_action(...)) computes the same numbers through the class
@@ -461,7 +463,7 @@ def _graph_integral(graph, psi, backend, tables, values):
     limits = [graph.vertex_dim(v) - sum(psi[label - 1] for label in labels[v]) for v in range(nv)]
     if min(limits) < 0 or (graph.edges and not tables.kernel):
         return 0, 1
-    walk = DecorationWalk(tables, graph, limits, limits)
+    walk = DecorationWalk(tables, graph, limits, sum(limits))
     assign, load, edge_psi, rows = walk.assign, walk.load, walk.edge_psi, walk.rows
     dens = [1] * nv
     nums = [{} for _ in range(nv)]  # (projector, edge end psi) -> numerator over dens[v]
@@ -488,7 +490,7 @@ def _graph_integral(graph, psi, backend, tables, values):
             coeff *= num
         total += coeff
 
-    walk.run(sum(limits), leaf)
+    walk.run(leaf)
     return total, walk.denominator * prod(dens)
 
 

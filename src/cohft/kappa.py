@@ -147,16 +147,13 @@ class KappaPoly:
         return cls(cap, {(): Fraction(c)})
 
     @classmethod
-    def generator(cls, cap, j, coeff=1):
+    def generator(cls, cap, j):
         if j < 1:
             raise ValueError("kappa generators are indexed from 1")
-        return cls(cap, {(j,): Fraction(coeff)})
+        return cls(cap, {(j,): Fraction(1)})
 
     def __eq__(self, other):
         return isinstance(other, KappaPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def is_zero(self):
         return not self.terms

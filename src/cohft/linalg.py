@@ -71,9 +71,8 @@ def identity(n):
     return tuple(tuple(Q1 if i == j else Q0 for j in range(n)) for i in range(n))
 
 
-def zero_mat(n, m=None):
-    m = n if m is None else m
-    return tuple((Q0,) * m for _ in range(n))
+def zero_mat(n):
+    return tuple((Q0,) * n for _ in range(n))
 
 
 def mat_sub(a, b):

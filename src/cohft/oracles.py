@@ -273,9 +273,10 @@ def _vertex_msum(spec, mu, cap):
     return forgotten_point_msum([spec.ss.to_semisimple(c)[mu] for c in t], cap)
 
 
-def vertex_factor_diff(spec, mu, cap):
-    """Closed-form vertex exponential minus the m-sum, at one projector."""
-    return spec.vertex_exp(mu, cap) - _vertex_msum(spec, mu, cap)
+def vertex_factor_diff(spec, mu):
+    """Closed-form vertex exponential minus the m-sum, at one projector,
+    through the spec degree."""
+    return spec.vertex_exp(mu) - _vertex_msum(spec, mu, spec.degree)
 
 
 def _truncated_products(factors, cap):

@@ -67,7 +67,6 @@ class EndSeries:
             if len(c) != dim or any(len(row) != dim for row in c):
                 raise ValueError("coefficient has wrong shape")
         self.coeffs = tuple(coeffs)
-        self._inverse = None
 
     @classmethod
     def identity(cls, dim, order):
@@ -87,9 +86,6 @@ class EndSeries:
             and self.order == other.order
             and self.coeffs == other.coeffs
         )
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def is_identity(self):
         return self == EndSeries.identity(self.dim, self.order)
@@ -148,12 +144,10 @@ class EndSeries:
         return EndSeries(dim, self.order, out)
 
     def invert(self):
-        """The inverse series; computed once per series and then reused."""
-        if self._inverse is None:
-            self._inverse = self._compute_inverse()
-        return self._inverse
-
-    def _compute_inverse(self):
+        """The inverse series, order by order from the inverse of R_0;
+        ConstantTermSingular when R_0 is singular.  Computed on every call:
+        no spec inverts a series, only coherent_phi, the oracles and the
+        tests do."""
         try:
             c0 = mat_inv(self.coeffs[0])
         except ZeroDivisionError:

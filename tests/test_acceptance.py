@@ -21,7 +21,6 @@ from cohft.givental import (
     verify_axioms,
 )
 from cohft.graphs import (
-    enumerate_special_types,
     enumerate_stable_graphs,
     special_order,
     special_type,
@@ -227,7 +226,7 @@ def test_criterion_09_correlator_backend():
 
 
 def test_criterion_10_stratification():
-    types = enumerate_special_types(1, 2)
+    types = special_order(1, 2)[0]
     ok = len(types) == 4
     all_types, greater, _ = special_order(1, 2)
     equal_dim_strict = [

@@ -14,6 +14,7 @@ from cohft.givental import (
     CohFTSpec,
     IncoherentSpec,
     NotSymplectic,
+    VertexTables,
     coherent_phi,
     compatibility_check,
     graph_contribution,
@@ -154,7 +155,7 @@ def test_omega_plus_scalar_exponential():
 def _omega_plus_is_vertex_exp(spec):
     op = omega_plus(spec)
     return [
-        op.values[mu] == spec.vertex_exp(mu, spec.degree).scale(spec.ss.norms[mu])
+        op.values[mu] == spec.vertex_exp(mu).scale(spec.ss.norms[mu])
         for mu in range(spec.ss.dim)
     ]
 
@@ -169,6 +170,19 @@ def test_omega_plus_and_vertex_factor_are_one_exponential():
     assert all(_omega_plus_is_vertex_exp(hodge_spec(6)))
     for dim in (1, 2, 3):
         assert not all(_omega_plus_is_vertex_exp(incoherent_spec(rng, dim, 4)))
+
+
+def test_one_sum_reads_each_vertex_exponential_once(monkeypatch):
+    # VertexTables reads each projector's exponential once, at the spec
+    # degree, and cuts it to each room: 3 reads at dim 3, not one per
+    # (projector, room)
+    spec = coherent_spec(random.Random(1), 3, 4)
+    calls = []
+    read = CohFTSpec.vertex_exp
+    monkeypatch.setattr(CohFTSpec, "vertex_exp", lambda self, *args: calls.append(args) or read(self, *args))
+    rng = random.Random(2)
+    r_action(spec, 1, 3, [random_vector(rng, 3) for _ in range(3)])
+    assert len(calls) == 3
 
 
 def test_reconstruct_fixed_point_case():
@@ -306,9 +320,12 @@ def test_compatibility_check_matches_the_log_form(data):
 def test_reconstructions_need_one_vector_per_point():
     # three vectors at (1,1): fixed once multiplied all in, free used the first
     spec = trivial_spec(3)
+    vs = [[1], [2], [3]]
     for recon in (tqft_value, reconstruct_fixed, reconstruct_free):
         with pytest.raises(ValueError, match="need 1 vectors"):
-            recon(spec, 1, 1, [[1], [2], [3]])
+            recon(spec, 1, 1, vs)
+    with pytest.raises(ValueError, match="need 1 vectors"):
+        graph_contribution(VertexTables(spec, vs), smooth_graph(1, 1))
 
 
 def test_vectors_need_the_algebra_dimension():
@@ -406,7 +423,7 @@ def test_graph_contribution_identity_r_smooth():
     rng = random.Random(11)
     spec = identity_spec(rng, 2, 3)
     vs = [random_vector(rng, 2) for _ in range(2)]
-    got = graph_contribution(spec, smooth_graph(1, 2), vs)
+    got = graph_contribution(VertexTables(spec, vs), smooth_graph(1, 2))
     want = TautExpr(
         1,
         2,
@@ -420,14 +437,14 @@ def test_graph_contribution_identity_r_kills_edges():
     rng = random.Random(12)
     spec = identity_spec(rng, 2, 3)
     loop = StableGraph((0,), (0,), ((0, 0),))
-    assert graph_contribution(spec, loop, [random_vector(rng, 2)]).is_zero()
+    assert graph_contribution(VertexTables(spec, [random_vector(rng, 2)]), loop).is_zero()
 
 
 def test_graph_contribution_scalar_loop():
     a = F(1, 2)
     spec = scalar_exp_spec(a, 3)
     loop = StableGraph((0,), (0,), ((0, 0),))
-    got = graph_contribution(spec, loop, [[1]])
+    got = graph_contribution(VertexTables(spec, [[1]]), loop)
     kernel = edge_kernel(spec.r, spec.algebra.eta)
     want = TautExpr(
         1,
@@ -446,7 +463,7 @@ def test_one_leg_vertex_contribution_matches_insertion_sum():
     from cohft.oracles import vertex_factor_diff
 
     for mu in range(2):
-        assert vertex_factor_diff(spec, mu, 4).is_zero()
+        assert vertex_factor_diff(spec, mu).is_zero()
 
 
 def test_smooth_contribution_is_free_reconstruction_termwise():
@@ -459,7 +476,7 @@ def test_smooth_contribution_is_free_reconstruction_termwise():
         for g, n in [(1, 1), (2, 1), (1, 2)]:
             vs = [random_vector(rng, dim) for _ in range(n)]
             graph = smooth_graph(g, n)
-            got = graph_contribution(spec, graph, vs)
+            got = graph_contribution(VertexTables(spec, vs), graph)
             assert all(key.graph == graph for key in got.terms)
             assert got.restrict_to_smooth() == reconstruct_free(spec, g, n, vs)
 

@@ -9,7 +9,6 @@ from cohft.graphs import (
     StableGraph,
     UnstablePair,
     contract_edge,
-    enumerate_special_types,
     enumerate_stable_graphs,
     one_step_degenerations,
     smooth_graph,
@@ -185,9 +184,9 @@ def test_special_type_isomorphism_invariant():
 
 
 def test_special_type_counts():
-    assert len(enumerate_special_types(0, 3)) == 1
-    assert len(enumerate_special_types(1, 1)) == 2
-    assert len(enumerate_special_types(1, 2)) == 4
+    assert len(special_order(0, 3)[0]) == 1
+    assert len(special_order(1, 1)[0]) == 2
+    assert len(special_order(1, 2)[0]) == 4
 
 
 def test_codimension_formula():
